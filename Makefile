@@ -129,11 +129,11 @@ memprof: build
 	@echo "memprof: all kernels audited clean"
 
 # Device-cycle timeline of every kernel (docs/OBSERVABILITY.md): trace
-# both the plain and double-buffered legs on the modeled cycle clock,
-# reconcile phase durations against Sim.Perf and the static cost model
-# (cfdc timeline exits non-zero on any timeline-drift error), and keep
-# the Chrome traces + derived-metric JSON as artifacts. Both outputs
-# must parse as JSON.
+# both the plain and double-buffered legs on the modeled cycle clock
+# (the phases of Sim.Perf's block schedule, the one cycle model) and keep
+# the Chrome traces + derived-metric JSON as artifacts. cfdc timeline
+# exits non-zero on a sim-overlap-infeasible error; both outputs must
+# parse as JSON.
 timeline: build
 	@mkdir -p timeline-out
 	@for k in kernels/*.cfd; do \
@@ -146,7 +146,7 @@ timeline: build
 	  python3 -m json.tool "timeline-out/$$name.json" > /dev/null || exit 1; \
 	  python3 -m json.tool "timeline-out/$$name.trace.json" > /dev/null || exit 1; \
 	done
-	@echo "timeline: all kernels reconciled (phase sums == hw model == cost model)"
+	@echo "timeline: all kernels traced (plain and overlapped legs, JSON valid)"
 
 # Build everything, run the full suite, then smoke-test the exploration
 # engine at jobs=1 and jobs=4 (the sweep itself asserts the two agree in

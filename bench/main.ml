@@ -397,7 +397,7 @@ let merge_run_section section json =
     (Obs.Json.to_string (Obs.Json.Obj (base @ [ (section, json) ])))
 
 let effective_jobs () =
-  if !jobs_flag > 0 then !jobs_flag else Cfd_core.Pool.default_jobs ()
+  if !jobs_flag > 0 then !jobs_flag else Parallel.Pool.default_jobs ()
 
 let sweep () =
   let jobs = effective_jobs () in
@@ -603,8 +603,8 @@ let exec () =
   List.iter
     (function
       | Ok () -> ()
-      | Error (e : Cfd_core.Pool.error) -> failwith e.Cfd_core.Pool.message)
-    (Cfd_core.Pool.map ~jobs
+      | Error (e : Parallel.Pool.error) -> failwith e.Parallel.Pool.message)
+    (Parallel.Pool.map ~jobs
        (fun f ->
          for _ = 1 to reps_inner do
            Loopir.Compiled.run engine f
@@ -620,8 +620,8 @@ let exec () =
     (t_interp /. t_compiled);
   Printf.printf "  %-22s %14.0f ns/element  (%.2fx, %d jobs, %d host core%s)\n"
     "compiled+parallel" (ns t_parallel) (t_interp /. t_parallel) jobs
-    (Cfd_core.Pool.default_jobs ())
-    (if Cfd_core.Pool.default_jobs () = 1 then "" else "s");
+    (Parallel.Pool.default_jobs ())
+    (if Parallel.Pool.default_jobs () = 1 then "" else "s");
   (* Functional simulation of the full system: a jobs x elements matrix
      over both scheduling strategies. The sequential baseline is the
      round-scheduled strategy at jobs:1 (the Kelly-faithful host loop
@@ -772,7 +772,7 @@ let exec () =
     \  \"manifest\": %s\n\
      }\n"
       p mode_name (ns t_interp) (ns t_compiled) (t_interp /. t_compiled)
-      (Cfd_core.Pool.default_jobs ()) jobs (ns t_parallel)
+      (Parallel.Pool.default_jobs ()) jobs (ns t_parallel)
       (t_interp /. t_parallel) n_headline jobs_par t_sim_seq t_shard1
       shard1_overhead t_sim_par sim_par_speedup matrix_json stage_json
       manifest_json
@@ -1070,17 +1070,14 @@ let cache_bench () =
 (* One shape for both legs (k=8 halves the accelerators so m >= 2k holds
    without reshaping): the overlapped total is then provably <= the
    plain total, and the record's utilization numbers compare run over
-   run under the history sentinel. The reconciliation gate (timeline
-   phase sums == hw_result == Analysis.Cost closed form) rides in as
-   drift_errors. *)
+   run under the history sentinel. *)
 let timeline_bench () =
   let p = !exec_p in
   let elements = 2048 in
   header
     (Printf.sprintf
        "Device-cycle timeline: utilization of the p=%d Inverse Helmholtz\n\
-        (k=8 m=16, plain vs double-buffered legs, %d elements, \
-        reconciliation gate)"
+        (k=8 m=16, plain vs double-buffered legs, %d elements)"
        p elements);
   let r = compile ~p ~sharing:true () in
   let report =
@@ -1096,10 +1093,6 @@ let timeline_bench () =
   let plain = leg "plain" and overl = leg "overlapped" in
   let dp = plain.Cfd_core.Timeline.leg_derived in
   let dv = overl.Cfd_core.Timeline.leg_derived in
-  let drift_errors =
-    List.length
-      (Analysis.Diagnostic.errors (Cfd_core.Timeline.diagnostics report))
-  in
   let saved =
     dp.Cfd_core.Timeline.d_total_cycles - dv.Cfd_core.Timeline.d_total_cycles
   in
@@ -1111,7 +1104,6 @@ let timeline_bench () =
       [
         ("p", Obs.Json.Int p);
         ("elements", Obs.Json.Int elements);
-        ("drift_errors", Obs.Json.Int drift_errors);
         ( "plain_total_cycles",
           Obs.Json.Int dp.Cfd_core.Timeline.d_total_cycles );
         ( "plain_compute_share",

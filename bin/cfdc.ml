@@ -432,7 +432,7 @@ let do_explore file elements jobs prefilter stats cache_dir oo =
              pos.Cfdlang.Lexer.col msg);
         fatal ("parse error: " ^ msg)
   in
-  let jobs = if jobs <= 0 then Cfd_core.Pool.default_jobs () else jobs in
+  let jobs = if jobs <= 0 then Parallel.Pool.default_jobs () else jobs in
   let pruned_counter = Obs.Metrics.counter "explore.pruned" in
   let pruned0 = Obs.Metrics.counter_value pruned_counter in
   let outcomes =
@@ -625,6 +625,15 @@ let memprof_cmd =
 
 (* ---- timeline command ---- *)
 
+(* The phases and the totals come from one schedule, so the only way a
+   timeline fails is an overlapped leg the shape cannot double-buffer. *)
+let timeline_failed () =
+  let reason =
+    "timeline: overlapped leg infeasible (sim-overlap-infeasible: m < 2k)"
+  in
+  prerr_endline ("cfdc: " ^ reason);
+  fatal reason
+
 let do_timeline file name factorize decoupled sharing elements k m overlap
     trace_out json log log_level flight =
   obs_setup
@@ -663,8 +672,7 @@ let do_timeline file name factorize decoupled sharing elements k m overlap
   if json then
     print_endline (Obs.Json.to_string (Cfd_core.Timeline.to_json report))
   else Format.printf "%a@?" Cfd_core.Timeline.pp_report report;
-  if not (Cfd_core.Timeline.passed report) then
-    fatal "timeline reconciliation failed"
+  if not (Cfd_core.Timeline.passed report) then timeline_failed ()
 
 let timeline_elements_arg =
   Arg.(value & opt int 2048 & info [ "elements" ] ~docv:"N"
@@ -706,9 +714,10 @@ let timeline_cmd =
   let doc = "trace the simulated accelerator on its own cycle clock: emit \
              every modeled phase (DMA bursts, controller rounds, kernel \
              executions, the double-buffered pipeline) as a Chrome trace \
-             plus derived utilization metrics, and reconcile the phase \
-             durations against the performance model and the static cost \
-             analyzer (any mismatch is a timeline-drift error)" in
+             plus derived utilization metrics; the phases are laid out by \
+             the same block schedule the performance model totals, and an \
+             overlapped leg the shape cannot double-buffer exits non-zero \
+             with sim-overlap-infeasible under --overlap require" in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(
       const do_timeline $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
@@ -815,8 +824,7 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
             (Obs.Json.to_string (Cfd_core.Timeline.chrome_trace treport));
           Printf.printf "wrote %s\n" path
       | None -> ());
-      if not (Cfd_core.Timeline.passed treport) then
-        fatal "timeline reconciliation failed")
+      if not (Cfd_core.Timeline.passed treport) then timeline_failed ())
 
 let sim_elements_arg =
   Arg.(value & opt int 16 & info [ "sim-elements" ] ~docv:"N"

@@ -322,17 +322,10 @@ let analyze ?budget ?(unroll = 1) ~(program : Lower.Flow.program)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Cycle model                                                         *)
+(* Cycle estimate records                                              *)
 (* ------------------------------------------------------------------ *)
 
 type shape = { sh_n_elements : int; sh_k : int; sh_m : int; sh_batch : int }
-
-type board_model = {
-  bm_fmax_mhz : int;
-  bm_axi_bytes_per_cycle : int;
-  bm_axi_efficiency : float;
-  bm_handshake_cycles : int;
-}
 
 type cycle_estimate = {
   ce_round_cycles : int;
@@ -342,55 +335,6 @@ type cycle_estimate = {
   ce_total_cycles : int;
   ce_seconds : float;
 }
-
-(* Same float operations as [Sim.Perf.transfer_cycles], so predictions
-   agree bit for bit with the simulated model. *)
-let transfer_cycles ~bytes ~board =
-  let ideal =
-    float_of_int bytes /. float_of_int board.bm_axi_bytes_per_cycle
-  in
-  int_of_float (Float.ceil (ideal /. board.bm_axi_efficiency))
-
-let cycles t ~latency ~shape ~board =
-  ignore t.kernel;
-  let round = latency + board.bm_handshake_cycles in
-  let blocks = (shape.sh_n_elements + shape.sh_m - 1) / shape.sh_m in
-  let exec = blocks * shape.sh_batch * round in
-  let block_in =
-    transfer_cycles ~bytes:(shape.sh_m * 8 * t.words_in) ~board
-  in
-  let block_out =
-    transfer_cycles ~bytes:(shape.sh_m * 8 * t.words_out) ~board
-  in
-  let transfer = blocks * (block_in + block_out) in
-  let total = exec + transfer in
-  let freq = float_of_int board.bm_fmax_mhz *. 1e6 in
-  {
-    ce_round_cycles = round;
-    ce_blocks = blocks;
-    ce_exec_cycles = exec;
-    ce_transfer_cycles = transfer;
-    ce_total_cycles = total;
-    ce_seconds = float_of_int total /. freq;
-  }
-
-(* Closed form for [Sim.Perf.run_hw_overlapped]: fill + blocks *
-   max(io, compute) + drain. ce_exec/ce_transfer keep counting busy
-   cycles (they are per-engine sums, unchanged by pipelining); only the
-   critical-path total shrinks. *)
-let cycles_overlapped t ~latency ~shape ~board =
-  let ce = cycles t ~latency ~shape ~board in
-  let block_in =
-    transfer_cycles ~bytes:(shape.sh_m * 8 * t.words_in) ~board
-  in
-  let block_out =
-    transfer_cycles ~bytes:(shape.sh_m * 8 * t.words_out) ~board
-  in
-  let io = block_in + block_out in
-  let compute = shape.sh_batch * ce.ce_round_cycles in
-  let total = io + (ce.ce_blocks * max io compute) in
-  let freq = float_of_int board.bm_fmax_mhz *. 1e6 in
-  { ce with ce_total_cycles = total; ce_seconds = float_of_int total /. freq }
 
 let dma_words_per_set t ~n ~m =
   let sets = ref [] in

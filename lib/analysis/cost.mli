@@ -5,9 +5,8 @@
     predicts what it will {e cost}: statement trip counts and loop
     iteration totals by point-counting on the loop-nest polyhedra, DMA
     words per element and per PLM set, per-buffer access counts and peak
-    port pressure, a cycle estimate matching [Sim.Perf]'s performance
-    model, and a BRAM18 count re-derived from the platform allocation
-    rule. Every quantity carries an exactness flag: nests small enough
+    port pressure, and a BRAM18 count re-derived from the platform
+    allocation rule. Every quantity carries an exactness flag: nests small enough
     are counted by exact enumeration, larger ones fall back to
     Fourier–Motzkin bound products and are marked inexact
     ([cost-inexact]); unbounded domains are [cost-unbounded] errors.
@@ -99,30 +98,19 @@ val analyze :
     the compiled innermost unroll factor and only affects
     [buf_port_demand] / [cost-port-overcommit]. *)
 
-(** {2 Cycle model}
+(** {2 Cycle estimate}
 
-    A closed-form replica of [Sim.Perf.run_hw]'s non-overlapped model,
-    parameterized on plain records so this library stays independent of
-    [Sim]/[Sysgen]: one controller round costs the kernel latency plus
-    the handshake cycles of the start/done FSM, a block of [m] elements
-    runs [batch] rounds and two DMA bursts at the AXI efficiency, and
-    blocks repeat ceil(n/m) times. The float arithmetic matches
-    [Sim.Perf] operation for operation, so on uniform latencies the
-    prediction is bit-identical to the simulated result (asserted by the
-    drift detector and the test suite). *)
+    The records a static cycle estimate is reported in. The estimate
+    itself is [Cfd_core.Costing.estimate]: it prices the system with
+    [Sim.Perf]'s block schedule — the one cycle model — at the
+    closed-form round length (kernel latency plus the controller
+    handshake), so this library stays independent of [Sim]/[Sysgen]. *)
 
 type shape = {
   sh_n_elements : int;
   sh_k : int;  (** accelerator instances *)
   sh_m : int;  (** PLM sets *)
   sh_batch : int;  (** m / k rounds per block *)
-}
-
-type board_model = {
-  bm_fmax_mhz : int;
-  bm_axi_bytes_per_cycle : int;
-  bm_axi_efficiency : float;
-  bm_handshake_cycles : int;  (** controller start/done overhead per round *)
 }
 
 type cycle_estimate = {
@@ -133,18 +121,6 @@ type cycle_estimate = {
   ce_total_cycles : int;
   ce_seconds : float;
 }
-
-val cycles : t -> latency:int -> shape:shape -> board:board_model -> cycle_estimate
-
-val cycles_overlapped :
-  t -> latency:int -> shape:shape -> board:board_model -> cycle_estimate
-(** The double-buffered closed form matching
-    [Sim.Perf.run_hw_overlapped]: fill + [ce_blocks] steady-state slots
-    of [max(io, compute)] + drain. [ce_exec_cycles] and
-    [ce_transfer_cycles] are unchanged — they count per-engine busy
-    cycles, which pipelining does not reduce; only [ce_total_cycles]
-    (and [ce_seconds]) shrink. Callers must hold [m >= 2k]
-    (see [Sim.Perf.overlap_requirement]). *)
 
 val dma_words_per_set : t -> n:int -> m:int -> (int * int * int) list
 (** [(set, words_in, words_out)] for each PLM set under the
@@ -186,7 +162,9 @@ val drift : t -> ?cycle_model:cycle_estimate -> observed -> Diagnostic.t list
     - [cost-drift-dma]: DMA byte totals or per-set words disagree with
       the [sim.dma.*] counters / recorder;
     - [cost-drift-cycles]: the closed-form cycle estimate disagrees with
-      the simulated controller FSM;
+      the simulated controller FSM — the cycle model's one independent
+      check, since both price the same [Sim.Perf] schedule and differ
+      only in the round length;
     - [cost-drift-brams]: the platform-rule BRAM18 total disagrees with
       the architecture's claim.
 

@@ -14,14 +14,6 @@ type report = {
   sim_elements : int option;
 }
 
-let board_model (board : Fpga_platform.Board.t) =
-  {
-    Cost.bm_fmax_mhz = board.Fpga_platform.Board.fmax_mhz;
-    bm_axi_bytes_per_cycle = board.Fpga_platform.Board.axi_bytes_per_cycle;
-    bm_axi_efficiency = Sim.Constants.axi_efficiency;
-    bm_handshake_cycles = Sim.Constants.controller_handshake_cycles;
-  }
-
 let shape_of (sys : Sysgen.System.t) =
   let host = sys.Sysgen.System.host in
   {
@@ -36,9 +28,25 @@ let static ?budget (r : Compile.result) =
     ~unroll:(Option.value ~default:1 r.Compile.opts.Compile.unroll)
     ~program:r.Compile.program ~memory:r.Compile.memory ~proc:r.Compile.proc ()
 
-let estimate ~board ~system (r : Compile.result) cost =
-  Cost.cycles cost ~latency:r.Compile.hls.Hls.Model.latency_cycles
-    ~shape:(shape_of system) ~board:(board_model board)
+(* Sim.Perf's schedule at the closed-form round length: the controller
+   FSM is not stepped, so cost-drift-cycles compares two independent
+   derivations of the round. *)
+let estimate ~board ~system (r : Compile.result) (_ : Cost.t) =
+  let s =
+    Sim.Perf.Schedule.make ~overlap:false ~system ~board
+      ~round_cycles:
+        (r.Compile.hls.Hls.Model.latency_cycles
+        + Sim.Constants.controller_handshake_cycles)
+  in
+  let hw = Sim.Perf.result ~board s in
+  {
+    Cost.ce_round_cycles = s.Sim.Perf.Schedule.round_cycles;
+    ce_blocks = s.Sim.Perf.Schedule.blocks;
+    ce_exec_cycles = hw.Sim.Perf.exec_cycles;
+    ce_transfer_cycles = hw.Sim.Perf.transfer_cycles;
+    ce_total_cycles = hw.Sim.Perf.total_cycles;
+    ce_seconds = hw.Sim.Perf.total_seconds;
+  }
 
 (* Same deterministic per-element inputs as cfdc's simulation legs, so a
    drift run reproduces exactly what the profiling commands measure. *)

@@ -8,9 +8,9 @@
     [Sysgen]; this module is the one place that connects prediction to
     measurement:
 
-    - the {e cycle model} is instantiated with [Sim.Constants]
-      (AXI efficiency, controller handshake) and the board record, and
-      its float arithmetic matches [Sim.Perf] operation for operation;
+    - the {e cycle estimate} is [Sim.Perf]'s block schedule (the one
+      cycle model) built at the closed-form round length, kernel latency
+      plus [Sim.Constants.controller_handshake_cycles];
     - the {e observation} runs one recorded round-scheduled functional
       simulation and reads back the [exec.*]/[sim.*] counter deltas,
       the [Memprof.Record] snapshot, and the cycle-accurate
@@ -33,7 +33,6 @@ type report = {
   sim_elements : int option;  (** elements the drift simulation ran *)
 }
 
-val board_model : Fpga_platform.Board.t -> Analysis.Cost.board_model
 val shape_of : Sysgen.System.t -> Analysis.Cost.shape
 
 val static : ?budget:int -> Compile.result -> Analysis.Cost.t
@@ -45,9 +44,14 @@ val estimate :
   Compile.result ->
   Analysis.Cost.t ->
   Analysis.Cost.cycle_estimate
-(** The static cycle estimate for one built system. Bit-identical to
-    [Sim.Perf.run_hw ~system ~board] on uniform latencies (asserted by
-    the drift detector and the differential tests). *)
+(** The static cycle estimate for one built system: the plain
+    {!Sim.Perf.Schedule} at round length [latency +
+    Sim.Constants.controller_handshake_cycles], without stepping the
+    controller FSM. Block transfers come from the system's host loop;
+    the cost record is not consulted ([cost-drift-dma] checks the two
+    agree). Equal to [Sim.Perf.run_hw ~system ~board] exactly when the
+    FSM round equals the closed-form one — the [cost-drift-cycles]
+    check. *)
 
 val observe :
   ?sim_n:int ->

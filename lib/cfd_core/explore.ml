@@ -184,11 +184,11 @@ let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
     List.filter_map (function c, None -> Some c | _ -> None) lookups
   in
   let miss_preps =
-    Pool.map ?jobs (prepare ?cache ~config ~n_elements ast) misses
+    Parallel.Pool.map ?jobs (prepare ?cache ~config ~n_elements ast) misses
     |> List.map2
          (fun configuration -> function
            | Ok prepared -> prepared
-           | Error { Pool.message; _ } ->
+           | Error { Parallel.Pool.message; _ } ->
                Settled (infeasible configuration message))
          misses
   in
@@ -202,9 +202,9 @@ let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
     | _ -> assert false
   in
   let items = stitch lookups miss_preps in
-  (* The static outcome prices a Ready configuration by the closed-form
-     cycle model — for uniform latencies that is bit-identical to what
-     Sim.Perf would report, which is what makes pruning on it sound: a
+  (* The static outcome prices a Ready configuration by Sim.Perf's
+     schedule at the closed-form round — for uniform latencies that is
+     bit-identical to what run_hw reports, which makes pruning on it sound: a
      configuration statically dominated on (LUT, BRAM, seconds) cannot
      enter the Pareto frontier, so the filtered sweep returns the same
      frontier while simulating strictly fewer systems. Cached outcomes
@@ -240,7 +240,7 @@ let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
   in
   let to_sim = List.filter_map (function `Sim r -> Some r | `Done _ -> None) plan in
   let simulated =
-    Pool.map ?jobs
+    Parallel.Pool.map ?jobs
       (fun r ->
         let hw =
           Sim.Perf.run_hw ~system:r.r_system
@@ -253,7 +253,8 @@ let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
     |> List.map2
          (fun r -> function
            | Ok o -> o
-           | Error { Pool.message; _ } -> infeasible r.r_configuration message)
+           | Error { Parallel.Pool.message; _ } ->
+               infeasible r.r_configuration message)
          to_sim
   in
   let rec interleave plan simulated =

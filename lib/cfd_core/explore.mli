@@ -37,7 +37,7 @@ val sweep :
   Cfdlang.Ast.program ->
   outcome list
 (** Compile and evaluate every configuration. Configurations are
-    independent, so they fan out across a {!Pool} of [jobs] domains
+    independent, so they fan out across a {!Parallel.Pool} of [jobs] domains
     (default [Domain.recommended_domain_count ()]); the output order is
     always the input order, and [~jobs:1] runs fully sequentially in the
     calling domain. Every configuration is verified exactly once (one

@@ -1,11 +1,9 @@
 (* Device-cycle timeline orchestration: runs the performance model with
-   [Obs.Timeline] enabled, joins Memprof's port-pressure audit as
-   per-buffer counter tracks, derives the utilization metrics, and
-   cross-validates the captured phases against both [Sim.Perf]'s
-   aggregates and [Analysis.Cost]'s closed form — every mismatch is a
-   [timeline-drift] error, making the timeline a third independent
-   witness of the cycle model. The engine behind [cfdc timeline] and
-   the timeline leg of [cfdc profile]. *)
+   [Obs.Timeline] enabled, so [Sim.Perf]'s block schedule lays its phases
+   out on the cycle clock, joins Memprof's port-pressure audit as
+   per-buffer counter tracks, and derives the utilization metrics. The
+   engine behind [cfdc timeline] and the timeline leg of
+   [cfdc profile]. *)
 
 module Cost = Analysis.Cost
 module D = Analysis.Diagnostic
@@ -28,11 +26,10 @@ type leg = {
   leg_label : string;
   leg_overlap : bool;
   leg_shape : Cost.shape;
+  leg_schedule : Sim.Perf.Schedule.t;
   leg_hw : Sim.Perf.hw_result;
-  leg_estimate : Cost.cycle_estimate;
   leg_capture : TL.capture;
   leg_derived : derived;
-  leg_diagnostics : D.t list;
 }
 
 type report = {
@@ -42,10 +39,7 @@ type report = {
   tl_diagnostics : D.t list;
 }
 
-let diagnostics t =
-  t.tl_diagnostics @ List.concat_map (fun l -> l.leg_diagnostics) t.tl_legs
-
-let passed t = D.errors (diagnostics t) = []
+let passed t = D.errors t.tl_diagnostics = []
 
 (* --- memprof join ------------------------------------------------------- *)
 
@@ -122,43 +116,9 @@ let derive ~overlap ~(hw : Sim.Perf.hw_result) cap =
     d_port_peak_mean = TL.series_stats cap;
   }
 
-let drift_check ~label ~(hw : Sim.Perf.hw_result)
-    ~(est : Cost.cycle_estimate) cap =
-  let check subject got expected what =
-    if got = expected then []
-    else
-      [
-        D.error ~rule:"timeline-drift"
-          ~subject:(label ^ "." ^ subject)
-          ~witness:(D.Count (got, expected))
-          (Printf.sprintf "%s: timeline says %d cycles, %s says %d" what got
-             subject expected);
-      ]
-  in
-  check "total_cycles" (TL.busy cap "host") hw.Sim.Perf.total_cycles
-    "host-track busy sum vs hw_result.total_cycles"
-  @ check "exec_cycles" (TL.busy cap "ctrl") hw.Sim.Perf.exec_cycles
-      "ctrl-track busy sum vs hw_result.exec_cycles"
-  @ check "transfer_cycles" (TL.busy cap "dma") hw.Sim.Perf.transfer_cycles
-      "dma-track busy sum vs hw_result.transfer_cycles"
-  @
-  if est.Cost.ce_total_cycles = hw.Sim.Perf.total_cycles then []
-  else
-    [
-      D.error ~rule:"timeline-drift"
-        ~subject:(label ^ ".cost_model")
-        ~witness:(D.Count (est.Cost.ce_total_cycles, hw.Sim.Perf.total_cycles))
-        (Printf.sprintf
-           "Analysis.Cost closed form predicts %d cycles, simulated model \
-            ran %d"
-           est.Cost.ce_total_cycles hw.Sim.Perf.total_cycles);
-    ]
-
-let run_leg ~label ~overlap ~board ~cost ~audit (r : Compile.result)
+let run_leg ~label ~overlap ~board ~audit (r : Compile.result)
     (sys : Sysgen.System.t) =
-  let latency = r.Compile.hls.Hls.Model.latency_cycles in
-  let shape = Costing.shape_of sys in
-  let bm = Costing.board_model board in
+  let sched = Sim.Perf.schedule ~overlap ~system:sys ~board in
   let was = TL.enabled () in
   TL.set_enabled true;
   TL.reset ();
@@ -174,31 +134,20 @@ let run_leg ~label ~overlap ~board ~cost ~audit (r : Compile.result)
         let hw = run ~system:sys ~board in
         (match audit with
         | Some a ->
-            let block_in =
-              Sim.Perf.transfer_cycles
-                ~bytes:
-                  (shape.Cost.sh_m
-                  * sys.Sysgen.System.host.Sysgen.System.bytes_in_per_element)
-                ~board
-            in
             inject_port_samples ~kernel:r.Compile.proc.Loopir.Prog.name
-              ~start:block_in ~latency a
+              ~start:sched.Sim.Perf.Schedule.block_in
+              ~latency:r.Compile.hls.Hls.Model.latency_cycles a
         | None -> ());
         (hw, TL.capture ()))
-  in
-  let est =
-    (if overlap then Cost.cycles_overlapped else Cost.cycles)
-      cost ~latency ~shape ~board:bm
   in
   {
     leg_label = label;
     leg_overlap = overlap;
-    leg_shape = shape;
+    leg_shape = Costing.shape_of sys;
+    leg_schedule = sched;
     leg_hw = hw;
-    leg_estimate = est;
     leg_capture = cap;
     leg_derived = derive ~overlap ~hw cap;
-    leg_diagnostics = drift_check ~label ~hw ~est cap;
   }
 
 (* --- overlap reshaping -------------------------------------------------- *)
@@ -216,19 +165,17 @@ let overlap_k ~m =
 let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
     ?(overlap = Auto) ?(join_memprof = true) ~n_elements (r : Compile.result) =
   let board = config.Sysgen.Replicate.board in
-  let cost = Costing.static r in
   let audit = if join_memprof then Some (audit_of r) else None in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
-  let plain = run_leg ~label:"plain" ~overlap:false ~board ~cost ~audit r sys in
+  let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in
   let k = sys.Sysgen.System.solution.Sysgen.Replicate.k in
   let m = sys.Sysgen.System.solution.Sysgen.Replicate.m in
   let overlap_legs, top_diags =
     match (overlap, Sim.Perf.overlap_requirement ~k ~m) with
     | Off, _ -> ([], [])
     | _, None ->
-        ( [ run_leg ~label:"overlapped" ~overlap:true ~board ~cost ~audit r sys ],
-          [] )
+        ([ run_leg ~label:"overlapped" ~overlap:true ~board ~audit r sys ], [])
     | Require, Some msg ->
         ( [],
           [
@@ -266,10 +213,7 @@ let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
                   ] )
             | sys' ->
                 Sysgen.System.validate sys';
-                ( [
-                    run_leg ~label:"overlapped" ~overlap:true ~board ~cost
-                      ~audit r sys';
-                  ],
+                ( [ run_leg ~label:"overlapped" ~overlap:true ~board ~audit r sys' ],
                   [] )))
   in
   {
@@ -316,7 +260,6 @@ let leg_json l =
       ("total_cycles", Obs.Json.Int d.d_total_cycles);
       ("exec_cycles", Obs.Json.Int d.d_exec_cycles);
       ("transfer_cycles", Obs.Json.Int d.d_transfer_cycles);
-      ("predicted_cycles", Obs.Json.Int l.leg_estimate.Cost.ce_total_cycles);
       ("compute_share", Obs.Json.Float d.d_compute_share);
       ("transfer_share", Obs.Json.Float d.d_transfer_share);
       ("overlap_efficiency", Obs.Json.Float d.d_overlap_efficiency);
@@ -338,8 +281,6 @@ let leg_json l =
              d.d_port_peak_mean) );
       ("phases", Obs.Json.Int (List.length l.leg_capture.TL.cap_phases));
       ("samples", Obs.Json.Int (List.length l.leg_capture.TL.cap_samples));
-      ( "diagnostics",
-        Obs.Json.List (List.map json_diag l.leg_diagnostics) );
     ]
 
 let to_json t =
@@ -349,8 +290,6 @@ let to_json t =
       ("n_elements", Obs.Json.Int t.tl_n_elements);
       ("legs", Obs.Json.List (List.map leg_json t.tl_legs));
       ("diagnostics", Obs.Json.List (List.map json_diag t.tl_diagnostics));
-      ( "drift_errors",
-        Obs.Json.Int (List.length (D.errors (diagnostics t))) );
       ("passed", Obs.Json.Bool (passed t));
     ]
 
@@ -383,15 +322,10 @@ let pp_report ppf t =
           Format.fprintf ppf "    %s %s: peak %d, mean %.2f@." track series
             peak mean)
         d.d_port_peak_mean;
-      Format.fprintf ppf "    phases %d, samples %d, %s@."
+      Format.fprintf ppf "    phases %d, samples %d@."
         (List.length l.leg_capture.TL.cap_phases)
-        (List.length l.leg_capture.TL.cap_samples)
-        (D.summary l.leg_diagnostics))
+        (List.length l.leg_capture.TL.cap_samples))
     t.tl_legs;
-  let ds = diagnostics t in
-  if D.errors ds = [] then
-    Format.fprintf ppf "  reconciliation: PASS (%s)@." (D.summary ds)
-  else begin
-    Format.fprintf ppf "  reconciliation: FAIL@.";
-    D.pp_report ppf ds
-  end
+  match t.tl_diagnostics with
+  | [] -> ()
+  | ds -> D.pp_report ppf ds

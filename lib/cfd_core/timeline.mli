@@ -2,17 +2,17 @@
     [cfdc timeline] and the timeline leg of [cfdc profile].
 
     Runs the performance model ({!Sim.Perf}) with {!Obs.Timeline}
-    enabled so every phase instance (per-block DMA-in, controller
-    rounds, per-kernel executions, DMA-out, and the fill/steady/drain
-    pipeline of the overlapped mode) lands on the modeled cycle clock,
-    joins {!Memprof}'s port-pressure audit as per-buffer
-    ["plm:<unit>"] counter tracks, derives the utilization metrics the
-    paper's discussion is about (compute/transfer shares, overlap
-    efficiency, idle cycles per accelerator, peak/mean port pressure),
-    and cross-validates the captured phases against both the
-    simulator's aggregate counters and {!Analysis.Cost}'s closed form:
-    any mismatch is a [timeline-drift] error — the timeline is a third
-    independent witness of the cycle model.
+    enabled so every phase instance of its block schedule (per-block
+    DMA-in, controller rounds, per-kernel executions, DMA-out, and the
+    fill/steady/drain pipeline of the overlapped mode) lands on the
+    modeled cycle clock, joins {!Memprof}'s port-pressure audit as
+    per-buffer ["plm:<unit>"] counter tracks, and derives the
+    utilization metrics the paper's discussion is about
+    (compute/transfer shares, overlap efficiency, idle cycles per
+    accelerator, peak/mean port pressure). The phases and the cycle
+    totals come from the same {!Sim.Perf.Schedule.t}, so there is
+    nothing to reconcile; the only failure left is an overlapped leg the
+    shape cannot double-buffer ([sim-overlap-infeasible]).
 
     The enable flag is saved/restored around each run and the store is
     reset afterwards, so callers never observe residual state. *)
@@ -48,11 +48,10 @@ type leg = {
   leg_label : string;  (** ["plain"] or ["overlapped"] *)
   leg_overlap : bool;
   leg_shape : Analysis.Cost.shape;
+  leg_schedule : Sim.Perf.Schedule.t;  (** the schedule the leg ran *)
   leg_hw : Sim.Perf.hw_result;
-  leg_estimate : Analysis.Cost.cycle_estimate;
   leg_capture : Obs.Timeline.capture;
   leg_derived : derived;
-  leg_diagnostics : Analysis.Diagnostic.t list;  (** [timeline-drift] *)
 }
 
 type report = {
@@ -60,7 +59,7 @@ type report = {
   tl_n_elements : int;
   tl_legs : leg list;  (** plain first, then (maybe) overlapped *)
   tl_diagnostics : Analysis.Diagnostic.t list;
-      (** report-level, e.g. [sim-overlap-infeasible] *)
+      (** [sim-overlap-infeasible], when the overlapped leg is withheld *)
 }
 
 val analyze :
@@ -77,13 +76,11 @@ val analyze :
     [overlap] (default [Auto]) — the overlapped leg, each under a
     fresh timeline capture. [join_memprof] (default [true]) runs the
     PLM audit once and joins its pressure series onto the first kernel
-    execution's latency window. *)
-
-val diagnostics : report -> Analysis.Diagnostic.t list
-(** Report-level diagnostics followed by every leg's. *)
+    execution's latency window, which starts at the schedule's
+    [block_in]. *)
 
 val passed : report -> bool
-(** No error-severity diagnostics: every leg reconciled exactly. *)
+(** No error-severity diagnostic: every requested leg ran. *)
 
 val find_leg : report -> string -> leg option
 
@@ -94,7 +91,7 @@ val chrome_trace : report -> Obs.Json.t
 
 val to_json : report -> Obs.Json.t
 (** The scripting surface of [cfdc timeline --json]: per-leg shape,
-    cycle counts, derived metrics and diagnostics, plus top-level
-    [drift_errors] and [passed]. *)
+    cycle counts and derived metrics, plus top-level [diagnostics] and
+    [passed]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -46,130 +46,161 @@ let overlap_requirement ~k ~m =
           (k=%d accelerators)"
          m (2 * k) k)
 
-(* The per-phase emission behind [Obs.Timeline]: every quantity is
-   already closed-form, so the phases are laid out directly on the
-   cycle clock. Non-overlapped blocks tile the host track back to back
-   (dma-in, compute, dma-out); the overlapped pipeline is fill +
-   [blocks] steady-state slots of max(io, compute) + drain, with the
-   DMA engine draining block b-1 and prefetching block b+1 inside slot
-   b. Controller rounds and per-kernel executions are nested inside
-   every compute window, so the ctrl track's busy cycles sum to
-   exec_cycles and the dma track's to transfer_cycles exactly. *)
-let emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
-    ~blocks ~batch =
-  let compute_block = batch * round_cycles in
-  let io_block = block_in + block_out in
-  let acc = Array.init k (fun i -> "acc" ^ string_of_int i) in
-  let block_attr b = [ ("block", string_of_int b) ] in
-  let emit_compute ~block ~start =
-    for r = 0 to batch - 1 do
-      let rs = start + (r * round_cycles) in
-      let attrs =
-        [ ("block", string_of_int block); ("round", string_of_int r) ]
-      in
-      Obs.Timeline.phase ~track:"ctrl" ~name:"round" ~start:rs
-        ~dur:round_cycles ~attrs ();
-      for i = 0 to k - 1 do
-        Obs.Timeline.phase ~track:acc.(i) ~name:"kernel" ~start:rs
-          ~dur:latency ~attrs ()
+(* The host main loop as one block schedule: [blocks] iterations of
+   (DMA-in of [block_in] cycles; [batch] controller rounds of
+   [round_cycles]; DMA-out of [block_out] cycles), or, double-buffered,
+   a fill + [blocks] steady-state slots of max(io, compute) + drain.
+   The totals are closed-form; the phase layout is walked only by
+   timeline emission. *)
+module Schedule = struct
+  type t = {
+    k : int;
+    batch : int;
+    blocks : int;
+    round_cycles : int;
+    block_in : int;
+    block_out : int;
+    overlap : bool;
+  }
+
+  let make ~overlap ~(system : Sysgen.System.t) ~board ~round_cycles =
+    let sol = system.Sysgen.System.solution in
+    let k = sol.Sysgen.Replicate.k and m = sol.Sysgen.Replicate.m in
+    (if overlap then
+       match overlap_requirement ~k ~m with
+       | Some msg -> invalid_arg ("Perf.Schedule.make: " ^ msg)
+       | None -> ());
+    let host = system.Sysgen.System.host in
+    {
+      k;
+      batch = host.Sysgen.System.rounds_per_block;
+      blocks = host.Sysgen.System.block_iterations;
+      round_cycles;
+      block_in =
+        transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_in_per_element)
+          ~board;
+      block_out =
+        transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_out_per_element)
+          ~board;
+      overlap;
+    }
+
+  let compute_block s = s.batch * s.round_cycles
+  let io_block s = s.block_in + s.block_out
+  let exec_cycles s = s.blocks * compute_block s
+  let transfer_cycles s = s.blocks * io_block s
+
+  (* Double buffering is a two-stage pipeline: fill with the first
+     block's input, drain with the last block's output; the steady state
+     is bound by the slower of DMA and compute. *)
+  let total_cycles s =
+    if s.overlap then
+      io_block s + (s.blocks * max (io_block s) (compute_block s))
+    else exec_cycles s + transfer_cycles s
+
+  (* Non-overlapped blocks tile the host track back to back (dma-in,
+     compute, dma-out); in the overlapped pipeline the DMA engine drains
+     block b-1 and prefetches block b+1 inside slot b. Controller rounds
+     and per-kernel executions nest inside every compute window, so the
+     ctrl track's busy cycles sum to [exec_cycles], the dma track's to
+     [transfer_cycles] and the host track's to [total_cycles]. *)
+  let iter_phases s ~latency f =
+    let compute_block = compute_block s and io_block = io_block s in
+    let acc = Array.init s.k (fun i -> "acc" ^ string_of_int i) in
+    let block_attr b = [ ("block", string_of_int b) ] in
+    let compute ~block ~start =
+      for r = 0 to s.batch - 1 do
+        let rs = start + (r * s.round_cycles) in
+        let attrs =
+          [ ("block", string_of_int block); ("round", string_of_int r) ]
+        in
+        f ~track:"ctrl" ~name:"round" ~start:rs ~dur:s.round_cycles ~attrs;
+        for i = 0 to s.k - 1 do
+          f ~track:acc.(i) ~name:"kernel" ~start:rs ~dur:latency ~attrs
+        done
       done
-    done
-  in
-  if not overlap then
-    for b = 0 to blocks - 1 do
-      let base = b * (io_block + compute_block) in
-      Obs.Timeline.phase ~track:"host" ~name:"dma-in" ~start:base
-        ~dur:block_in ~attrs:(block_attr b) ();
-      Obs.Timeline.phase ~track:"dma" ~name:"dma-in" ~start:base
-        ~dur:block_in ~attrs:(block_attr b) ();
-      Obs.Timeline.phase ~track:"host" ~name:"compute"
-        ~start:(base + block_in) ~dur:compute_block ~attrs:(block_attr b) ();
-      emit_compute ~block:b ~start:(base + block_in);
-      let out_start = base + block_in + compute_block in
-      Obs.Timeline.phase ~track:"host" ~name:"dma-out" ~start:out_start
-        ~dur:block_out ~attrs:(block_attr b) ();
-      Obs.Timeline.phase ~track:"dma" ~name:"dma-out" ~start:out_start
-        ~dur:block_out ~attrs:(block_attr b) ()
-    done
-  else begin
-    let steady = max io_block compute_block in
-    Obs.Timeline.phase ~track:"host" ~name:"fill" ~start:0 ~dur:block_in
-      ~attrs:(block_attr 0) ();
-    Obs.Timeline.phase ~track:"dma" ~name:"dma-in" ~start:0 ~dur:block_in
-      ~attrs:(block_attr 0) ();
-    for b = 0 to blocks - 1 do
-      let slot = block_in + (b * steady) in
-      Obs.Timeline.phase ~track:"host" ~name:"steady" ~start:slot ~dur:steady
-        ~attrs:(block_attr b) ();
-      emit_compute ~block:b ~start:slot;
-      if b > 0 then
-        Obs.Timeline.phase ~track:"dma" ~name:"dma-out" ~start:slot
-          ~dur:block_out ~attrs:(block_attr (b - 1)) ();
-      if b < blocks - 1 then
-        Obs.Timeline.phase ~track:"dma" ~name:"dma-in"
-          ~start:(slot + if b > 0 then block_out else 0)
-          ~dur:block_in ~attrs:(block_attr (b + 1)) ()
-    done;
-    let drain = block_in + (blocks * steady) in
-    Obs.Timeline.phase ~track:"host" ~name:"drain" ~start:drain
-      ~dur:block_out ~attrs:(block_attr (blocks - 1)) ();
-    Obs.Timeline.phase ~track:"dma" ~name:"dma-out" ~start:drain
-      ~dur:block_out ~attrs:(block_attr (blocks - 1)) ()
-  end
+    in
+    if not s.overlap then
+      for b = 0 to s.blocks - 1 do
+        let base = b * (io_block + compute_block) in
+        let attrs = block_attr b in
+        f ~track:"host" ~name:"dma-in" ~start:base ~dur:s.block_in ~attrs;
+        f ~track:"dma" ~name:"dma-in" ~start:base ~dur:s.block_in ~attrs;
+        f ~track:"host" ~name:"compute" ~start:(base + s.block_in)
+          ~dur:compute_block ~attrs;
+        compute ~block:b ~start:(base + s.block_in);
+        let out_start = base + s.block_in + compute_block in
+        f ~track:"host" ~name:"dma-out" ~start:out_start ~dur:s.block_out
+          ~attrs;
+        f ~track:"dma" ~name:"dma-out" ~start:out_start ~dur:s.block_out
+          ~attrs
+      done
+    else begin
+      let steady = max io_block compute_block in
+      f ~track:"host" ~name:"fill" ~start:0 ~dur:s.block_in
+        ~attrs:(block_attr 0);
+      f ~track:"dma" ~name:"dma-in" ~start:0 ~dur:s.block_in
+        ~attrs:(block_attr 0);
+      for b = 0 to s.blocks - 1 do
+        let slot = s.block_in + (b * steady) in
+        f ~track:"host" ~name:"steady" ~start:slot ~dur:steady
+          ~attrs:(block_attr b);
+        compute ~block:b ~start:slot;
+        if b > 0 then
+          f ~track:"dma" ~name:"dma-out" ~start:slot ~dur:s.block_out
+            ~attrs:(block_attr (b - 1));
+        if b < s.blocks - 1 then
+          f ~track:"dma" ~name:"dma-in"
+            ~start:(slot + if b > 0 then s.block_out else 0)
+            ~dur:s.block_in ~attrs:(block_attr (b + 1))
+      done;
+      let drain = s.block_in + (s.blocks * steady) in
+      let attrs = block_attr (s.blocks - 1) in
+      f ~track:"host" ~name:"drain" ~start:drain ~dur:s.block_out ~attrs;
+      f ~track:"dma" ~name:"dma-out" ~start:drain ~dur:s.block_out ~attrs
+    end
+end
+
+(* Every round is identical (same latency on all k accelerators), so one
+   round is simulated cycle-by-cycle through the controller FSM and the
+   schedule multiplies it out over the host main loop. *)
+let schedule ~overlap ~(system : Sysgen.System.t) ~board =
+  Schedule.make ~overlap ~system ~board
+    ~round_cycles:
+      (simulated_round_cycles ~k:system.Sysgen.System.solution.Sysgen.Replicate.k
+         ~batch:system.Sysgen.System.host.Sysgen.System.rounds_per_block
+         ~latency:system.Sysgen.System.kernel.Hls.Model.latency_cycles)
+
+let result ~board (s : Schedule.t) =
+  let exec = Schedule.exec_cycles s in
+  let total = Schedule.total_cycles s in
+  let freq = float_of_int board.Fpga_platform.Board.fmax_mhz *. 1e6 in
+  {
+    k = s.Schedule.k;
+    m = s.Schedule.k * s.Schedule.batch;
+    exec_cycles = exec;
+    transfer_cycles = Schedule.transfer_cycles s;
+    total_cycles = total;
+    exec_seconds = float_of_int exec /. freq;
+    total_seconds = float_of_int total /. freq;
+  }
 
 let run_hw_general ~overlap ~(system : Sysgen.System.t) ~board =
   let sol = system.Sysgen.System.solution in
-  let k = sol.Sysgen.Replicate.k and m = sol.Sysgen.Replicate.m in
-  (if overlap then
-     match overlap_requirement ~k ~m with
-     | Some msg -> invalid_arg ("Perf.run_hw: " ^ msg)
-     | None -> ());
-  Obs.Metrics.incr c_perf_runs;
   Obs.Trace.with_span "sim.perf" @@ fun () ->
-  Obs.Trace.span_attr "k" (string_of_int k);
-  Obs.Trace.span_attr "m" (string_of_int m);
-  let host = system.Sysgen.System.host in
-  let latency = system.Sysgen.System.kernel.Hls.Model.latency_cycles in
-  (* Every round is identical (same latency on all k accelerators), so
-     one round is simulated cycle-by-cycle through the controller FSM and
-     the result is multiplied out over the host main loop. *)
-  let round_cycles = simulated_round_cycles ~k
-      ~batch:host.Sysgen.System.rounds_per_block ~latency in
-  let block_in =
-    transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_in_per_element) ~board
-  in
-  let block_out =
-    transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_out_per_element) ~board
-  in
-  let blocks = host.Sysgen.System.block_iterations in
-  let batch = host.Sysgen.System.rounds_per_block in
-  let compute_block = batch * round_cycles in
-  let io_block = block_in + block_out in
+  Obs.Trace.span_attr "k" (string_of_int sol.Sysgen.Replicate.k);
+  Obs.Trace.span_attr "m" (string_of_int sol.Sysgen.Replicate.m);
+  let s = schedule ~overlap ~system ~board in
+  Obs.Metrics.incr c_perf_runs;
   if Obs.Timeline.enabled () then
-    emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
-      ~blocks ~batch;
-  let exec = ref (blocks * compute_block) in
-  let transfer = ref (blocks * io_block) in
-  let freq = float_of_int board.Fpga_platform.Board.fmax_mhz *. 1e6 in
-  let total =
-    if overlap then
-      (* two-stage pipeline: fill with the first block's input, drain with
-         the last block's output; steady state is bound by the slower of
-         DMA and compute *)
-      io_block + (blocks * max io_block compute_block)
-    else !exec + !transfer
-  in
-  Obs.Trace.span_attr "round_cycles" (string_of_int round_cycles);
-  Obs.Metrics.observe h_total_cycles (float_of_int total);
-  {
-    k;
-    m;
-    exec_cycles = !exec;
-    transfer_cycles = !transfer;
-    total_cycles = total;
-    exec_seconds = float_of_int !exec /. freq;
-    total_seconds = float_of_int total /. freq;
-  }
+    Schedule.iter_phases s
+      ~latency:system.Sysgen.System.kernel.Hls.Model.latency_cycles
+      (fun ~track ~name ~start ~dur ~attrs ->
+        Obs.Timeline.phase ~track ~name ~start ~dur ~attrs ());
+  let r = result ~board s in
+  Obs.Trace.span_attr "round_cycles" (string_of_int s.Schedule.round_cycles);
+  Obs.Metrics.observe h_total_cycles (float_of_int r.total_cycles);
+  r
 
 let run_sw ~variant ~flops_per_element ~n_elements ~board =
   let penalty =

@@ -30,19 +30,92 @@ val overlap_requirement : k:int -> m:int -> string option
     overlapped run into a stable [sim-overlap-infeasible] diagnostic
     instead of an exception. *)
 
+(** {2 The block schedule}
+
+    The only cycle model in the repository. The host main loop is
+    [blocks] iterations of (DMA-in of one block of [m] elements;
+    [batch = m / k] controller rounds; DMA-out), or, double-buffered, a
+    two-stage pipeline of fill + [blocks] steady-state slots of
+    [max(io, compute)] + drain. {!run_hw}, [Cfd_core.Costing.estimate]
+    and the device timeline all read their cycle counts from one
+    {!Schedule.t}; they differ only in the round length they build it
+    with (the FSM-simulated round here, the closed-form
+    [latency + Constants.controller_handshake_cycles] in the static
+    estimate). *)
+
+module Schedule : sig
+  type t = private {
+    k : int;  (** accelerators fired per round *)
+    batch : int;  (** rounds per block, [m / k] *)
+    blocks : int;  (** host main-loop iterations, [ceil(n / m)] *)
+    round_cycles : int;  (** one controller round, handshake included *)
+    block_in : int;  (** DMA-in cycles of one block *)
+    block_out : int;  (** DMA-out cycles of one block *)
+    overlap : bool;  (** double-buffered transfers *)
+  }
+
+  val make :
+    overlap:bool ->
+    system:Sysgen.System.t ->
+    board:Fpga_platform.Board.t ->
+    round_cycles:int ->
+    t
+  (** The schedule of [system]'s host loop at [round_cycles] per round,
+      block transfers priced by {!transfer_cycles}.
+      @raise Invalid_argument when [overlap] and [m < 2k]
+      (see {!overlap_requirement}). *)
+
+  val exec_cycles : t -> int
+  (** Controller-busy cycles: [blocks * batch * round_cycles]. *)
+
+  val transfer_cycles : t -> int
+  (** DMA-busy cycles: [blocks * (block_in + block_out)]. *)
+
+  val total_cycles : t -> int
+  (** Critical path: [exec + transfer] plain; [io + blocks * max(io,
+      compute)] overlapped. All three totals are O(1). *)
+
+  val iter_phases :
+    t ->
+    latency:int ->
+    (track:string ->
+    name:string ->
+    start:int ->
+    dur:int ->
+    attrs:(string * string) list ->
+    unit) ->
+    unit
+  (** Every phase instance on the cycle clock: per-block dma-in /
+      dma-out on the ["host"] and ["dma"] tracks (fill / steady / drain
+      on ["host"] when overlapped), controller rounds on ["ctrl"], and
+      per-kernel executions of [latency] cycles on ["acc<i>"]. The busy
+      sums of the host, ctrl and dma tracks are {!total_cycles},
+      {!exec_cycles} and {!transfer_cycles}. O(blocks * batch * k):
+      walk it for a timeline, never for a total. *)
+end
+
+val schedule :
+  overlap:bool ->
+  system:Sysgen.System.t ->
+  board:Fpga_platform.Board.t ->
+  Schedule.t
+(** {!Schedule.make} with the round simulated cycle-by-cycle through
+    {!Sysgen.Axi_ctrl.run_round} (memoized on [(k, batch, latency)]). *)
+
+val result : board:Fpga_platform.Board.t -> Schedule.t -> hw_result
+(** A schedule's totals at the board clock. Pure: no metrics, no
+    timeline emission. *)
+
 val run_hw :
   system:Sysgen.System.t -> board:Fpga_platform.Board.t -> hw_result
-(** Simulates the host main loop: [N_e / m] iterations of (input
-    transfers for m elements; m/k controller rounds, each fired through
-    {!Sysgen.Axi_ctrl.run_round}; output transfers). No transfer/compute
-    overlap — reproducing the paper's evaluated implementation, and the
-    reason its k<m batching experiments showed no improvement.
+(** Simulates the host main loop: {!result} of the plain {!schedule}.
+    No transfer/compute overlap — reproducing the paper's evaluated
+    implementation, and the reason its k<m batching experiments showed
+    no improvement.
 
-    When {!Obs.Timeline.enabled} the run also emits every phase
-    instance (per-block dma-in / dma-out on the ["host"] and ["dma"]
-    tracks, controller rounds on ["ctrl"], per-kernel executions on
-    ["acc<i>"]) on the modeled cycle clock; the disabled path is a
-    single branch — bit-identical results, no allocation. *)
+    When {!Obs.Timeline.enabled} the run also emits the schedule's
+    {!Schedule.iter_phases} on the modeled cycle clock; the disabled
+    path is a single branch — bit-identical results, no allocation. *)
 
 val run_hw_overlapped :
   system:Sysgen.System.t -> board:Fpga_platform.Board.t -> hw_result

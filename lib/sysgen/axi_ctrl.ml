@@ -38,8 +38,13 @@ let step t ~ready ~done_ =
       end
       else { ap_start_broadcast = false; irq = false; batch_index = t.batch_index }
   | Running ->
-      Array.iteri (fun i d -> if d then t.done_seen.(i) <- true) done_;
-      if Array.for_all Fun.id t.done_seen then begin
+      (* one closure-free pass: a round steps once per kernel cycle *)
+      let all_done = ref true in
+      for i = 0 to t.k_ - 1 do
+        if done_.(i) then t.done_seen.(i) <- true
+        else if not t.done_seen.(i) then all_done := false
+      done;
+      if !all_done then begin
         t.st <- Idle;
         let index = t.batch_index in
         t.batch_index <- (t.batch_index + 1) mod t.batch_;
@@ -69,7 +74,10 @@ let run_round t ~latencies =
     let out = step t ~ready ~done_ in
     if out.ap_start_broadcast then started := true
     else if !started then
-      Array.iteri (fun i r -> if r > 0 then remaining.(i) <- r - 1) remaining;
+      for i = 0 to t.k_ - 1 do
+        let r = remaining.(i) in
+        if r > 0 then remaining.(i) <- r - 1
+      done;
     if out.irq then finished := true
   done;
   !cycles

@@ -1,6 +1,6 @@
-(* Black-box tests of the cfdc command line: the profile and memprof
-   subcommands exit 0 on a good kernel and write well-formed JSON
-   artifacts; bad flags and missing files exit non-zero. Runs the real
+(* Black-box tests of the cfdc command line: the profile, memprof and
+   timeline subcommands exit 0 on a good kernel and write well-formed
+   JSON artifacts; bad flags and missing files exit non-zero. Runs the real
    binary as a subprocess, like CI does. *)
 
 let cfdc () =
@@ -373,6 +373,44 @@ let test_log_sink_jsonl () =
     !lines;
   Sys.remove log
 
+(* --json: stdout alone is the machine-readable document. *)
+let test_timeline_json () =
+  let out = tmp ".json" in
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote
+            [ cfdc (); "timeline"; kernel "mass.cfd"; "--elements"; "64";
+              "--json" ])
+      ^ " >" ^ Filename.quote out ^ " 2>/dev/null")
+  in
+  let t = parse_file "timeline --json" out in
+  Sys.remove out;
+  Alcotest.(check int) "timeline exits 0" 0 code;
+  (match member_exn "timeline JSON" "passed" t with
+  | Obs.Json.Bool true -> ()
+  | v -> Alcotest.failf "passed = %s" (Obs.Json.to_string v));
+  match member_exn "timeline JSON" "legs" t with
+  | Obs.Json.List legs ->
+      Alcotest.(check int) "plain and overlapped legs" 2 (List.length legs);
+      List.iter
+        (fun leg -> ignore (member_exn "timeline leg" "total_cycles" leg))
+        legs
+  | v -> Alcotest.failf "legs = %s" (Obs.Json.to_string v)
+
+(* Requiring the double-buffered leg on m = k is the one way a timeline
+   fails, and the failure names its rule. *)
+let test_timeline_overlap_required () =
+  let code, text =
+    run_capture
+      [ "timeline"; kernel "mass.cfd"; "--elements"; "64"; "--overlap";
+        "require"; "-k"; "8"; "-m"; "8" ]
+  in
+  Alcotest.(check bool) "timeline --overlap require exits non-zero" true
+    (code <> 0);
+  Alcotest.(check bool) "names sim-overlap-infeasible" true
+    (contains ~sub:"sim-overlap-infeasible" text)
+
 let test_bad_flags_rejected () =
   List.iter
     (fun (what, args) ->
@@ -410,6 +448,10 @@ let () =
             test_profile_strategy_flags;
           Alcotest.test_case "memprof refuses the sharded strategy" `Quick
             test_memprof_rejects_sharded;
+          Alcotest.test_case "timeline --json is well-formed" `Quick
+            test_timeline_json;
+          Alcotest.test_case "timeline --overlap require on m < 2k fails"
+            `Quick test_timeline_overlap_required;
           Alcotest.test_case "bad flags and missing files exit non-zero"
             `Quick test_bad_flags_rejected;
         ] );

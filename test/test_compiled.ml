@@ -418,14 +418,14 @@ let test_debug_env_forces_debug () =
 let test_pool_persistent_matches_map () =
   let items = List.init 100 Fun.id in
   let f i = if i mod 9 = 5 then failwith "boom" else (i * i) - 7 in
-  let expected = Cfd_core.Pool.map ~jobs:1 f items in
+  let expected = Parallel.Pool.map ~jobs:1 f items in
   List.iter
     (fun jobs ->
-      Cfd_core.Pool.with_pool ~jobs (fun pool ->
+      Parallel.Pool.with_pool ~jobs (fun pool ->
           (* Several batches through one pool: domains are reused, and
              each batch must still come back in input order. *)
           for _ = 1 to 3 do
-            let got = Cfd_core.Pool.run pool f items in
+            let got = Parallel.Pool.run pool f items in
             Alcotest.(check bool)
               (Printf.sprintf "pool run at %d jobs = sequential map" jobs)
               true
@@ -433,8 +433,8 @@ let test_pool_persistent_matches_map () =
                  (fun g e ->
                    match (g, e) with
                    | Ok a, Ok b -> a = b
-                   | Error (ge : Cfd_core.Pool.error), Error ee ->
-                       ge.Cfd_core.Pool.index = ee.Cfd_core.Pool.index
+                   | Error (ge : Parallel.Pool.error), Error ee ->
+                       ge.Parallel.Pool.index = ee.Parallel.Pool.index
                    | _ -> false)
                  got expected
               |> List.for_all Fun.id)

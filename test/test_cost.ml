@@ -431,16 +431,17 @@ let test_prefilter_equivalence () =
   Alcotest.(check int) "jobs:4 prunes the same set" filt_pruned filt4_pruned
 
 (* ------------------------------------------------------------------ *)
-(* Doc drift: docs/ANALYSIS.md's cost-* catalogue = the emitted rules  *)
+(* Doc drift: docs/ANALYSIS.md's cost-*, sim-* and timeline-*          *)
+(* catalogue = the emitted rules                                       *)
 (* ------------------------------------------------------------------ *)
 
-let documented_cost_rules () =
+let documented_rules () =
   let path =
     if Sys.file_exists "../docs/ANALYSIS.md" then "../docs/ANALYSIS.md"
     else "docs/ANALYSIS.md"
   in
   let text = read_file path in
-  let re = Str.regexp "cost-[a-z]+\\(-[a-z]+\\)*" in
+  let re = Str.regexp "\\(cost\\|sim\\|timeline\\)\\(-[a-z]+\\)+" in
   let rec loop pos acc =
     match Str.search_forward re text pos with
     | exception Not_found -> acc
@@ -454,7 +455,7 @@ let documented_cost_rules () =
   |> List.filter (fun m -> m <> "cost-drift")
   |> List.sort_uniq compare
 
-let emitted_cost_rules () =
+let emitted_rules () =
   let r, cost, est = Lazy.force fixture in
   let acc = ref [] in
   let collect ds = List.iter (fun d -> acc := d.D.rule :: !acc) ds in
@@ -494,12 +495,17 @@ let emitted_cost_rules () =
        { base with Cost.obs_total_cycles = Some (est.Cost.ce_total_cycles + 1) });
   collect
     (Cost.drift cost { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) });
+  (* the timeline's only rule: an overlapped leg required on m < 2k *)
+  collect
+    (Timeline.analyze ~force_k:8 ~force_m:8 ~overlap:Timeline.Require
+       ~n_elements:64 r)
+      .Timeline.tl_diagnostics;
   List.sort_uniq compare !acc
 
 let test_doc_drift () =
   Alcotest.(check (list string))
-    "every documented cost-* rule is emitted, and vice versa"
-    (emitted_cost_rules ()) (documented_cost_rules ())
+    "every documented cost-*/sim-*/timeline-* rule is emitted, and vice versa"
+    (emitted_rules ()) (documented_rules ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -58,7 +58,7 @@ let test_pool_map_ordering () =
   let f i = if i mod 7 = 3 then failwith (Printf.sprintf "boom %d" i) else i * i in
   List.iter
     (fun jobs ->
-      let results = Pool.map ~jobs f items in
+      let results = Parallel.Pool.map ~jobs f items in
       Alcotest.(check int) "one result per input" 100 (List.length results);
       List.iteri
         (fun i r ->
@@ -68,24 +68,24 @@ let test_pool_map_ordering () =
                 (v = i * i && i mod 7 <> 3)
           | Error e ->
               Alcotest.(check int) "error carries its input index" i
-                e.Pool.index;
+                e.Parallel.Pool.index;
               Alcotest.(check bool) "only raising items error" true
                 (i mod 7 = 3);
               Alcotest.(check bool) "message captured" true
-                (contains e.Pool.message "boom"))
+                (contains e.Parallel.Pool.message "boom"))
         results)
     [ 1; 3; 16 ]
 
 let test_pool_jobs_equivalent () =
   let items = List.init 257 (fun i -> i - 128) in
   let f i = (i * i * i) - (5 * i) in
-  let sequential = Pool.map ~jobs:1 f items in
+  let sequential = Parallel.Pool.map ~jobs:1 f items in
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
         (Printf.sprintf "jobs:%d = jobs:1" jobs)
         true
-        (Pool.map ~jobs f items = sequential))
+        (Parallel.Pool.map ~jobs f items = sequential))
     [ 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)

@@ -303,6 +303,23 @@ let test_table1_lut_model () =
 
 (* ---------- axi controller ---------- *)
 
+(* The cycle model's one independent check: Sim.Perf steps this FSM for
+   its round, the static estimate uses latency + handshake in closed
+   form, and the two must agree on every uniform-latency round. *)
+let qcheck_axi_round_closed_form =
+  QCheck.Test.make ~count:200
+    ~name:"uniform round = latency + controller handshake"
+    QCheck.(triple (int_range 1 16) (int_range 1 8) (int_range 1 5000))
+    (fun (k, batch, latency) ->
+      let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
+      let cycles =
+        Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make k latency)
+      in
+      (cycles = latency + Sim.Constants.controller_handshake_cycles
+      && not (Sysgen.Axi_ctrl.busy ctrl))
+      || QCheck.Test.fail_reportf "k=%d batch=%d latency=%d: %d cycles" k
+           batch latency cycles)
+
 let test_axi_round_basic () =
   let ctrl = Sysgen.Axi_ctrl.create ~k:4 ~batch:1 in
   let cycles = Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make 4 100) in
@@ -569,6 +586,7 @@ let suite =
     ( "sysgen.axi_ctrl",
       [
         case "basic round" test_axi_round_basic;
+        Test_seed.to_alcotest qcheck_axi_round_closed_form;
         case "straggler" test_axi_round_straggler;
         case "batch counter" test_axi_batch_counter;
         case "protocol errors" test_axi_protocol_errors;
