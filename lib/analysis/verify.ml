@@ -184,59 +184,164 @@ let schedule_deps (program : Flow.program) (schedule : Schedule.t) =
   done;
   List.rev !diags
 
-(* Non-materializing iteration over a box domain (the flow only produces
-   box domains, but instances are still filtered through [mem]). The
-   callback must not retain the scratch array. *)
-let iter_box (dom : BS.t) f =
+(* Every integer point of [dom] in row-major order (the order of
+   [BS.enumerate]) without materializing them: one odometer over the
+   bounding box. The accessed flat offset [access] and the constraints of
+   [dom] that the box does not already imply are kept incrementally from
+   their per-dimension coefficients, and only those residual constraints
+   are re-checked per point (a box domain, the only kind the flow
+   produces, has none). [visit x off] gets the scratch point, which it
+   must not retain, and the offset; raising [Exit] stops the walk.
+   Returns the number of points visited. *)
+let walk (dom : BS.t) (access : Aff.t) visit =
   match BS.bounding_box dom with
-  | None -> invalid_arg "Verify.iter_box: unbounded domain"
+  | None -> invalid_arg "Verify.walk: unbounded domain"
   | Some box ->
       let k = Array.length box in
-      if k = 0 then (if BS.mem dom [||] then f [||])
-      else if Array.for_all (fun (lo, hi) -> lo <= hi) box then begin
-        let x = Array.map fst box in
-        let continue_ = ref true in
-        while !continue_ do
-          if BS.mem dom x then f x;
-          let rec inc j =
-            if j < 0 then continue_ := false
-            else if x.(j) < snd box.(j) then x.(j) <- x.(j) + 1
-            else begin
-              x.(j) <- fst box.(j);
-              inc (j - 1)
-            end
-          in
-          inc (k - 1)
-        done
+      if BS.is_obviously_empty dom || Array.exists (fun (lo, hi) -> lo > hi) box
+      then 0
+      else begin
+        let lo = Array.map fst box and hi = Array.map snd box in
+        let extreme pick e =
+          let acc = ref (Aff.constant e) in
+          for j = 0 to k - 1 do
+            let c = Aff.coeff e j in
+            acc := !acc + (c * if (c > 0) = pick then hi.(j) else lo.(j))
+          done;
+          !acc
+        in
+        let residual =
+          List.filter
+            (function
+              | BS.Ge e -> extreme false e < 0
+              | BS.Eq e -> extreme false e <> 0 || extreme true e <> 0)
+            (BS.constraints dom)
+        in
+        (* tracked.(0) is the offset, tracked.(1 ..) the residual constraints *)
+        let tracked =
+          Array.of_list
+            (access :: List.map (function BS.Ge e | BS.Eq e -> e) residual)
+        in
+        let is_eq =
+          Array.of_list (false :: List.map (function BS.Eq _ -> true | BS.Ge _ -> false) residual)
+        in
+        let nt = Array.length tracked in
+        (* per expression and dimension: the change of one step forward and
+           of one wrap back to the lower bound *)
+        let fwd = Array.map (fun e -> Array.init k (Aff.coeff e)) tracked in
+        let back =
+          Array.map (Array.mapi (fun j c -> -c * (hi.(j) - lo.(j)))) fwd
+        in
+        let x = Array.copy lo in
+        let v = Array.map (fun e -> Aff.eval e x) tracked in
+        let rec inside t =
+          t >= nt || ((if is_eq.(t) then v.(t) = 0 else v.(t) >= 0) && inside (t + 1))
+        in
+        let count = ref 0 in
+        let rec step j =
+          j >= 0
+          &&
+          if x.(j) < hi.(j) then begin
+            x.(j) <- x.(j) + 1;
+            for t = 0 to nt - 1 do
+              v.(t) <- v.(t) + fwd.(t).(j)
+            done;
+            true
+          end
+          else begin
+            x.(j) <- lo.(j);
+            for t = 0 to nt - 1 do
+              v.(t) <- v.(t) + back.(t).(j)
+            done;
+            step (j - 1)
+          end
+        in
+        (try
+           while
+             if inside 1 then begin
+               incr count;
+               visit x v.(0)
+             end;
+             step (k - 1)
+           do
+             ()
+           done
+         with Exit -> ());
+        !count
       end
 
-let use_before_def (program : Flow.program) (schedule : Schedule.t) =
-  let diags = ref [] in
-  let first_write : (string, Lex.timestamp option array) Hashtbl.t =
-    Hashtbl.create 16
+(* A statement's schedule timestamp read straight off an instance point,
+   as [Schedule.timestamp] builds it: component [p] is the point's
+   coordinate [x.(src.(p))] where [src.(p) >= 0], else [fixed.(p)] (a
+   beta or padding position). *)
+type stamp = { src : int array; fixed : int array }
+
+let stamp ~tuple_arity (s1 : Schedule.sched1) =
+  let d = Array.length s1.Schedule.dims in
+  let src = Array.make tuple_arity (-1) and fixed = Array.make tuple_arity 0 in
+  for i = 0 to d - 1 do
+    fixed.(2 * i) <- s1.Schedule.betas.(i);
+    src.((2 * i) + 1) <- s1.Schedule.dims.(i)
+  done;
+  fixed.(2 * d) <- s1.Schedule.betas.(d);
+  { src; fixed }
+
+let stamp_at st x p =
+  let s = st.src.(p) in
+  if s >= 0 then x.(s) else st.fixed.(p)
+
+(* Lexicographic comparison of instance [x]'s timestamp with the one
+   stored in [tbl] from [base] on. *)
+let compare_stored st x tbl base =
+  let n = Array.length st.src in
+  let rec go p =
+    if p = n then 0
+    else
+      let a = stamp_at st x p and b = tbl.(base + p) in
+      if a < b then -1 else if a > b then 1 else go (p + 1)
   in
+  go 0
+
+let c_ubd_points = Obs.Metrics.counter "verify.ubd.points"
+
+let use_before_def (program : Flow.program) (schedule : Schedule.t) =
+  let tuple_arity = Schedule.tuple_arity schedule in
+  let diags = ref [] in
+  let points = ref 0 in
+  let walk dom access visit =
+    let n = walk dom access visit in
+    Obs.Metrics.add c_ubd_points n;
+    points := !points + n
+  in
+  (* Per array: the first-write timestamps, [tuple_arity] slots per
+     element, and which elements are written at all. *)
+  let first_write : (string, int array * Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   let table name =
     match Hashtbl.find_opt first_write name with
     | Some t -> t
     | None ->
-        let info = Flow.array_info program name in
-        let t = Array.make (max info.Flow.size 0) None in
+        let size = max (Flow.array_info program name).Flow.size 0 in
+        let t = (Array.make (size * tuple_arity) 0, Bytes.make size '\000') in
         Hashtbl.replace first_write name t;
         t
   in
+  let offset (a : Flow.access) = (Poly.Aff_map.exprs (Flow.array_access program a)).(0) in
   (* pass 1: lexicographically first write per element *)
   List.iter
     (fun (stmt : Flow.statement) ->
-      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
-      let wmap = Flow.array_access program stmt.Flow.write in
-      let tbl = table stmt.Flow.write.Flow.array in
-      iter_box stmt.Flow.domain (fun x ->
-          let off = (Poly.Aff_map.apply wmap x).(0) in
-          if off >= 0 && off < Array.length tbl then
-            let ts = Schedule.timestamp schedule s1 x in
-            match tbl.(off) with
-            | None -> tbl.(off) <- Some ts
-            | Some cur -> if Lex.lt ts cur then tbl.(off) <- Some ts))
+      let st = stamp ~tuple_arity (Schedule.find schedule stmt.Flow.stmt_name) in
+      let tbl, written = table stmt.Flow.write.Flow.array in
+      walk stmt.Flow.domain (offset stmt.Flow.write) (fun x off ->
+          if off >= 0 && off < Bytes.length written then begin
+            let base = off * tuple_arity in
+            if Bytes.get written off = '\000' || compare_stored st x tbl base < 0
+            then begin
+              Bytes.set written off '\001';
+              for p = 0 to tuple_arity - 1 do
+                tbl.(base + p) <- stamp_at st x p
+              done
+            end
+          end))
     program.Flow.stmts;
   (* pass 2: every read must land strictly after its element's first
      write. A Mac's += is a read-modify-write of its accumulator, so the
@@ -244,7 +349,7 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
      first accumulation read its own (garbage) first-write timestamp. *)
   List.iter
     (fun (stmt : Flow.statement) ->
-      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+      let st = stamp ~tuple_arity (Schedule.find schedule stmt.Flow.stmt_name) in
       let reads =
         Flow.reads stmt
         @ (match stmt.Flow.compute with
@@ -257,24 +362,18 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           let info = Flow.array_info program r.Flow.array in
           if info.Flow.kind <> Flow.Input && not (List.mem r.Flow.array !flagged)
           then begin
-            let rmap = Flow.array_access program r in
-            let tbl = table r.Flow.array in
+            let tbl, written = table r.Flow.array in
             let witness = ref None in
-            (try
-               iter_box stmt.Flow.domain (fun x ->
-                   let off = (Poly.Aff_map.apply rmap x).(0) in
-                   if off >= 0 && off < Array.length tbl then
-                     let bad why =
-                       witness := Some (Array.copy x, off, why);
-                       raise Exit
-                     in
-                     match tbl.(off) with
-                     | None -> bad "the element is never written"
-                     | Some fw ->
-                         let ts = Schedule.timestamp schedule s1 x in
-                         if not (Lex.lt fw ts) then
-                           bad "the read is scheduled at or before its first write")
-             with Exit -> ());
+            walk stmt.Flow.domain (offset r) (fun x off ->
+                if off >= 0 && off < Bytes.length written then
+                  let bad why =
+                    witness := Some (Array.copy x, off, why);
+                    raise Exit
+                  in
+                  if Bytes.get written off = '\000' then
+                    bad "the element is never written"
+                  else if compare_stored st x tbl (off * tuple_arity) <= 0 then
+                    bad "the read is scheduled at or before its first write");
             match !witness with
             | None -> ()
             | Some (x, off, why) ->
@@ -288,6 +387,7 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           end)
         reads)
     program.Flow.stmts;
+  Obs.Trace.span_attr "points" (string_of_int !points);
   List.rev !diags
 
 let bounds (proc : Loopir.Prog.proc) =
@@ -674,16 +774,49 @@ let cost ?budget ?unroll program memory proc =
 
 let c_verify_runs = Obs.Metrics.counter "verify.runs"
 
+(* What the dependent families take for granted of every statement and
+   [Schedule.validate] does not check: a bounded domain (its instances
+   are enumerated) and declared arrays behind every access. *)
+let statement_structure (program : Flow.program) =
+  List.concat_map
+    (fun (stmt : Flow.statement) ->
+      let name = stmt.Flow.stmt_name in
+      let error fmt =
+        Format.kasprintf (D.error ~rule:"schedule-structure" ~subject:name) fmt
+      in
+      let unbounded =
+        if BS.bounding_box stmt.Flow.domain = None then
+          [ error "%s: the instance domain is unbounded" name ]
+        else []
+      in
+      let undeclared =
+        List.filter_map
+          (fun (a : Flow.access) ->
+            if
+              List.exists
+                (fun (i : Flow.array_info) -> i.Flow.array_name = a.Flow.array)
+                program.Flow.arrays
+            then None
+            else Some a.Flow.array)
+          (stmt.Flow.write :: Flow.reads stmt)
+      in
+      unbounded
+      @ List.map
+          (error "%s: accesses the undeclared array %s" name)
+          (List.sort_uniq compare undeclared))
+    program.Flow.stmts
+
 let all ?unroll ~(program : Flow.program) ~schedule ?memory ?proc () =
   Obs.Metrics.incr c_verify_runs;
   let structural =
     family "verify.structure" (fun () ->
-        match Schedule.validate program schedule with
+        (match Schedule.validate program schedule with
         | () -> []
         | exception Schedule.Error msg ->
             [ D.error ~rule:"schedule-structure" ~subject:program.Flow.prog_name msg ]
         | exception Flow.Error msg ->
             [ D.error ~rule:"schedule-structure" ~subject:program.Flow.prog_name msg ])
+        @ statement_structure program)
   in
   let bounds_diags =
     match proc with

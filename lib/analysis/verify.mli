@@ -48,7 +48,14 @@ val use_before_def :
     missing or late initialization is caught here even though
     accumulation reordering is otherwise permitted. Elements read but
     never written at all are also flagged. One diagnostic per
-    (statement, array) pair, carrying the first offending instance. *)
+    (statement, array) pair, carrying the first offending instance.
+
+    The enumeration is one odometer per statement and access over the
+    domain's bounding box, with the flat offset kept incrementally and
+    the timestamps compared in place, in flat per-array tables; the
+    enumerated instances are counted in [verify.ubd.points] and in the
+    [points] attribute of the [verify.use-before-def] span.
+    @raise Invalid_argument on a statement with an unbounded domain. *)
 
 val bounds : Loopir.Prog.proc -> Diagnostic.t list
 (** Affine bounds checking (rules [bounds-load], [bounds-store],
@@ -115,10 +122,11 @@ val all :
   unit ->
   Diagnostic.t list
 (** Run every applicable check, {!cost} included when both [memory] and
-    [proc] are given. The schedule is first validated structurally; a
-    failure there is reported as a single [schedule-structure] error and
-    the schedule-dependent checks are skipped (the bounds check still
-    runs when [proc] is given). *)
+    [proc] are given. The schedule is first validated structurally
+    ([Lower.Schedule.validate]), and every statement must have a bounded
+    domain and access only declared arrays. Each failure there is a
+    [schedule-structure] error, and the schedule-dependent checks are
+    skipped (the bounds check still runs when [proc] is given). *)
 
 val execution_mode : Loopir.Prog.proc -> Loopir.Compiled.mode
 (** The strongest execution mode this verifier can license for

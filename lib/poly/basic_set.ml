@@ -81,7 +81,9 @@ let constr_equal a b =
   | Eq x, Eq y | Ge x, Ge y -> Aff.equal x y
   | Eq _, Ge _ | Ge _, Eq _ -> false
 
-let build space constrs =
+(* Normalized, deduplicated constraints and whether one is trivially
+   false; [build] interns the result. *)
+let normalize constrs =
   let inconsistent = ref false in
   let kept = ref [] in
   List.iter
@@ -92,7 +94,11 @@ let build space constrs =
       | Keep c ->
           if not (List.exists (constr_equal c) !kept) then kept := c :: !kept)
     constrs;
-  intern space (List.rev !kept) !inconsistent
+  (List.rev !kept, !inconsistent)
+
+let build space constrs =
+  let kept, inconsistent = normalize constrs in
+  intern space kept inconsistent
 
 let universe space = intern space [] false
 let empty space = intern space [] true
@@ -262,6 +268,9 @@ let project_out t vars new_space =
         in
         build new_space constrs)
 
+let floor_div x y = if x >= 0 then x / y else -(((-x) + y - 1) / y)
+let ceil_div x y = -floor_div (-x) y
+
 let var_bounds_fresh t j =
   begin
     let n = arity t in
@@ -279,8 +288,6 @@ let var_bounds_fresh t j =
             let a = Aff.coeff e j and b = Aff.constant e in
             let update_lo v = match !lo with Some l when l >= v -> () | _ -> lo := Some v in
             let update_hi v = match !hi with Some h when h <= v -> () | _ -> hi := Some v in
-            let floor_div x y = if x >= 0 then x / y else -(((-x) + y - 1) / y) in
-            let ceil_div x y = -floor_div (-x) y in
             match c with
             | Ge _ when a > 0 -> update_lo (ceil_div (-b) a)
             | Ge _ when a < 0 -> update_hi (floor_div b (-a))
@@ -342,32 +349,70 @@ let enumerate t =
         go 0;
         List.rev !acc
 
+exception Off_the_set
+
+(* Greedy lexicographic extremum over prefix projections: [proj.(j)] is
+   [t] with x_{j+1} .. x_{n-1} eliminated, so it mentions x_0 .. x_j
+   only, and the whole chain costs n-1 eliminations. Dimension j takes
+   its bound in [proj.(j)] with the already chosen x_0 .. x_{j-1}
+   substituted. Each bound relaxes the integer slice's extremum, so the
+   greedy point is exact whenever it lies in [t]. A bound that is
+   rationally but not integrally attained shows as an empty slice
+   further down ([Off_the_set]); then, as on a failed membership test,
+   enumeration decides. *)
 let lex_extremum ~maximize t =
   if is_empty t then None
   else begin
     let n = arity t in
+    let proj = Array.make n t.constrs in
+    let rec project j =
+      j <= 0
+      ||
+      let cs, inconsistent = normalize (eliminate_var proj.(j) j) in
+      proj.(j - 1) <- cs;
+      (not inconsistent) && project (j - 1)
+    in
     let point = Array.make n 0 in
-    let current = ref t in
-    (try
-       for j = 0 to n - 1 do
-         let lo, hi = var_bounds !current j in
-         let v =
-           match (maximize, lo, hi) with
-           | false, Some lo, _ -> lo
-           | true, _, Some hi -> hi
-           | false, None, _ | true, _, None ->
-               invalid_arg "Basic_set.lexmin/lexmax: unbounded dimension"
-         in
-         point.(j) <- v;
-         current :=
-           add_constraint !current
-             (Eq (Aff.add_const (Aff.var n j) (-v)))
-       done
-     with Invalid_argument _ as e -> raise e);
-    (* The greedy per-dimension choice can step outside the integer set
-       when FM bounds are rationally but not integrally attained; confirm
-       membership and fall back to enumeration for exactness. *)
-    if mem t point then Some point
+    let choose j =
+      let lo = ref None and hi = ref None in
+      let raise_lo v = match !lo with Some l when l >= v -> () | _ -> lo := Some v in
+      let lower_hi v = match !hi with Some h when h <= v -> () | _ -> hi := Some v in
+      List.iter
+        (fun c ->
+          let e = constr_aff c in
+          let b = ref e.Aff.const in
+          for i = 0 to j - 1 do
+            b := !b + (e.Aff.coeffs.(i) * point.(i))
+          done;
+          let a = e.Aff.coeffs.(j) and b = !b in
+          match c with
+          | Ge _ when a > 0 -> raise_lo (ceil_div (-b) a)
+          | Ge _ when a < 0 -> lower_hi (floor_div b (-a))
+          | Ge _ -> if b < 0 then raise Off_the_set
+          | Eq _ when a = 0 -> if b <> 0 then raise Off_the_set
+          | Eq _ ->
+              if b mod a <> 0 then raise Off_the_set;
+              raise_lo (-b / a);
+              lower_hi (-b / a))
+        proj.(j);
+      match (!lo, !hi) with
+      | Some l, Some h when l > h -> raise Off_the_set
+      | _, Some h when maximize -> h
+      | Some l, _ when not maximize -> l
+      | _ -> invalid_arg "Basic_set.lexmin/lexmax: unbounded dimension"
+    in
+    let on_set =
+      project (n - 1)
+      &&
+      match
+        for j = 0 to n - 1 do
+          point.(j) <- choose j
+        done
+      with
+      | () -> mem t point
+      | exception Off_the_set -> false
+    in
+    if on_set then Some point
     else
       match bounding_box t with
       | None -> invalid_arg "Basic_set.lexmin/lexmax: unbounded set"

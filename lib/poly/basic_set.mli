@@ -65,11 +65,14 @@ val enumerate : t -> int array list
 
 val lexmin : t -> int array option
 val lexmax : t -> int array option
-(** Lexicographic extrema, computed symbolically by fixing one dimension
-    at a time to its FM-derived bound and re-projecting. Exact whenever
-    the per-dimension bounds are integer-attained (always true for the
-    box-derived sets the compiler produces; cross-validated against
-    enumeration in the test suite). [None] for empty sets.
+(** Lexicographic extrema, computed symbolically from prefix
+    projections: x_{n-1} .. x_1 are eliminated once, in that order, and
+    each x_j takes its bound in the j-th projection with the already
+    chosen x_0 .. x_{j-1} substituted — n-1 Fourier–Motzkin eliminations
+    per extremum beyond the emptiness test. The greedy point is
+    confirmed by membership; when a bound is only rationally attained,
+    enumeration decides, so the result is always exact (cross-validated
+    against enumeration in the test suite). [None] for empty sets.
     @raise Invalid_argument when the needed direction is unbounded. *)
 
 val is_empty_exact : t -> bool

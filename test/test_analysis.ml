@@ -267,6 +267,305 @@ let test_mutation_schedule_structure () =
     "a non-permutation dims vector is a structural error"
     [ "schedule-structure" ] (error_rules diags)
 
+(* Two defects [Schedule.validate] does not see, each of which used to
+   raise from inside a dependent family: an unbounded instance domain
+   and an access to an undeclared array. Both are structural errors
+   naming the statement, and the dependent families are skipped. *)
+let test_structure_unbounded_and_undeclared () =
+  let program = war_program 8 in
+  let unbounded (s : Flow.statement) =
+    {
+      s with
+      Flow.domain =
+        Poly.Basic_set.of_constraints
+          (Poly.Basic_set.space s.Flow.domain)
+          [ Poly.Basic_set.Ge (Poly.Aff.var 1 0) ];
+    }
+  in
+  let undeclared (s : Flow.statement) =
+    { s with Flow.compute = Flow.Assign_copy { s.Flow.write with Flow.array = "zz" } }
+  in
+  let stmts =
+    List.map
+      (fun (s : Flow.statement) ->
+        match s.Flow.stmt_name with
+        | "a" -> unbounded s
+        | "b" -> undeclared s
+        | _ -> s)
+      program.Flow.stmts
+  in
+  let program' = { program with Flow.stmts } in
+  let sched b0 = { Schedule.betas = [| b0; 0 |]; dims = [| 0 |] } in
+  let schedule = [ ("a", sched 0); ("b", sched 1); ("c", sched 2) ] in
+  let diags = V.all ~program:program' ~schedule () in
+  Alcotest.(check (list string))
+    "both defects are schedule-structure errors, nothing else runs"
+    [ "schedule-structure" ]
+    (List.sort_uniq compare (List.map (fun d -> d.D.rule) diags));
+  Alcotest.(check (list string))
+    "one error per defective statement, named as the subject" [ "a"; "b" ]
+    (List.map (fun d -> d.D.subject) diags);
+  Alcotest.(check bool) "the undeclared array is named" true
+    (List.exists
+       (fun d -> Str.string_match (Str.regexp ".*\\bzz\\b") d.D.message 0)
+       diags)
+
+(* ------------------------------------------------------------------ *)
+(* Use-before-def: the strength-reduced walk against plain enumeration *)
+(* ------------------------------------------------------------------ *)
+
+(* The straightforward algorithm: enumerate every instance, build its
+   timestamp, keep [Lex.lt]-first writes per element in an option
+   table, then look for the first read at or before its element's first
+   write. [V.use_before_def] must agree with it diagnostic for
+   diagnostic. *)
+let reference_use_before_def (program : Flow.program) (schedule : Schedule.t) =
+  let first_write = Hashtbl.create 16 in
+  let table name =
+    match Hashtbl.find_opt first_write name with
+    | Some t -> t
+    | None ->
+        let t = Array.make (max (Flow.array_info program name).Flow.size 0) None in
+        Hashtbl.replace first_write name t;
+        t
+  in
+  List.iter
+    (fun (stmt : Flow.statement) ->
+      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+      let wmap = Flow.array_access program stmt.Flow.write in
+      let tbl = table stmt.Flow.write.Flow.array in
+      List.iter
+        (fun x ->
+          let off = (Poly.Aff_map.apply wmap x).(0) in
+          if off >= 0 && off < Array.length tbl then
+            let ts = Schedule.timestamp schedule s1 x in
+            match tbl.(off) with
+            | Some cur when not (Poly.Lex.lt ts cur) -> ()
+            | _ -> tbl.(off) <- Some ts)
+        (Poly.Basic_set.enumerate stmt.Flow.domain))
+    program.Flow.stmts;
+  List.concat_map
+    (fun (stmt : Flow.statement) ->
+      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+      let reads =
+        Flow.reads stmt
+        @ match stmt.Flow.compute with Flow.Mac _ -> [ stmt.Flow.write ] | _ -> []
+      in
+      let flagged = ref [] in
+      List.filter_map
+        (fun (r : Flow.access) ->
+          if
+            (Flow.array_info program r.Flow.array).Flow.kind = Flow.Input
+            || List.mem r.Flow.array !flagged
+          then None
+          else
+            let rmap = Flow.array_access program r in
+            let tbl = table r.Flow.array in
+            List.find_map
+              (fun x ->
+                let off = (Poly.Aff_map.apply rmap x).(0) in
+                if off < 0 || off >= Array.length tbl then None
+                else
+                  let why =
+                    match tbl.(off) with
+                    | None -> Some "the element is never written"
+                    | Some fw ->
+                        if Poly.Lex.lt fw (Schedule.timestamp schedule s1 x) then None
+                        else Some "the read is scheduled at or before its first write"
+                  in
+                  Option.map
+                    (fun why ->
+                      flagged := r.Flow.array :: !flagged;
+                      D.error ~rule:"use-before-def" ~subject:stmt.Flow.stmt_name
+                        ~witness:(D.Instance (stmt.Flow.stmt_name, x))
+                        (Format.sprintf "reads %s@%d before it is defined: %s"
+                           r.Flow.array off why))
+                    why)
+              (Poly.Basic_set.enumerate stmt.Flow.domain))
+        reads)
+    program.Flow.stmts
+
+let same_use_before_def what program schedule =
+  let got = V.use_before_def program schedule in
+  let want = reference_use_before_def program schedule in
+  if got <> want then
+    QCheck.Test.fail_reportf "%s:@.walk:@.%a@.reference:@.%a" what
+      (Format.pp_print_list D.pp) got (Format.pp_print_list D.pp) want;
+  true
+
+let kernels_dir () = if Sys.file_exists "../kernels" then "../kernels" else "kernels"
+
+(* Every kernel under kernels/ and every operator at p = 4, compiled once
+   without sharing. *)
+let ubd_bases =
+  lazy
+    (let files =
+       List.sort compare
+         (List.filter
+            (fun f -> Filename.check_suffix f ".cfd")
+            (Array.to_list (Sys.readdir (kernels_dir ()))))
+     in
+     let options = { Compile.default_options with Compile.sharing = false } in
+     List.map
+       (fun f ->
+         let src =
+           In_channel.with_open_bin (Filename.concat (kernels_dir ()) f) In_channel.input_all
+         in
+         match Compile.compile_source ~options src with
+         | Ok r -> (f, r.Compile.program, r.Compile.schedule)
+         | Error e -> Alcotest.failf "%s: %s" f e)
+       files
+     @ List.map
+         (fun (name, ast) ->
+           let r = Compile.compile ~options ast in
+           (name, r.Compile.program, r.Compile.schedule))
+         (Cfdlang.Operators.all ~p:4 ()))
+
+(* One random schedule mutation: swap two statements' betas at one
+   level, permute one statement's dims, or drop one initialization. *)
+let mutate rng (program : Flow.program) schedule =
+  let arr = Array.of_list schedule in
+  let n = Array.length arr in
+  match Random.State.int rng 3 with
+  | 0 ->
+      let i = Random.State.int rng n and j = Random.State.int rng n in
+      let (ni, (si : Schedule.sched1)), (nj, (sj : Schedule.sched1)) = (arr.(i), arr.(j)) in
+      let l =
+        Random.State.int rng
+          (min (Array.length si.Schedule.betas) (Array.length sj.Schedule.betas))
+      in
+      let bi = Array.copy si.Schedule.betas and bj = Array.copy sj.Schedule.betas in
+      bi.(l) <- sj.Schedule.betas.(l);
+      bj.(l) <- si.Schedule.betas.(l);
+      arr.(i) <- (ni, { si with Schedule.betas = bi });
+      arr.(j) <- (nj, { sj with Schedule.betas = bj });
+      (program, Array.to_list arr)
+  | 1 ->
+      let i = Random.State.int rng n in
+      let ni, (si : Schedule.sched1) = arr.(i) in
+      let dims = Array.copy si.Schedule.dims in
+      for k = Array.length dims - 1 downto 1 do
+        let j = Random.State.int rng (k + 1) in
+        let t = dims.(k) in
+        dims.(k) <- dims.(j);
+        dims.(j) <- t
+      done;
+      arr.(i) <- (ni, { si with Schedule.dims });
+      (program, Array.to_list arr)
+  | _ -> (
+      let inits =
+        List.filter
+          (fun (s : Flow.statement) ->
+            match s.Flow.compute with Flow.Init _ -> true | _ -> false)
+          program.Flow.stmts
+      in
+      match inits with
+      | [] -> (program, schedule)
+      | _ ->
+          let victim =
+            (List.nth inits (Random.State.int rng (List.length inits))).Flow.stmt_name
+          in
+          ( {
+              program with
+              Flow.stmts =
+                List.filter
+                  (fun (s : Flow.statement) -> s.Flow.stmt_name <> victim)
+                  program.Flow.stmts;
+            },
+            List.remove_assoc victim schedule ))
+
+let qcheck_ubd_kernels_match_reference =
+  QCheck.Test.make
+    ~name:"use-before-def walk = enumeration, every kernel, mutated schedules"
+    ~count:3 (QCheck.int_bound 1_000_000) (fun seed ->
+      List.for_all
+        (fun (name, program, schedule) ->
+          let rng = Random.State.make [| seed; Hashtbl.hash name |] in
+          let program, schedule = mutate rng program schedule in
+          let program, schedule = mutate rng program schedule in
+          same_use_before_def name program schedule)
+        (Lazy.force ubd_bases))
+
+(* Small hand-built programs beyond what the flow produces: triangular
+   and anti-diagonal domains (constraints the bounding box does not
+   imply, one of them an equality), access strides in [-2, 3] with
+   offsets that may leave the array, arrays of differing sizes, and
+   random beta vectors that may tie. *)
+let hand_built_program rng =
+  let n = 2 + Random.State.int rng 4 in
+  let arrays =
+    List.map
+      (fun (name, kind) ->
+        let size = 4 + Random.State.int rng 13 in
+        {
+          Flow.array_name = name;
+          kind;
+          tensor_shape = [ size ];
+          layout = Flow.default_layout name [ size ];
+          size;
+        })
+      [ ("u", Flow.Input); ("a", Flow.Temp); ("b", Flow.Temp); ("c", Flow.Output) ]
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let stmt k =
+    let name = Printf.sprintf "S%d" k in
+    let d = 1 + Random.State.int rng 2 in
+    let space = Poly.Space.make name (List.init d (Printf.sprintf "i%d")) in
+    let v i = Poly.Aff.var d i and c x = Poly.Aff.const d x in
+    let box =
+      List.concat_map
+        (fun i -> [ Poly.Basic_set.Ge (v i); Poly.Basic_set.Ge (Poly.Aff.sub (c (n - 1)) (v i)) ])
+        (List.init d Fun.id)
+    in
+    let shape =
+      if d = 1 then []
+      else
+        match Random.State.int rng 3 with
+        | 0 -> [ Poly.Basic_set.Ge (Poly.Aff.sub (v 1) (v 0)) ]
+        | 1 -> [ Poly.Basic_set.Eq (Poly.Aff.sub (Poly.Aff.add (v 0) (v 1)) (c (n - 1))) ]
+        | _ -> []
+    in
+    let access array =
+      let e =
+        Poly.Aff.make
+          (Array.init d (fun _ -> Random.State.int rng 6 - 2))
+          (Random.State.int rng 4)
+      in
+      { Flow.array; map = Poly.Aff_map.make space (Poly.Space.make array [ "d0" ]) [| e |] }
+    in
+    let compute =
+      match Random.State.int rng 3 with
+      | 0 -> Flow.Init 0.0
+      | 1 -> Flow.Assign_copy (access (pick [ "u"; "a"; "b" ]))
+      | _ -> Flow.Mac [ access (pick [ "u"; "a"; "b" ]) ]
+    in
+    {
+      Flow.stmt_name = name;
+      domain = Poly.Basic_set.of_constraints space (box @ shape);
+      write = access (pick [ "a"; "b"; "c" ]);
+      compute;
+    }
+  in
+  let stmts = List.init (3 + Random.State.int rng 3) stmt in
+  let schedule =
+    List.map
+      (fun (s : Flow.statement) ->
+        let d = Poly.Basic_set.arity s.Flow.domain in
+        let betas = Array.init (d + 1) (fun l -> Random.State.int rng (if l = 0 then 4 else 2)) in
+        let dims = Array.init d Fun.id in
+        if d = 2 && Random.State.bool rng then (dims.(0) <- 1; dims.(1) <- 0);
+        (s.Flow.stmt_name, { Schedule.betas; dims }))
+      stmts
+  in
+  ({ Flow.prog_name = "hand"; arrays; stmts }, schedule)
+
+let qcheck_ubd_hand_built_match_reference =
+  QCheck.Test.make
+    ~name:"use-before-def walk = enumeration, non-box domains, strided accesses"
+    ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
+      let program, schedule = hand_built_program (Random.State.make [| seed |]) in
+      same_use_before_def "hand-built" program schedule)
+
 (* ------------------------------------------------------------------ *)
 (* Bounds mutations                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -744,6 +1043,13 @@ let suite =
           test_mutation_dropped_init;
         case "non-permutation dims: schedule-structure"
           test_mutation_schedule_structure;
+        case "unbounded domain, undeclared array: schedule-structure"
+          test_structure_unbounded_and_undeclared;
+      ] );
+    ( "analysis.ubd",
+      [
+        Test_seed.to_alcotest qcheck_ubd_kernels_match_reference;
+        Test_seed.to_alcotest qcheck_ubd_hand_built_match_reference;
       ] );
     ( "analysis.bounds",
       [

@@ -213,19 +213,54 @@ let test_lexmin_empty () =
   in
   Alcotest.(check (option (array int))) "empty" None (Basic_set.lexmin empty)
 
+(* Sets of 1 to 7 variables: a small box (narrower as the arity grows, so
+   enumeration stays cheap), a few random constraints, and from 4
+   variables on the equalities of a schedule graph: each trailing
+   variable is pinned to a leading one (t_l = x_d) or to a constant
+   (t_l = beta), the shape of the verifier's schedule-image sets. *)
+let lex_set_gen =
+  QCheck.Gen.(
+    let* nvars = int_range 1 7 in
+    let* bounds =
+      list_repeat nvars
+        (let* lo = int_range (-3) 0 in
+         let* width = int_range 0 (if nvars <= 3 then 6 else 3) in
+         return (lo, lo + width))
+    in
+    let* nconstrs = int_range 0 4 in
+    let* raw =
+      list_repeat nconstrs
+        (let* coeffs = list_repeat nvars (int_range (-3) 3) in
+         let* c = int_range (-6) 6 in
+         let* is_eq = bool in
+         let e = Aff.make (Array.of_list coeffs) c in
+         return (if is_eq then Basic_set.Eq e else Basic_set.Ge e))
+    in
+    let* nlead = int_range 1 (max 1 (nvars / 2)) in
+    let* graph =
+      if nvars < 4 then return []
+      else
+        list_repeat (nvars - nlead)
+          (let* pin_to_var = bool in
+           let* k = int_range (-1) 3 in
+           return (pin_to_var, k))
+    in
+    let pinned =
+      List.mapi
+        (fun l (pin_to_var, k) ->
+          let t = Aff.var nvars (nlead + l) in
+          Basic_set.Eq
+            (if pin_to_var then Aff.sub t (Aff.var nvars (abs k mod nlead))
+             else Aff.add_const t (-k)))
+        graph
+    in
+    return (nvars, bounds, raw @ pinned))
+
 let qcheck_lex_extrema_match_enumeration =
-  QCheck.Test.make ~name:"symbolic lexmin/lexmax match enumeration" ~count:200
-    (QCheck.make random_bset_gen) (fun (nvars, raw, kinds) ->
+  QCheck.Test.make ~name:"symbolic lexmin/lexmax match enumeration" ~count:300
+    (QCheck.make lex_set_gen) (fun (nvars, bounds, constrs) ->
       let sp = Space.make "R" (List.init nvars (Printf.sprintf "x%d")) in
-      let bounded = Basic_set.of_box sp (List.init nvars (fun _ -> (-3, 3))) in
-      let constrs =
-        List.map2
-          (fun (coeffs, c) is_eq ->
-            let e = Aff.make (Array.of_list coeffs) c in
-            if is_eq then Basic_set.Eq e else Basic_set.Ge e)
-          raw kinds
-      in
-      let b = List.fold_left Basic_set.add_constraint bounded constrs in
+      let b = List.fold_left Basic_set.add_constraint (Basic_set.of_box sp bounds) constrs in
       let pts =
         List.sort
           (fun a b -> compare (Array.to_list a) (Array.to_list b))
@@ -236,6 +271,31 @@ let qcheck_lex_extrema_match_enumeration =
       | first :: _ ->
           let last = List.nth pts (List.length pts - 1) in
           Basic_set.lexmin b = Some first && Basic_set.lexmax b = Some last)
+
+(* An extremum reads every dimension off one chain of prefix projections:
+   n-1 Fourier-Motzkin eliminations beyond the emptiness test, not n-1
+   per dimension. *)
+let test_lex_extremum_elimination_count () =
+  let eliminations = Obs.Metrics.counter "poly.fm.eliminations" in
+  for n = 1 to 7 do
+    let b = box "E" (List.init n (fun i -> (i, (2 * i) + 3))) in
+    Memo.clear_all ();
+    ignore (Basic_set.is_empty b);
+    List.iter
+      (fun (what, extremum, expected) ->
+        let before = Obs.Metrics.counter_value eliminations in
+        Alcotest.(check (option (array int)))
+          (Printf.sprintf "%s, n=%d" what n)
+          (Some expected) (extremum b);
+        let spent = Obs.Metrics.counter_value eliminations - before in
+        if spent > n - 1 then
+          Alcotest.failf "%s on a %d-variable box: %d eliminations, at most %d expected"
+            what n spent (n - 1))
+      [
+        ("lexmin", Basic_set.lexmin, Array.init n Fun.id);
+        ("lexmax", Basic_set.lexmax, Array.init n (fun i -> (2 * i) + 3));
+      ]
+  done
 
 (* ---------- Set ---------- *)
 
@@ -496,6 +556,7 @@ let suite =
         case "lexmin/lexmax box" test_lexmin_lexmax_box;
         case "lexmin constrained" test_lexmin_constrained;
         case "lexmin empty" test_lexmin_empty;
+        case "lexmin/lexmax elimination count" test_lex_extremum_elimination_count;
         Test_seed.to_alcotest qcheck_fm_sound;
         Test_seed.to_alcotest qcheck_projection_superset;
         Test_seed.to_alcotest qcheck_lex_extrema_match_enumeration;
