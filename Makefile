@@ -79,8 +79,8 @@ cache: build
 # caught before it reaches a board. Then the cost differential: the
 # static analyzer's predictions must match one recorded functional
 # simulation on every kernel in both sharing modes (any cost-drift-*
-# diagnostic exits non-zero); the JSON cost reports land in cost-out/
-# and CI keeps them as artifacts.
+# diagnostic exits non-zero); the JSON cost reports land in cost-out/,
+# must parse as JSON, and CI keeps them as artifacts.
 lint: build
 	@for k in kernels/*.cfd examples/*.cfd; do \
 	  [ -e "$$k" ] || continue; \
@@ -95,6 +95,8 @@ lint: build
 	    $(DUNE) exec --no-build bin/cfdc.exe -- cost "$$k" --diff \
 	      --sharing $$sharing --sim-elements 3 \
 	      --json "cost-out/$$name-sharing-$$sharing.json" > /dev/null || exit 1; \
+	    python3 -m json.tool "cost-out/$$name-sharing-$$sharing.json" \
+	      > /dev/null || exit 1; \
 	  done; \
 	done
 	@echo "lint: zero cost drift across kernels x sharing"

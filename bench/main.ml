@@ -706,20 +706,19 @@ let exec () =
     n_headline t_sim_seq t_shard1 (100. *. shard1_overhead) jobs_par t_sim_par
     sim_par_speedup;
   let matrix_json =
-    Obs.Json.to_string
-      (Obs.Json.List
-         (List.map
-            (fun (n, strategy, j, t, speedup) ->
-              Obs.Json.Obj
-                [
-                  ("elements", Obs.Json.Int n);
-                  ("strategy",
-                   Obs.Json.String (Sim.Functional.strategy_name strategy));
-                  ("jobs", Obs.Json.Int j);
-                  ("seconds", Obs.Json.Float t);
-                  ("speedup_vs_seq", Obs.Json.Float speedup);
-                ])
-            matrix))
+    Obs.Json.List
+      (List.map
+         (fun (n, strategy, j, t, speedup) ->
+           Obs.Json.Obj
+             [
+               ("elements", Obs.Json.Int n);
+               ( "strategy",
+                 Obs.Json.String (Sim.Functional.strategy_name strategy) );
+               ("jobs", Obs.Json.Int j);
+               ("seconds", Obs.Json.Float t);
+               ("speedup_vs_seq", Obs.Json.Float speedup);
+             ])
+         matrix)
   in
   (* Per-stage compile timing breakdown from the compile.* spans of this
      experiment's own compilation (empty when tracing is off). *)
@@ -735,47 +734,38 @@ let exec () =
       [] (Obs.Trace.events ())
     |> List.rev
   in
-  let stage_json =
-    Obs.Json.to_string
-      (Obs.Json.Obj (List.map (fun (s, us) -> (s, Obs.Json.Float us)) stage_us))
-  in
   (* Machine-readable trajectory record, stamped with the run's
      provenance manifest (build identity, argv, host, platform). *)
-  let manifest_json =
-    Obs.Json.to_string
-      (Cfd_core.Version.manifest ~run_id:(Lazy.force effective_run_id) ())
-  in
   let record =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"exec\",\n\
-    \  \"kernel\": \"inverse_helmholtz\",\n\
-    \  \"p\": %d,\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"treewalk_ns_per_element\": %.1f,\n\
-    \  \"compiled_ns_per_element\": %.1f,\n\
-    \  \"compiled_speedup\": %.2f,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"parallel_jobs\": %d,\n\
-    \  \"parallel_ns_per_element\": %.1f,\n\
-    \  \"parallel_speedup\": %.2f,\n\
-    \  \"functional_sim_elements\": %d,\n\
-    \  \"functional_sim_strategy\": \"sharded\",\n\
-    \  \"functional_sim_jobs\": %d,\n\
-    \  \"functional_sim_seq_seconds\": %.4f,\n\
-    \  \"functional_sim_shard1_seconds\": %.4f,\n\
-    \  \"functional_sim_shard1_overhead\": %.4f,\n\
-    \  \"functional_sim_par_seconds\": %.4f,\n\
-    \  \"functional_sim_par_speedup\": %.2f,\n\
-    \  \"functional_sim_matrix\": %s,\n\
-    \  \"compile_stage_us\": %s,\n\
-    \  \"manifest\": %s\n\
-     }\n"
-      p mode_name (ns t_interp) (ns t_compiled) (t_interp /. t_compiled)
-      (Parallel.Pool.default_jobs ()) jobs (ns t_parallel)
-      (t_interp /. t_parallel) n_headline jobs_par t_sim_seq t_shard1
-      shard1_overhead t_sim_par sim_par_speedup matrix_json stage_json
-      manifest_json
+    Obs.Json.Obj
+      [
+        ("benchmark", Obs.Json.String "exec");
+        ("kernel", Obs.Json.String "inverse_helmholtz");
+        ("p", Obs.Json.Int p);
+        ("mode", Obs.Json.String mode_name);
+        ("treewalk_ns_per_element", Obs.Json.Float (ns t_interp));
+        ("compiled_ns_per_element", Obs.Json.Float (ns t_compiled));
+        ("compiled_speedup", Obs.Json.Float (t_interp /. t_compiled));
+        ("host_cores", Obs.Json.Int (Parallel.Pool.default_jobs ()));
+        ("parallel_jobs", Obs.Json.Int jobs);
+        ("parallel_ns_per_element", Obs.Json.Float (ns t_parallel));
+        ("parallel_speedup", Obs.Json.Float (t_interp /. t_parallel));
+        ("functional_sim_elements", Obs.Json.Int n_headline);
+        ("functional_sim_strategy", Obs.Json.String "sharded");
+        ("functional_sim_jobs", Obs.Json.Int jobs_par);
+        ("functional_sim_seq_seconds", Obs.Json.Float t_sim_seq);
+        ("functional_sim_shard1_seconds", Obs.Json.Float t_shard1);
+        ("functional_sim_shard1_overhead", Obs.Json.Float shard1_overhead);
+        ("functional_sim_par_seconds", Obs.Json.Float t_sim_par);
+        ("functional_sim_par_speedup", Obs.Json.Float sim_par_speedup);
+        ("functional_sim_matrix", matrix_json);
+        ( "compile_stage_us",
+          Obs.Json.Obj
+            (List.map (fun (s, us) -> (s, Obs.Json.Float us)) stage_us) );
+        ( "manifest",
+          Cfd_core.Version.manifest ~run_id:(Lazy.force effective_run_id) () );
+      ]
+    |> Obs.Json.to_string
   in
   let hist = write_run_record record in
   Printf.printf "  wrote %s\n" hist;
@@ -829,24 +819,21 @@ let memprof_bench () =
   Printf.printf "  recorded across all timing reps: %d accesses over %d buffers\n"
     sn.Memprof.Record.sn_accesses
     (List.length sn.Memprof.Record.sn_buffers);
-  let oc = open_out (out_path "BENCH_memprof.json") in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"memprof\",\n\
-    \  \"kernel\": \"inverse_helmholtz\",\n\
-    \  \"p\": 11,\n\
-    \  \"disabled_instrumented\": %b,\n\
-    \  \"enabled_instrumented\": %b,\n\
-    \  \"disabled_ns_per_element\": %.1f,\n\
-    \  \"enabled_ns_per_element\": %.1f,\n\
-    \  \"overhead_factor\": %.2f,\n\
-    \  \"accesses_recorded\": %d,\n\
-    \  \"buffers\": %d\n\
-     }\n"
-    probed_off probed_on (ns t_off) (ns t_on) (t_on /. t_off)
-    sn.Memprof.Record.sn_accesses
-    (List.length sn.Memprof.Record.sn_buffers);
-  close_out oc;
+  Obs.Json.to_file (out_path "BENCH_memprof.json")
+    (Obs.Json.Obj
+       [
+         ("benchmark", Obs.Json.String "memprof");
+         ("kernel", Obs.Json.String "inverse_helmholtz");
+         ("p", Obs.Json.Int 11);
+         ("disabled_instrumented", Obs.Json.Bool probed_off);
+         ("enabled_instrumented", Obs.Json.Bool probed_on);
+         ("disabled_ns_per_element", Obs.Json.Float (ns t_off));
+         ("enabled_ns_per_element", Obs.Json.Float (ns t_on));
+         ("overhead_factor", Obs.Json.Float (t_on /. t_off));
+         ("accesses_recorded", Obs.Json.Int sn.Memprof.Record.sn_accesses);
+         ( "buffers",
+           Obs.Json.Int (List.length sn.Memprof.Record.sn_buffers) );
+       ]);
   Printf.printf "  wrote %s\n" (out_path "BENCH_memprof.json")
 
 (* ---------------- Static cost model ---------------- *)

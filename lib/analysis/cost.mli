@@ -1,59 +1,46 @@
-(** Static cost and resource analysis — the polyhedral counting pass
-    behind [cfdc cost].
+(** Static cost and resource analysis — the counting pass behind
+    [cfdc cost].
 
     Where {!Verify} proves the compiled pipeline {e legal}, this module
     predicts what it will {e cost}: statement trip counts and loop
-    iteration totals by point-counting on the loop-nest polyhedra, DMA
-    words per element and per PLM set, per-buffer access counts and peak
-    port pressure, and a BRAM18 count re-derived from the platform
-    allocation rule. Every quantity carries an exactness flag: nests small enough
-    are counted by exact enumeration, larger ones fall back to
-    Fourier–Motzkin bound products and are marked inexact
-    ([cost-inexact]); unbounded domains are [cost-unbounded] errors.
+    iteration totals, DMA words per element and per PLM set, per-buffer
+    access counts and peak port pressure. The loop IR has constant
+    bounds and no guards, so every iteration domain is a box: a leaf's
+    trip count is the product of its enclosing loops' extents, and
+    every count is exact.
 
     The same quantities are measured dynamically by the observability
-    stack — [exec.*]/[sim.*] counters and the [Memprof.Record]
-    snapshot — and {!drift} compares prediction against observation,
-    reporting any mismatch as a [cost-drift-*] diagnostic: the static
-    analyzer is validated by the instrumentation, and vice versa. The
-    orchestration that actually runs a simulation and collects the
-    {!observed} record lives in [Cfd_core.Costing]; this module is pure
-    and depends on nothing dynamic. *)
-
-type count = {
-  value : int;
-  exact : bool;
-      (** [true] when [value] was obtained by enumeration or as the
-          volume of a product-of-intervals domain; [false] for a
-          bound-product over-approximation (or 0 under [cost-unbounded]) *)
-}
+    stack — [sim.*] counters and the [Memprof.Record] snapshot — and
+    {!drift} compares prediction against observation, reporting any
+    mismatch as a [cost-drift-*] diagnostic. The orchestration that
+    actually runs a simulation and collects the {!observed} record lives
+    in [Cfd_core.Costing]; this module is pure and depends on nothing
+    dynamic. *)
 
 type site = {
   site_id : int;
       (** pre-order leaf index over the whole proc, every leaf statement
           included — the same numbering [Loopir.Compiled] gives its probe
           sites, so dynamic site stats join on this id *)
-  site_desc : string;  (** [Memprof.Record]'s statement description *)
-  site_trips : count;  (** executions of this leaf per kernel run *)
+  site_desc : string;  (** [Loopir.Prog.leaf_desc] *)
+  site_trips : int;  (** executions of this leaf per kernel run *)
   site_reads : int;  (** buffer-read events per single execution *)
   site_writes : int;  (** buffer-write events per single execution *)
 }
 
 type buffer = {
   buf_name : string;
-  buf_reads : count;  (** read events per kernel run *)
-  buf_writes : count;  (** write events per kernel run *)
+  buf_reads : int;  (** read events per kernel run *)
+  buf_writes : int;  (** write events per kernel run *)
   buf_peak_pressure : int;
       (** worst simultaneous accesses to this buffer within one leaf
           instance — the quantity [Memprof.Record] reports as
           [b_max_pressure], independent of unroll *)
   buf_port_demand : int;
-      (** worst per-instance port demand at the compiled unroll factor —
-          Mnemosyne's own per-array accounting (reads scale with the
-          unrolled lanes, the register-accumulated write does not
-          replicate), taken as the max over the buffer's resident
-          arrays, exactly the quantity the [share-ports] rule checks the
-          bank provisioning against *)
+      (** worst per-instance port demand at the compiled unroll factor:
+          [Mnemosyne.Memgen.ports_with_unroll], taken as the max over
+          the buffer's resident arrays — the quantity the [share-ports]
+          rule checks the bank provisioning against *)
   buf_port_budget : int option;
       (** [Mnemosyne.Memgen.port_budget] of the backing PLM unit; [None]
           for kernel-local buffers outside the PLM *)
@@ -62,41 +49,26 @@ type buffer = {
 type t = {
   kernel : string;  (** [proc.name] *)
   sites : site list;  (** in site-id order *)
-  statements : count;  (** leaf executions per kernel run *)
-  iterations : count;  (** loop-head iterations per kernel run *)
-  reads : count;  (** total buffer reads per kernel run *)
-  writes : count;  (** total buffer writes per kernel run *)
+  statements : int;  (** leaf executions per kernel run *)
+  iterations : int;  (** loop-head iterations per kernel run *)
+  reads : int;  (** total buffer reads per kernel run *)
+  writes : int;  (** total buffer writes per kernel run *)
   buffers : buffer list;  (** sorted by name; every param and local *)
   words_in : int;  (** input DMA words per element *)
   words_out : int;  (** output DMA words per element *)
-  brams : int;
-      (** BRAM18 total re-derived from the platform rule
-          ([copies * Bram.count_array unit_words] summed over units) *)
-  diagnostics : Diagnostic.t list;
-      (** [cost-unbounded] / [cost-inexact] / [cost-port-overcommit] *)
 }
 
-val count_points :
-  ?budget:int -> subject:string -> Poly.Basic_set.t -> count * Diagnostic.t list
-(** Integer points of a basic set. A domain whose constraints each touch
-    at most one variable is a product of intervals and is counted
-    exactly as the volume of its bounding box; other bounded domains are
-    enumerated when the box volume is at most [budget] (default
-    100_000), else the box volume is returned with [exact = false] and a
-    [cost-inexact] warning. Unbounded domains yield [{value = 0; exact =
-    false}] and a [cost-unbounded] error. *)
-
 val analyze :
-  ?budget:int ->
   ?unroll:int ->
   program:Lower.Flow.program ->
   memory:Mnemosyne.Memgen.architecture ->
   proc:Loopir.Prog.proc ->
   unit ->
   t
-(** The full static cost of one compiled kernel. [unroll] (default 1) is
+(** The full static cost of one compiled kernel. [statements] and
+    [iterations] are [Loopir.Prog.run_totals]. [unroll] (default 1) is
     the compiled innermost unroll factor and only affects
-    [buf_port_demand] / [cost-port-overcommit]. *)
+    [buf_port_demand]. *)
 
 (** {2 Cycle estimate}
 
@@ -132,8 +104,6 @@ val dma_words_per_set : t -> n:int -> m:int -> (int * int * int) list
 type observed = {
   obs_elements : int;  (** kernel runs measured (the simulated [n]) *)
   obs_m : int;  (** PLM sets of the simulated system *)
-  obs_statements : int option;  (** [exec.statements] delta *)
-  obs_iterations : int option;  (** [exec.iterations.*] delta *)
   obs_dma_bytes_in : int option;  (** [sim.dma.bytes_in] delta *)
   obs_dma_bytes_out : int option;
   obs_dma_sets : (int * int * int) list option;
@@ -143,7 +113,6 @@ type observed = {
   obs_buffers : (string * int * int * int) list option;
       (** (buffer, reads, writes, max pressure) from the recorder *)
   obs_total_cycles : int option;  (** [Sim.Perf] total for the shape *)
-  obs_total_brams : int option;  (** the architecture's claimed total *)
 }
 
 val no_observation : n:int -> m:int -> observed
@@ -153,8 +122,8 @@ val drift : t -> ?cycle_model:cycle_estimate -> observed -> Diagnostic.t list
 (** Compare static predictions against dynamic observation; every
     mismatch is an error diagnostic with a [Count] witness:
 
-    - [cost-drift-trips]: statement/iteration totals or per-site
-      instance counts disagree with the [exec.*] counters / recorder;
+    - [cost-drift-trips]: per-site instance counts disagree with the
+      recorder (unknown or missing probe sites included);
     - [cost-drift-access]: per-site or per-buffer read/write counts
       disagree with the recorder;
     - [cost-drift-pressure]: a buffer's peak per-instance pressure
@@ -164,12 +133,9 @@ val drift : t -> ?cycle_model:cycle_estimate -> observed -> Diagnostic.t list
     - [cost-drift-cycles]: the closed-form cycle estimate disagrees with
       the simulated controller FSM — the cycle model's one independent
       check, since both price the same [Sim.Perf] schedule and differ
-      only in the round length;
-    - [cost-drift-brams]: the platform-rule BRAM18 total disagrees with
-      the architecture's claim.
+      only in the round length.
 
-    Inexact static counts are skipped (an over-approximation cannot
-    witness drift); exact ones must match {e exactly}. *)
+    Static counts are exact, so they must match {e exactly}. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_cycle_estimate : Format.formatter -> cycle_estimate -> unit

@@ -20,8 +20,8 @@ type witness =
       (** two overlapping live intervals in schedule space *)
   | Count of int * int
       (** a counted quantity vs the expected/budgeted one — the witness
-          form of the {!Verify.cost} counting rules and the drift
-          detector ([cost-*]) *)
+          form of [share-ports] (port demand vs budget) and of the drift
+          detector ([cost-drift-*]) *)
 
 type t = {
   severity : severity;

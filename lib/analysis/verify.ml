@@ -572,17 +572,6 @@ let derive_intervals (program : Flow.program) (schedule : Schedule.t) =
     program.Flow.arrays;
   tbl
 
-let ports_needed (program : Flow.program) ~unroll array =
-  List.fold_left
-    (fun acc (stmt : Flow.statement) ->
-      let reads =
-        List.length
-          (List.filter (fun (r : Flow.access) -> r.Flow.array = array) (Flow.reads stmt))
-      in
-      let writes = if stmt.Flow.write.Flow.array = array then 1 else 0 in
-      max acc ((reads * unroll) + writes))
-    1 program.Flow.stmts
-
 let rec pairs = function
   | [] -> []
   | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
@@ -725,19 +714,21 @@ let sharing ?(unroll = 1) (program : Flow.program) (schedule : Schedule.t)
           (fun acc (s : slot) ->
             List.fold_left
               (fun acc r ->
-                if known r then
-                  let p = ports_needed program ~unroll r in
-                  max acc ((p + Fpga_platform.Bram.ports - 1) / Fpga_platform.Bram.ports)
+                if known r then max acc (ports_with_unroll program ~unroll r)
                 else acc)
               acc s.residents)
           1 u.slots
       in
-      if u.copies < demand then
+      let budget = port_budget u in
+      if demand > budget then begin
+        let ports = Fpga_platform.Bram.ports in
         add
           (D.warning ~rule:"share-ports" ~subject:u.unit_name
+             ~witness:(D.Count (demand, budget))
              (Format.sprintf
                 "unit provides %d bank copies but worst-case port demand needs %d"
-                u.copies demand));
+                u.copies ((demand + ports - 1) / ports)))
+      end;
       let expect = u.copies * Fpga_platform.Bram.count_array ~words:u.unit_words in
       if u.brams <> expect then
         add
@@ -767,10 +758,6 @@ let family span f =
       if diags <> [] then
         Obs.Trace.span_attr "diagnostics" (string_of_int (List.length diags));
       diags)
-
-let cost ?budget ?unroll program memory proc =
-  family "verify.cost" (fun () ->
-      (Cost.analyze ?budget ?unroll ~program ~memory ~proc ()).Cost.diagnostics)
 
 let c_verify_runs = Obs.Metrics.counter "verify.runs"
 
@@ -835,9 +822,6 @@ let all ?unroll ~(program : Flow.program) ~schedule ?memory ?proc () =
             family "verify.sharing" (fun () ->
                 sharing ?unroll program schedule m)
         | None -> [])
-      @ (match (memory, proc) with
-        | Some m, Some p -> cost ?unroll program m p
-        | _ -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Execution-mode license for the compiled engine                      *)

@@ -10,7 +10,10 @@
     lexicographic live intervals recomputed from schedule graphs — and
     cross-checks the pipeline's output against them. None of the checked
     modules ([Lower.Reschedule], [Lower.Codegen], [Liveness.Analysis],
-    [Mnemosyne.Memgen]) is consulted for the verdict.
+    [Mnemosyne.Memgen]) is consulted for the verdict, except for the
+    per-array port-demand formula [Mnemosyne.Memgen.ports_with_unroll]:
+    it specifies what a unit must serve, and [share-ports] checks each
+    unit's provisioning against it.
 
     Every failed proof is reported as a {!Diagnostic.t} with a stable rule
     id and, where possible, a concrete witness (a statement-instance pair,
@@ -95,23 +98,12 @@ val sharing :
     overlap and must contain their residents; the storage map must agree
     with the slot offsets and cover every program array; and each unit
     must provide enough bank copies for the worst per-instance port
-    demand at the given [unroll] factor (default 1), with its BRAM count
-    matching the platform allocation rule (the last two as warnings —
-    they cost performance or area, not correctness). *)
-
-val cost :
-  ?budget:int ->
-  ?unroll:int ->
-  Lower.Flow.program ->
-  Mnemosyne.Memgen.architecture ->
-  Loopir.Prog.proc ->
-  Diagnostic.t list
-(** The static cost pass ({!Cost.analyze}) run as a verifier family
-    (rules [cost-unbounded], [cost-inexact], [cost-port-overcommit]),
-    under the [verify.cost] span with per-rule [verify.diag.*]
-    counters. Clean pipelines emit nothing: every loop nest the
-    compiler generates is a bounded box, and Mnemosyne provisions bank
-    copies for the compiled unroll factor. *)
+    demand at the given [unroll] factor (default 1) —
+    [Mnemosyne.Memgen.ports_with_unroll] of its residents against
+    [Mnemosyne.Memgen.port_budget], witnessed as [Count (demand,
+    budget)] — with its BRAM count matching the platform allocation
+    rule (the last two as warnings — they cost performance or area, not
+    correctness). *)
 
 val all :
   ?unroll:int ->
@@ -121,8 +113,8 @@ val all :
   ?proc:Loopir.Prog.proc ->
   unit ->
   Diagnostic.t list
-(** Run every applicable check, {!cost} included when both [memory] and
-    [proc] are given. The schedule is first validated structurally
+(** Run every applicable check: {!sharing} when [memory] is given,
+    {!bounds} when [proc] is. The schedule is first validated structurally
     ([Lower.Schedule.validate]), and every statement must have a bounded
     domain and access only declared arrays. Each failure there is a
     [schedule-structure] error, and the schedule-dependent checks are

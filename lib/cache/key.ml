@@ -1,6 +1,6 @@
 type t = string
 
-let format_version = 1
+let format_version = 2
 
 let make parts =
   let buf = Buffer.create 1024 in

@@ -23,8 +23,8 @@ let shape_of (sys : Sysgen.System.t) =
     sh_batch = host.Sysgen.System.rounds_per_block;
   }
 
-let static ?budget (r : Compile.result) =
-  Cost.analyze ?budget
+let static (r : Compile.result) =
+  Cost.analyze
     ~unroll:(Option.value ~default:1 r.Compile.opts.Compile.unroll)
     ~program:r.Compile.program ~memory:r.Compile.memory ~proc:r.Compile.proc ()
 
@@ -48,8 +48,8 @@ let estimate ~board ~system (r : Compile.result) (_ : Cost.t) =
     ce_seconds = hw.Sim.Perf.total_seconds;
   }
 
-(* Same deterministic per-element inputs as cfdc's simulation legs, so a
-   drift run reproduces exactly what the profiling commands measure. *)
+(* Affine kernels have data-independent access patterns, so any finite
+   values do. *)
 let synthetic_inputs (sys : Sysgen.System.t) =
   let shapes =
     List.map
@@ -68,8 +68,6 @@ let synthetic_inputs (sys : Sysgen.System.t) =
 let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
   let proc = r.Compile.proc in
   let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let iterations () = v "exec.iterations.checked" + v "exec.iterations.unchecked" in
-  let stmts0 = v "exec.statements" and iters0 = iterations () in
   let in0 = v "sim.dma.bytes_in" and out0 = v "sim.dma.bytes_out" in
   (* The recorder's probe gate is at compile time, so the engine must be
      compiled inside the enabled window — Functional.run does that. Only
@@ -88,8 +86,6 @@ let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
   {
     Cost.obs_elements = sim_n;
     obs_m = system.Sysgen.System.solution.Sysgen.Replicate.m;
-    obs_statements = Some (v "exec.statements" - stmts0);
-    obs_iterations = Some (iterations () - iters0);
     obs_dma_bytes_in = Some (v "sim.dma.bytes_in" - in0);
     obs_dma_bytes_out = Some (v "sim.dma.bytes_out" - out0);
     obs_dma_sets =
@@ -123,7 +119,6 @@ let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
                b.Memprof.Record.b_max_pressure ))
            snap.Memprof.Record.sn_buffers);
     obs_total_cycles = Some hw.Sim.Perf.total_cycles;
-    obs_total_brams = Some r.Compile.memory.Mnemosyne.Memgen.total_brams;
   }
 
 (* Resident arrays per cost buffer: the storage map sends each logical
@@ -152,34 +147,29 @@ let residents_of (r : Compile.result) (cost : Cost.t) =
           r.Compile.program.Lower.Flow.arrays ))
     cost.Cost.buffers
 
-(* The static cost record is cached under the compile key extended with
-   the port budget (the only [static] input outside the key's triple).
-   The dynamic legs (system solve, drift simulation) stay live: they are
-   the measurement side of the drift check and must never be replayed
-   from a cache. *)
-let cached_static ?cache ?budget (r : Compile.result) =
+(* The static cost record is a function of the compile key's triple
+   alone, so it is cached under that key (in its own kind). The dynamic
+   legs (system solve, drift simulation) stay live: they are the
+   measurement side of the drift check and must never be replayed from
+   a cache. *)
+let cached_static ?cache (r : Compile.result) =
   match cache with
-  | None -> static ?budget r
+  | None -> static r
   | Some store -> (
       let key =
         Compile.cache_key ~options:r.Compile.opts
           r.Compile.checked.Cfdlang.Check.program
-          ~extra:
-            [
-              ( "cost-budget",
-                match budget with None -> "none" | Some b -> string_of_int b );
-            ]
       in
       match Cache.Artifact.find_cost store key with
       | Some cost -> cost
       | None ->
-          let cost = static ?budget r in
+          let cost = static r in
           Cache.Artifact.store_cost store key cost;
           cost)
 
-let analyze ?budget ?(config = Sysgen.Replicate.default_config) ?(diff = false)
+let analyze ?(config = Sysgen.Replicate.default_config) ?(diff = false)
     ?sim_n ?cache ~n_elements (r : Compile.result) =
-  let cost = cached_static ?cache ?budget r in
+  let cost = cached_static ?cache r in
   let board = config.Sysgen.Replicate.board in
   let base =
     {
@@ -195,20 +185,12 @@ let analyze ?budget ?(config = Sysgen.Replicate.default_config) ?(diff = false)
   in
   match Compile.build_system ~config ~n_elements r with
   | exception Sysgen.Replicate.Infeasible msg ->
-      (* No system, no simulation: the only observation left to check is
-         the architecture's own BRAM claim. *)
-      let drift =
-        if diff then
-          Some
-            (Cost.drift cost
-               {
-                 (Cost.no_observation ~n:0 ~m:1) with
-                 Cost.obs_total_brams =
-                   Some r.Compile.memory.Mnemosyne.Memgen.total_brams;
-               })
-        else None
-      in
-      { base with infeasible = Some msg; drift }
+      (* No system, no simulation: nothing observed, nothing drifts. *)
+      {
+        base with
+        infeasible = Some msg;
+        drift = (if diff then Some [] else None);
+      }
   | sys ->
       Sysgen.System.validate sys;
       let est = estimate ~board ~system:sys r cost in
@@ -226,9 +208,6 @@ let analyze ?budget ?(config = Sysgen.Replicate.default_config) ?(diff = false)
         drift;
         sim_elements;
       }
-
-let json_count (c : Cost.count) =
-  Obs.Json.Obj [ ("value", Obs.Json.Int c.Cost.value); ("exact", Obs.Json.Bool c.Cost.exact) ]
 
 let json_opt f = function None -> Obs.Json.Null | Some x -> f x
 
@@ -273,13 +252,12 @@ let to_json t =
       ("kernel", Obs.Json.String t.kernel);
       ("feasible", Obs.Json.Bool (t.infeasible = None));
       ("infeasible", json_opt (fun m -> Obs.Json.String m) t.infeasible);
-      ("statements", json_count c.Cost.statements);
-      ("iterations", json_count c.Cost.iterations);
-      ("reads", json_count c.Cost.reads);
-      ("writes", json_count c.Cost.writes);
+      ("statements", Obs.Json.Int c.Cost.statements);
+      ("iterations", Obs.Json.Int c.Cost.iterations);
+      ("reads", Obs.Json.Int c.Cost.reads);
+      ("writes", Obs.Json.Int c.Cost.writes);
       ("words_in", Obs.Json.Int c.Cost.words_in);
       ("words_out", Obs.Json.Int c.Cost.words_out);
-      ("brams", Obs.Json.Int c.Cost.brams);
       ( "sites",
         Obs.Json.List
           (List.map
@@ -288,7 +266,7 @@ let to_json t =
                  [
                    ("site", Obs.Json.Int s.Cost.site_id);
                    ("desc", Obs.Json.String s.Cost.site_desc);
-                   ("trips", json_count s.Cost.site_trips);
+                   ("trips", Obs.Json.Int s.Cost.site_trips);
                    ("reads", Obs.Json.Int s.Cost.site_reads);
                    ("writes", Obs.Json.Int s.Cost.site_writes);
                  ])
@@ -300,8 +278,8 @@ let to_json t =
                Obs.Json.Obj
                  [
                    ("name", Obs.Json.String b.Cost.buf_name);
-                   ("reads", json_count b.Cost.buf_reads);
-                   ("writes", json_count b.Cost.buf_writes);
+                   ("reads", Obs.Json.Int b.Cost.buf_reads);
+                   ("writes", Obs.Json.Int b.Cost.buf_writes);
                    ("peak_pressure", Obs.Json.Int b.Cost.buf_peak_pressure);
                    ("port_demand", Obs.Json.Int b.Cost.buf_port_demand);
                    ( "port_budget",
@@ -333,7 +311,6 @@ let to_json t =
                 ("seconds", Obs.Json.Float e.Cost.ce_seconds);
               ])
           t.estimate );
-      ("diagnostics", Obs.Json.List (List.map json_diag c.Cost.diagnostics));
       ("drift", json_opt (fun ds -> Obs.Json.List (List.map json_diag ds)) t.drift);
       ("sim_elements", json_opt (fun n -> Obs.Json.Int n) t.sim_elements);
     ]

@@ -12,9 +12,9 @@
       cycle model) built at the closed-form round length, kernel latency
       plus [Sim.Constants.controller_handshake_cycles];
     - the {e observation} runs one recorded round-scheduled functional
-      simulation and reads back the [exec.*]/[sim.*] counter deltas,
-      the [Memprof.Record] snapshot, and the cycle-accurate
-      [Sim.Perf] result;
+      simulation and reads back the [sim.dma.*] counter deltas, the
+      [Memprof.Record] snapshot, and the cycle-accurate [Sim.Perf]
+      result;
     - {!Analysis.Cost.drift} then reports every mismatch as a
       [cost-drift-*] diagnostic. *)
 
@@ -35,7 +35,7 @@ type report = {
 
 val shape_of : Sysgen.System.t -> Analysis.Cost.shape
 
-val static : ?budget:int -> Compile.result -> Analysis.Cost.t
+val static : Compile.result -> Analysis.Cost.t
 (** {!Analysis.Cost.analyze} at the result's compiled unroll factor. *)
 
 val estimate :
@@ -53,6 +53,11 @@ val estimate :
     FSM round equals the closed-form one — the [cost-drift-cycles]
     check. *)
 
+val synthetic_inputs : Sysgen.System.t -> int -> (string * float array) list
+(** The deterministic per-element inputs of every simulation leg
+    ([cfdc cost --diff], [memprof], [profile]): element [e]'s word [i]
+    of each input transfer is [(((e + 1) * 31) + i) mod 97 / 97]. *)
+
 val observe :
   ?sim_n:int ->
   system:Sysgen.System.t ->
@@ -65,7 +70,6 @@ val observe :
     @raise Sim.Functional.Error when the simulation fails. *)
 
 val analyze :
-  ?budget:int ->
   ?config:Sysgen.Replicate.config ->
   ?diff:bool ->
   ?sim_n:int ->
@@ -77,8 +81,8 @@ val analyze :
     at [n_elements] (infeasible boards degrade to a static-only
     report), and — with [diff] (default false) — the drift check
     against the observability stack. With [cache], the static cost
-    record is looked up under the result's [Compile.cache_key]
-    (extended with [budget]); the dynamic legs always run live. *)
+    record is looked up under the result's [Compile.cache_key]; the
+    dynamic legs always run live. *)
 
 val to_json : report -> Obs.Json.t
 val pp_report : Format.formatter -> report -> unit

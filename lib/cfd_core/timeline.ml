@@ -132,12 +132,9 @@ let run_leg ~label ~overlap ~board ~audit (r : Compile.result)
           if overlap then Sim.Perf.run_hw_overlapped else Sim.Perf.run_hw
         in
         let hw = run ~system:sys ~board in
-        (match audit with
-        | Some a ->
-            inject_port_samples ~kernel:r.Compile.proc.Loopir.Prog.name
-              ~start:sched.Sim.Perf.Schedule.block_in
-              ~latency:r.Compile.hls.Hls.Model.latency_cycles a
-        | None -> ());
+        inject_port_samples ~kernel:r.Compile.proc.Loopir.Prog.name
+          ~start:sched.Sim.Perf.Schedule.block_in
+          ~latency:r.Compile.hls.Hls.Model.latency_cycles audit;
         (hw, TL.capture ()))
   in
   {
@@ -163,9 +160,9 @@ let overlap_k ~m =
 (* --- the report --------------------------------------------------------- *)
 
 let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
-    ?(overlap = Auto) ?(join_memprof = true) ~n_elements (r : Compile.result) =
+    ?(overlap = Auto) ~n_elements (r : Compile.result) =
   let board = config.Sysgen.Replicate.board in
-  let audit = if join_memprof then Some (audit_of r) else None in
+  let audit = audit_of r in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
   let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in

@@ -44,9 +44,9 @@ let errf fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 type mode = Checked | Unchecked | Debug
 
 (* Engine telemetry. Loop trip counts are compile-time constants, so the
-   per-run statement and iteration totals are computed once by [compile]
-   and flushed with a handful of counter adds per [run] — the compiled
-   inner loops themselves carry no telemetry. *)
+   per-run statement and iteration totals ([Prog.run_totals]) are computed
+   once by [compile] and flushed with a handful of counter adds per [run] —
+   the compiled inner loops themselves carry no telemetry. *)
 let c_runs = Obs.Metrics.counter "exec.runs"
 let c_statements = Obs.Metrics.counter "exec.statements"
 let c_iters_checked = Obs.Metrics.counter "exec.iterations.checked"
@@ -110,21 +110,6 @@ type t = {
   n_vars : int;  (* loop-variable slots (probe-instrumented only) *)
   probed : bool;
 }
-
-(* (leaf statements, loop iterations) executed by one pass of [s]. *)
-let rec stmt_cost (s : Prog.stmt) =
-  match s with
-  | Prog.For l ->
-      let trip = max 0 (l.Prog.hi - l.Prog.lo) in
-      let bs, bi =
-        List.fold_left
-          (fun (ss, ii) inner ->
-            let s', i' = stmt_cost inner in
-            (ss + s', ii + i'))
-          (0, 0) l.Prog.body
-      in
-      (trip * bs, trip + (trip * bi))
-  | _ -> (1, 0)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation state                                                   *)
@@ -592,13 +577,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
   | Checked -> Obs.Metrics.incr c_mode_checked
   | Unchecked -> Obs.Metrics.incr c_mode_unchecked
   | Debug -> Obs.Metrics.incr c_mode_debug);
-  let stmts_per_run, iters_per_run =
-    List.fold_left
-      (fun (ss, ii) s ->
-        let s', i' = stmt_cost s in
-        (ss + s', ii + i'))
-      (0, 0) proc.Prog.body
-  in
+  let stmts_per_run, iters_per_run = Prog.run_totals proc in
   {
     proc;
     mode;

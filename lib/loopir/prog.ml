@@ -88,6 +88,23 @@ let loop_nest_depth proc =
   in
   List.fold_left (fun m s -> max m (depth s)) 0 proc.body
 
+let run_totals proc =
+  let rec totals (stmts, iters) = function
+    | For l ->
+        let trip = max 0 (l.hi - l.lo) in
+        let s, i = List.fold_left totals (0, 0) l.body in
+        (stmts + (trip * s), iters + trip + (trip * i))
+    | Store _ | Accum _ | Set_scalar _ | Acc_scalar _ -> (stmts + 1, iters)
+  in
+  List.fold_left totals (0, 0) proc.body
+
+let leaf_desc = function
+  | Store { array; _ } -> "store " ^ array
+  | Accum { array; _ } -> "accum " ^ array
+  | Set_scalar { name; _ } -> "set " ^ name
+  | Acc_scalar { name; _ } -> "acc " ^ name
+  | For _ -> "for"
+
 let validate proc =
   let names = Hashtbl.create 16 in
   List.iter

@@ -62,6 +62,16 @@ val validate : proc -> unit
 val loop_nest_depth : proc -> int
 val count_stores : proc -> int
 
+val run_totals : proc -> int * int
+(** [(statements, iterations)] executed by one run: every leaf counts
+    once per pass of its enclosing loops, and a loop running
+    [t = max 0 (hi - lo)] times contributes [t] head iterations plus [t]
+    passes of its body. Bounds are constants, so these are exact. *)
+
+val leaf_desc : stmt -> string
+(** A leaf's one-line description: ["store a"], ["accum a"], ["set s"]
+    or ["acc s"] (["for"] for a loop). *)
+
 val arrays_read : proc -> string list
 val arrays_written : proc -> string list
 

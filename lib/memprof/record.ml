@@ -109,14 +109,6 @@ let flush_instance d =
     d.dc_tally;
   d.dc_tally <- []
 
-let stmt_desc (s : Loopir.Prog.stmt) =
-  match s with
-  | Loopir.Prog.Store { array; _ } -> "store " ^ array
-  | Loopir.Prog.Accum { array; _ } -> "accum " ^ array
-  | Loopir.Prog.Set_scalar { name; _ } -> "set " ^ name
-  | Loopir.Prog.Acc_scalar { name; _ } -> "acc " ^ name
-  | Loopir.Prog.For _ -> "for"
-
 let make_probe (proc : Loopir.Prog.proc) =
   let pname = proc.Loopir.Prog.name in
   let on_site ~site ~vars ~stmt =
@@ -125,7 +117,7 @@ let make_probe (proc : Loopir.Prog.proc) =
         if not (Hashtbl.mem sites (pname, site)) then
           Hashtbl.replace sites (pname, site)
             {
-              sc_desc = stmt_desc stmt;
+              sc_desc = Loopir.Prog.leaf_desc stmt;
               sc_instances = 0;
               sc_reads = 0;
               sc_writes = 0;

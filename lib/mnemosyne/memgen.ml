@@ -21,32 +21,6 @@ exception Error of string
 
 let is_transient name = String.length name > 0 && name.[0] = '%'
 
-let read_ports_needed (program : Lower.Flow.program) array =
-  List.fold_left
-    (fun acc (stmt : Lower.Flow.statement) ->
-      let reads =
-        List.length
-          (List.filter
-             (fun (r : Lower.Flow.access) -> r.Lower.Flow.array = array)
-             (Lower.Flow.reads stmt))
-      in
-      let writes = if stmt.Lower.Flow.write.Lower.Flow.array = array then 1 else 0 in
-      max acc (reads + writes))
-    1 program.Lower.Flow.stmts
-
-(* Working slot representation during packing. *)
-type wslot = { mutable members : string list; mutable wsize : int }
-
-let compatible_with_all live a members =
-  List.for_all (Liveness.Analysis.address_space_compatible live a) members
-
-let interface_with_all live a members =
-  List.for_all (Liveness.Analysis.interface_compatible live a) members
-
-type scope = All | Interface_only
-
-(* Per-instance port demand with unrolled lanes: each lane issues its own
-   reads; the (register-accumulated) write does not replicate. *)
 let ports_with_unroll (program : Lower.Flow.program) ~unroll array =
   List.fold_left
     (fun acc (stmt : Lower.Flow.statement) ->
@@ -59,6 +33,19 @@ let ports_with_unroll (program : Lower.Flow.program) ~unroll array =
       let writes = if stmt.Lower.Flow.write.Lower.Flow.array = array then 1 else 0 in
       max acc ((reads * unroll) + writes))
     1 program.Lower.Flow.stmts
+
+let read_ports_needed program array = ports_with_unroll program ~unroll:1 array
+
+(* Working slot representation during packing. *)
+type wslot = { mutable members : string list; mutable wsize : int }
+
+let compatible_with_all live a members =
+  List.for_all (Liveness.Analysis.address_space_compatible live a) members
+
+let interface_with_all live a members =
+  List.for_all (Liveness.Analysis.interface_compatible live a) members
+
+type scope = All | Interface_only
 
 let generate ?(scope = All) ?(unroll = 1) ~mode (program : Lower.Flow.program) schedule =
   let live = Liveness.Analysis.analyze program schedule in

@@ -45,9 +45,17 @@ type architecture = {
 
 exception Error of string
 
+val ports_with_unroll : Lower.Flow.program -> unroll:int -> string -> int
+(** Worst per-instance port demand of the array at the innermost unroll
+    factor: the maximum over statements of [reads * unroll + writes]
+    (each unrolled lane issues its own reads, the register-accumulated
+    write does not replicate), and at least 1. The one port-demand
+    formula: bank duplication here, the verifier's [share-ports] rule
+    and [Analysis.Cost]'s per-buffer demand all read it. *)
+
 val read_ports_needed : Lower.Flow.program -> string -> int
-(** Maximum number of same-instance accesses to the array (reads within
-    one statement body). *)
+(** [ports_with_unroll ~unroll:1]: the most same-instance accesses to
+    the array (reads plus the write of one statement body). *)
 
 type scope = All | Interface_only
 

@@ -108,17 +108,28 @@ let test_profile_ok () =
   Sys.remove trace
 
 (* The sharded strategy on the profile pipeline: both spellings accepted,
-   recorder leg skipped but the run itself succeeds at any jobs. *)
+   recorder leg skipped but the run itself succeeds at any jobs. The
+   timeline leg's PLM tracks come from the memprof audit's own
+   instrumented run, so every strategy prints them. *)
 let test_profile_strategy_flags () =
   List.iter
     (fun args ->
-      Alcotest.(check int)
-        ("profile " ^ String.concat " " args ^ " exits 0")
-        0
-        (run
-           ([ "profile"; kernel "mass.cfd"; "--name"; "mass"; "--sim-elements";
-              "4" ]
-           @ args)))
+      let what = "profile " ^ String.concat " " args in
+      let code, text =
+        run_capture
+          ([ "profile"; kernel "mass.cfd"; "--name"; "mass"; "--sim-elements";
+             "4" ]
+          @ args)
+      in
+      Alcotest.(check int) (what ^ " exits 0") 0 code;
+      List.iter
+        (fun u ->
+          let line = "plm:" ^ u ^ " port-pressure" in
+          Alcotest.(check bool) (what ^ " prints " ^ line) true
+            (contains ~sub:line text))
+        [ "plm0"; "plm1"; "plm2" ];
+      Alcotest.(check bool) (what ^ " joins port-pressure samples") false
+        (contains ~sub:"samples 0" text))
     [
       [ "--strategy"; "shard"; "--jobs"; "3" ];
       [ "--strategy"; "sharded" ];

@@ -1,9 +1,10 @@
-(* Static cost model: count_points unit cases, deterministic and QCheck
-   differentials against the exec/sim/memprof instrumentation, bit-exact
-   cycle-model equality with Sim.Perf across forced shapes, drift-detector
-   mutations (each perturbed observation fires exactly its rule), the
-   sweep static pre-filter equivalence, the verify-once span count, and a
-   doc-drift check against docs/ANALYSIS.md's rule catalogue. *)
+(* Static cost model: deterministic and QCheck differentials against the
+   sim/memprof instrumentation, bit-exact cycle-model equality with
+   Sim.Perf across forced shapes, the share-ports port-demand witness,
+   drift-detector mutations (each perturbed observation fires exactly its
+   rule), the sweep static pre-filter equivalence, the verify-once span
+   count, and a doc-drift check against docs/ANALYSIS.md's rule
+   catalogue. *)
 
 open Cfd_core
 module Cost = Analysis.Cost
@@ -38,53 +39,6 @@ let board = Sysgen.Replicate.(default_config.board)
 let rules ds = List.sort_uniq compare (List.map (fun d -> d.D.rule) ds)
 
 (* ------------------------------------------------------------------ *)
-(* count_points unit cases                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* x >= 0, y >= 0, x + y <= 9: 55 points, bounding box 10 x 10 *)
-let triangle () =
-  let space = Poly.Space.anonymous 2 in
-  let x = Poly.Aff.var 2 0 and y = Poly.Aff.var 2 1 in
-  Poly.Basic_set.of_constraints space
-    Poly.Basic_set.
-      [ Ge x; Ge y; Ge Poly.Aff.(sub (sub (const 2 9) x) y) ]
-
-let unbounded () =
-  let space = Poly.Space.anonymous 1 in
-  Poly.Basic_set.of_constraints space [ Poly.Basic_set.Ge (Poly.Aff.var 1 0) ]
-
-let test_count_box () =
-  let c, ds =
-    Cost.count_points ~subject:"box"
-      (Poly.Basic_set.of_box (Poly.Space.anonymous 2) [ (0, 9); (0, 4) ])
-  in
-  Alcotest.(check int) "volume" 50 c.Cost.value;
-  Alcotest.(check bool) "exact" true c.Cost.exact;
-  Alcotest.(check int) "no diagnostics" 0 (List.length ds)
-
-let test_count_enumerated () =
-  let c, ds = Cost.count_points ~subject:"triangle" (triangle ()) in
-  Alcotest.(check int) "enumerated" 55 c.Cost.value;
-  Alcotest.(check bool) "exact" true c.Cost.exact;
-  Alcotest.(check int) "no diagnostics" 0 (List.length ds)
-
-let test_count_inexact () =
-  let c, ds = Cost.count_points ~budget:10 ~subject:"triangle" (triangle ()) in
-  Alcotest.(check int) "falls back to the box volume" 100 c.Cost.value;
-  Alcotest.(check bool) "inexact" false c.Cost.exact;
-  Alcotest.(check (list string)) "warns" [ "cost-inexact" ] (rules ds);
-  match ds with
-  | [ { D.severity = D.Warning; witness = Some (D.Count (100, 10)); _ } ] -> ()
-  | _ -> Alcotest.fail "expected one warning with a (counted, budget) witness"
-
-let test_count_unbounded () =
-  let c, ds = Cost.count_points ~subject:"ray" (unbounded ()) in
-  Alcotest.(check int) "no usable count" 0 c.Cost.value;
-  Alcotest.(check bool) "inexact" false c.Cost.exact;
-  Alcotest.(check (list string)) "errors" [ "cost-unbounded" ] (rules ds);
-  Alcotest.(check int) "is an error" 1 (List.length (D.errors ds))
-
-(* ------------------------------------------------------------------ *)
 (* Deterministic differential: every kernel, both sharing modes        *)
 (* ------------------------------------------------------------------ *)
 
@@ -92,9 +46,6 @@ let check_no_drift ~what (rep : Costing.report) =
   (match rep.Costing.infeasible with
   | Some m -> Alcotest.failf "%s: infeasible: %s" what m
   | None -> ());
-  Alcotest.(check bool)
-    (what ^ ": statement count is exact")
-    true rep.Costing.cost.Cost.statements.Cost.exact;
   Alcotest.(check bool)
     (what ^ ": has probe sites")
     true
@@ -194,25 +145,47 @@ let test_dma_words_per_set () =
     (Cost.dma_words_per_set cost ~n:1 ~m:4)
 
 (* ------------------------------------------------------------------ *)
-(* Port pressure: overcommit fires at an oversized unroll factor       *)
+(* Port pressure: share-ports fires at an oversized unroll factor      *)
 (* ------------------------------------------------------------------ *)
 
-let overcommitted_diagnostics r =
-  (Cost.analyze ~unroll:8 ~program:r.Compile.program ~memory:r.Compile.memory
-     ~proc:r.Compile.proc ())
-    .Cost.diagnostics
+let sharing_at ?unroll r =
+  Analysis.Verify.sharing ?unroll r.Compile.program r.Compile.schedule
+    r.Compile.memory
 
 let test_port_overcommit () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   Alcotest.(check int)
     "the compiled unroll factor fits its port budgets" 0
-    (List.length (Costing.static r).Cost.diagnostics);
-  let ds = overcommitted_diagnostics r in
+    (List.length (sharing_at r));
+  let ds = sharing_at ~unroll:8 r in
   Alcotest.(check (list string))
-    "unroll 8 overcommits the PLM ports" [ "cost-port-overcommit" ] (rules ds);
-  Alcotest.(check int)
-    "overcommit is a warning, not an error" 0
-    (List.length (D.errors ds))
+    "unroll 8 overcommits exactly the three PLM units"
+    [ "plm0"; "plm1"; "plm2" ]
+    (List.sort compare (List.map (fun d -> d.D.subject) ds));
+  let cost =
+    Cost.analyze ~unroll:8 ~program:r.Compile.program ~memory:r.Compile.memory
+      ~proc:r.Compile.proc ()
+  in
+  List.iter
+    (fun (d : D.t) ->
+      Alcotest.(check string) (d.D.subject ^ ": rule") "share-ports" d.D.rule;
+      Alcotest.(check bool)
+        (d.D.subject ^ ": a warning, not an error")
+        false (D.is_error d);
+      let b =
+        List.find (fun b -> b.Cost.buf_name = d.D.subject) cost.Cost.buffers
+      in
+      match d.D.witness with
+      | Some (D.Count (demand, budget)) ->
+          Alcotest.(check (pair int int))
+            (d.D.subject ^ ": witness = (demand, budget)")
+            (8, 2) (demand, budget);
+          Alcotest.(check (pair int (option int)))
+            (d.D.subject ^ ": the cost report shows the same demand and budget")
+            (demand, Some budget)
+            (b.Cost.buf_port_demand, b.Cost.buf_port_budget)
+      | _ -> Alcotest.failf "%s: expected a Count witness" d.D.subject)
+    ds
 
 (* ------------------------------------------------------------------ *)
 (* Drift detector: every perturbed observation fires exactly its rule  *)
@@ -233,24 +206,24 @@ let correct_sites (cost : Cost.t) =
     (fun (s : Cost.site) ->
       ( s.Cost.site_id,
         s.Cost.site_desc,
-        s.Cost.site_trips.Cost.value * drift_n,
-        s.Cost.site_reads * s.Cost.site_trips.Cost.value * drift_n,
-        s.Cost.site_writes * s.Cost.site_trips.Cost.value * drift_n ))
+        s.Cost.site_trips * drift_n,
+        s.Cost.site_reads * s.Cost.site_trips * drift_n,
+        s.Cost.site_writes * s.Cost.site_trips * drift_n ))
     cost.Cost.sites
 
 let correct_buffers (cost : Cost.t) =
   List.map
     (fun (b : Cost.buffer) ->
       ( b.Cost.buf_name,
-        b.Cost.buf_reads.Cost.value * drift_n,
-        b.Cost.buf_writes.Cost.value * drift_n,
+        b.Cost.buf_reads * drift_n,
+        b.Cost.buf_writes * drift_n,
         b.Cost.buf_peak_pressure ))
     cost.Cost.buffers
 
 let accessed_buffer (cost : Cost.t) =
   (List.find
      (fun (b : Cost.buffer) ->
-       b.Cost.buf_reads.Cost.value + b.Cost.buf_writes.Cost.value > 0)
+       b.Cost.buf_reads + b.Cost.buf_writes > 0)
      cost.Cost.buffers)
     .Cost.buf_name
 
@@ -262,16 +235,6 @@ let test_drift_mutations () =
     Alcotest.(check (list string)) what expected (rules (Cost.drift cost obs))
   in
   check "all-None observation is clean" [] base;
-  check "exec.statements perturbed" [ "cost-drift-trips" ]
-    {
-      base with
-      Cost.obs_statements = Some ((cost.Cost.statements.Cost.value * n) + 1);
-    };
-  check "exec.iterations perturbed" [ "cost-drift-trips" ]
-    {
-      base with
-      Cost.obs_iterations = Some ((cost.Cost.iterations.Cost.value * n) + 1);
-    };
   check "sim.dma.bytes_in perturbed" [ "cost-drift-dma" ]
     { base with Cost.obs_dma_bytes_in = Some ((8 * cost.Cost.words_in * n) + 8) };
   check "per-set DMA words lost" [ "cost-drift-dma" ]
@@ -324,8 +287,6 @@ let test_drift_mutations () =
     };
   check "unknown buffer observed" [ "cost-drift-access" ]
     { base with Cost.obs_buffers = Some (("phantom", 1, 0, 1) :: buffers) };
-  check "architecture BRAM claim perturbed" [ "cost-drift-brams" ]
-    { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) };
   Alcotest.(check (list string))
     "matching cycle estimate is clean" []
     (rules
@@ -459,17 +420,11 @@ let emitted_rules () =
   let r, cost, est = Lazy.force fixture in
   let acc = ref [] in
   let collect ds = List.iter (fun d -> acc := d.D.rule :: !acc) ds in
-  collect (snd (Cost.count_points ~subject:"ray" (unbounded ())));
-  collect (snd (Cost.count_points ~budget:10 ~subject:"triangle" (triangle ())));
-  collect (overcommitted_diagnostics r);
   let n = drift_n in
   let base = Cost.no_observation ~n ~m:2 in
   collect
     (Cost.drift cost
-       {
-         base with
-         Cost.obs_statements = Some ((cost.Cost.statements.Cost.value * n) + 1);
-       });
+       { base with Cost.obs_sites = Some [ (999, "phantom", 1, 0, 0) ] });
   collect
     (Cost.drift cost
        {
@@ -493,8 +448,6 @@ let emitted_rules () =
   collect
     (Cost.drift cost ~cycle_model:est
        { base with Cost.obs_total_cycles = Some (est.Cost.ce_total_cycles + 1) });
-  collect
-    (Cost.drift cost { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) });
   (* the timeline's only rule: an overlapped leg required on m < 2k *)
   collect
     (Timeline.analyze ~force_k:8 ~force_m:8 ~overlap:Timeline.Require
@@ -511,14 +464,6 @@ let test_doc_drift () =
 
 let suite =
   [
-    ( "cost.count",
-      [
-        case "a product of intervals is its box volume" test_count_box;
-        case "a bounded non-box domain is enumerated" test_count_enumerated;
-        case "over budget falls back to an inexact bound" test_count_inexact;
-        case "an unbounded domain is a cost-unbounded error"
-          test_count_unbounded;
-      ] );
     ( "cost.differential",
       List.map
         (fun f ->

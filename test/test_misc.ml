@@ -88,6 +88,32 @@ let test_prog_rejects_empty_loop () =
            };
        ])
 
+(* One top-level leaf, then a 3-trip loop holding a leaf, an empty
+   (hi = lo) loop and a 2-trip loop, then an inverted (hi < lo) loop:
+   statements 1 + 3 * (1 + 0 + 2) = 10, iterations 3 + 3 * (0 + 2) = 9. *)
+let test_prog_run_totals () =
+  let open Loopir.Prog in
+  let loop var lo hi body = For { var; lo; hi; pragmas = []; body } in
+  let acc ix =
+    Accum { array = "b"; index = Loopir.Ix.var ix; value = Scalar "s" }
+  in
+  let proc =
+    mk_proc
+      [
+        Store { array = "b"; index = Loopir.Ix.const 0; value = Const 1.0 };
+        loop "i" 0 3
+          [
+            Set_scalar { name = "s"; value = Load ("a", Loopir.Ix.var "i") };
+            loop "j" 5 5 [ acc "j" ];
+            loop "k" 2 4 [ acc "k" ];
+          ];
+        loop "m" 4 1 [ acc "m" ];
+      ]
+  in
+  Alcotest.(check (pair int int)) "(statements, iterations)" (10, 9)
+    (run_totals proc);
+  Alcotest.(check (pair int int)) "empty body" (0, 0) (run_totals (mk_proc []))
+
 let test_prog_rejects_scalar_before_set () =
   expect_ill_formed
     (mk_proc
@@ -207,6 +233,7 @@ let suite =
         case "empty loop" test_prog_rejects_empty_loop;
         case "scalar before set" test_prog_rejects_scalar_before_set;
         case "shadowed loop var" test_prog_rejects_shadowed_loop_var;
+        case "run totals" test_prog_run_totals;
       ] );
     ( "misc.interp",
       [
