@@ -184,92 +184,6 @@ let schedule_deps (program : Flow.program) (schedule : Schedule.t) =
   done;
   List.rev !diags
 
-(* Every integer point of [dom] in row-major order (the order of
-   [BS.enumerate]) without materializing them: one odometer over the
-   bounding box. The accessed flat offset [access] and the constraints of
-   [dom] that the box does not already imply are kept incrementally from
-   their per-dimension coefficients, and only those residual constraints
-   are re-checked per point (a box domain, the only kind the flow
-   produces, has none). [visit x off] gets the scratch point, which it
-   must not retain, and the offset; raising [Exit] stops the walk.
-   Returns the number of points visited. *)
-let walk (dom : BS.t) (access : Aff.t) visit =
-  match BS.bounding_box dom with
-  | None -> invalid_arg "Verify.walk: unbounded domain"
-  | Some box ->
-      let k = Array.length box in
-      if BS.is_obviously_empty dom || Array.exists (fun (lo, hi) -> lo > hi) box
-      then 0
-      else begin
-        let lo = Array.map fst box and hi = Array.map snd box in
-        let extreme pick e =
-          let acc = ref (Aff.constant e) in
-          for j = 0 to k - 1 do
-            let c = Aff.coeff e j in
-            acc := !acc + (c * if (c > 0) = pick then hi.(j) else lo.(j))
-          done;
-          !acc
-        in
-        let residual =
-          List.filter
-            (function
-              | BS.Ge e -> extreme false e < 0
-              | BS.Eq e -> extreme false e <> 0 || extreme true e <> 0)
-            (BS.constraints dom)
-        in
-        (* tracked.(0) is the offset, tracked.(1 ..) the residual constraints *)
-        let tracked =
-          Array.of_list
-            (access :: List.map (function BS.Ge e | BS.Eq e -> e) residual)
-        in
-        let is_eq =
-          Array.of_list (false :: List.map (function BS.Eq _ -> true | BS.Ge _ -> false) residual)
-        in
-        let nt = Array.length tracked in
-        (* per expression and dimension: the change of one step forward and
-           of one wrap back to the lower bound *)
-        let fwd = Array.map (fun e -> Array.init k (Aff.coeff e)) tracked in
-        let back =
-          Array.map (Array.mapi (fun j c -> -c * (hi.(j) - lo.(j)))) fwd
-        in
-        let x = Array.copy lo in
-        let v = Array.map (fun e -> Aff.eval e x) tracked in
-        let rec inside t =
-          t >= nt || ((if is_eq.(t) then v.(t) = 0 else v.(t) >= 0) && inside (t + 1))
-        in
-        let count = ref 0 in
-        let rec step j =
-          j >= 0
-          &&
-          if x.(j) < hi.(j) then begin
-            x.(j) <- x.(j) + 1;
-            for t = 0 to nt - 1 do
-              v.(t) <- v.(t) + fwd.(t).(j)
-            done;
-            true
-          end
-          else begin
-            x.(j) <- lo.(j);
-            for t = 0 to nt - 1 do
-              v.(t) <- v.(t) + back.(t).(j)
-            done;
-            step (j - 1)
-          end
-        in
-        (try
-           while
-             if inside 1 then begin
-               incr count;
-               visit x v.(0)
-             end;
-             step (k - 1)
-           do
-             ()
-           done
-         with Exit -> ());
-        !count
-      end
-
 (* A statement's schedule timestamp read straight off an instance point,
    as [Schedule.timestamp] builds it: component [p] is the point's
    coordinate [x.(src.(p))] where [src.(p) >= 0], else [fixed.(p)] (a
@@ -309,7 +223,7 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
   let diags = ref [] in
   let points = ref 0 in
   let walk dom access visit =
-    let n = walk dom access visit in
+    let n = BS.walk dom [| access |] (fun x v -> visit x v.(0)) in
     Obs.Metrics.add c_ubd_points n;
     points := !points + n
   in

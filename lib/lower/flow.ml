@@ -271,23 +271,6 @@ let operand_map program stmt =
   ignore program;
   maps
 
-(* Bounds of an affine expression over a box. *)
-let expr_range box (e : Poly.Aff.t) =
-  let lo = ref (Poly.Aff.constant e) and hi = ref (Poly.Aff.constant e) in
-  Array.iteri
-    (fun i (blo, bhi) ->
-      let c = Poly.Aff.coeff e i in
-      if c > 0 then begin
-        lo := !lo + (c * blo);
-        hi := !hi + (c * bhi)
-      end
-      else if c < 0 then begin
-        lo := !lo + (c * bhi);
-        hi := !hi + (c * blo)
-      end)
-    box;
-  (!lo, !hi)
-
 let validate program =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -303,12 +286,15 @@ let validate program =
       let exprs = Poly.Aff_map.exprs a.layout in
       if Array.length exprs <> 1 then
         errf "layout of %s must target a 1-D array" a.array_name;
-      let lay_lo, lay_hi = expr_range lay_box exprs.(0) in
+      let lay_lo, lay_hi = Poly.Aff.range exprs.(0) lay_box in
       if lay_lo < 0 || lay_hi >= a.size then
         errf "layout of %s reaches offsets [%d, %d] outside size %d"
           a.array_name lay_lo lay_hi a.size;
+      (* Checked at any size: one walk of the tensor box, the images
+         seen kept as bits over their range, which lies inside
+         [0, a.size) as just checked. *)
       let box = box_of_shape (tensor_space a.array_name a.tensor_shape) a.tensor_shape in
-      if a.size <= 4096 && not (Poly.Aff_map.is_injective_on a.layout box) then
+      if not (Poly.Aff_map.is_injective_on a.layout box) then
         errf "layout of %s is not injective" a.array_name)
     program.arrays;
   let written = Hashtbl.create 16 in
@@ -324,7 +310,7 @@ let validate program =
             then errf "%s access to %s has wrong rank in %s" what acc.array stmt.stmt_name;
             Array.iteri
               (fun d e ->
-                let lo, hi = expr_range box e in
+                let lo, hi = Poly.Aff.range e box in
                 if lo < 0 || hi >= shape.(d) then
                   errf "%s access to %s dim %d out of bounds in %s" what
                     acc.array d stmt.stmt_name)

@@ -46,23 +46,6 @@ let padded_row_major shape ~align =
     strided_layout "t" shape (Array.to_list strides)
   end
 
-(* Range of an affine expression over a box. *)
-let expr_range box (e : Poly.Aff.t) =
-  let lo = ref (Poly.Aff.constant e) and hi = ref (Poly.Aff.constant e) in
-  Array.iteri
-    (fun i (blo, bhi) ->
-      let c = Poly.Aff.coeff e i in
-      if c > 0 then begin
-        lo := !lo + (c * blo);
-        hi := !hi + (c * bhi)
-      end
-      else if c < 0 then begin
-        lo := !lo + (c * bhi);
-        hi := !hi + (c * blo)
-      end)
-    box;
-  (!lo, !hi)
-
 let set_layout (program : Flow.program) name layout =
   let found = ref false in
   let arrays =
@@ -79,7 +62,7 @@ let set_layout (program : Flow.program) name layout =
             errf "set_layout: layout of %s must target a 1-D array" name;
           if Poly.Aff.arity exprs.(0) <> List.length a.Flow.tensor_shape then
             errf "set_layout: layout arity mismatch for %s" name;
-          let lo, hi = expr_range box exprs.(0) in
+          let lo, hi = Poly.Aff.range exprs.(0) box in
           if lo < 0 then errf "set_layout: layout of %s reaches offset %d" name lo;
           (* Rebuild the map against this array's canonical spaces. *)
           let layout =

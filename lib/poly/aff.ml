@@ -35,6 +35,22 @@ let eval t point =
   Array.iteri (fun i c -> acc := !acc + (c * point.(i))) t.coeffs;
   !acc
 
+let range t box =
+  let lo = ref t.const and hi = ref t.const in
+  Array.iteri
+    (fun i c ->
+      let blo, bhi = box.(i) in
+      if c > 0 then begin
+        lo := !lo + (c * blo);
+        hi := !hi + (c * bhi)
+      end
+      else if c < 0 then begin
+        lo := !lo + (c * bhi);
+        hi := !hi + (c * blo)
+      end)
+    t.coeffs;
+  (!lo, !hi)
+
 let is_constant t = Array.for_all (( = ) 0) t.coeffs
 let equal a b = a.coeffs = b.coeffs && a.const = b.const
 

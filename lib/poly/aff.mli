@@ -30,6 +30,10 @@ val add_const : t -> int -> t
 val eval : t -> int array -> int
 (** @raise Arity_mismatch. *)
 
+val range : t -> (int * int) array -> int * int
+(** [range e box] is the least and greatest value of [e] over the box of
+    inclusive per-variable bounds [box] (one pair per variable). *)
+
 val is_constant : t -> bool
 val equal : t -> t -> bool
 

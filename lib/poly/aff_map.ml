@@ -86,18 +86,65 @@ let image_points t bset =
     (Basic_set.enumerate bset);
   Hashtbl.fold (fun p () acc -> p :: acc) tbl []
 
+(* [a * b] for non-negative operands, saturating at [max_int]. *)
+let sat_mul a b = if b <> 0 && a > max_int / b then max_int else a * b
+
+(* One walk of [bset] tracks the image coordinates. Each image is
+   numbered row-major inside the images' bounding box over the walked
+   box, and the numbers seen so far are bits of a bitmap over that box,
+   which then costs at most one word per walked point. When the image
+   box has more cells than that, the images seen are copied tuples in a
+   hashtable; this also covers image boxes whose cell count overflows an
+   int. *)
 let is_injective_on t bset =
-  let seen = Hashtbl.create 64 in
-  let points = Basic_set.enumerate bset in
-  List.for_all
-    (fun p ->
-      let q = apply t p in
-      if Hashtbl.mem seen q then false
-      else begin
-        Hashtbl.add seen q ();
-        true
-      end)
-    points
+  if Basic_set.arity bset <> Space.arity t.dom then
+    raise (Aff.Arity_mismatch (Space.arity t.dom, Basic_set.arity bset));
+  match Basic_set.bounding_box bset with
+  | None -> invalid_arg "Aff_map.is_injective_on: unbounded set"
+  | Some box when Array.exists (fun (lo, hi) -> lo > hi) box -> true
+  | Some box ->
+      let m = Array.length t.exprs in
+      let lo = Array.make m 0 and stride = Array.make m 0 in
+      let cells = ref 1 in
+      for i = m - 1 downto 0 do
+        let l, h = Aff.range t.exprs.(i) box in
+        lo.(i) <- l;
+        stride.(i) <- !cells;
+        cells := sat_mul !cells (h - l + 1)
+      done;
+      let cells = !cells in
+      let points =
+        Array.fold_left (fun acc (l, h) -> sat_mul acc (h - l + 1)) 1 box
+      in
+      let fresh =
+        if cells <= max 4096 (sat_mul 64 points) then begin
+          let bits = Bytes.make ((cells + 7) / 8) '\000' in
+          fun v ->
+            let n = ref 0 in
+            for i = 0 to m - 1 do
+              n := !n + (stride.(i) * (v.(i) - lo.(i)))
+            done;
+            let n = !n in
+            let byte = Char.code (Bytes.get bits (n lsr 3)) and bit = 1 lsl (n land 7) in
+            byte land bit = 0
+            && (Bytes.set bits (n lsr 3) (Char.chr (byte lor bit));
+                true)
+        end
+        else begin
+          let seen = Hashtbl.create 1024 in
+          fun v ->
+            let q = Array.sub v 0 m in
+            (not (Hashtbl.mem seen q)) && (Hashtbl.add seen q (); true)
+        end
+      in
+      let injective = ref true in
+      ignore
+        (Basic_set.walk bset t.exprs (fun _ v ->
+             if not (fresh v) then begin
+               injective := false;
+               raise Exit
+             end));
+      !injective
 
 let equal a b =
   Space.equal a.dom b.dom && Space.equal a.cod b.cod

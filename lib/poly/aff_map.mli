@@ -43,7 +43,13 @@ val image_points : t -> Basic_set.t -> int array list
 
 val is_injective_on : t -> Basic_set.t -> bool
 (** Exact injectivity over a bounded domain (used to validate layout and
-    partition maps, Section IV-D). *)
+    partition maps, Section IV-D). One {!Basic_set.walk} over the domain,
+    stopping at the first repeated image; the images seen are kept in a
+    bitmap over their bounding box, so no point list is built and no
+    array is allocated per point. Only an image box far larger than the
+    domain's keeps them as tuples in a hashtable.
+    @raise Aff.Arity_mismatch when the set is not over the domain's
+    arity. @raise Invalid_argument when it is unbounded. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -349,6 +349,77 @@ let enumerate t =
         go 0;
         List.rev !acc
 
+(* Strength-reduced odometer over the bounding box. Every tracked value
+   moves by a precomputed per-dimension delta when the odometer steps
+   forward or wraps a dimension back to its lower bound, so a point
+   costs O(tracked) additions and no allocation. The constraints the box
+   does not already imply are tracked after [exprs] and re-checked per
+   point (a box, the only domain the flow produces, has none). *)
+let walk t exprs visit =
+  match bounding_box t with
+  | None -> invalid_arg "Basic_set.walk: unbounded set"
+  | Some box ->
+      let k = Array.length box in
+      if t.inconsistent || Array.exists (fun (lo, hi) -> lo > hi) box then 0
+      else begin
+        let lo = Array.map fst box and hi = Array.map snd box in
+        let residual =
+          List.filter
+            (fun c ->
+              let l, h = Aff.range (constr_aff c) box in
+              match c with Ge _ -> l < 0 | Eq _ -> l <> 0 || h <> 0)
+            t.constrs
+        in
+        let m = Array.length exprs in
+        let tracked = Array.append exprs (Array.of_list (List.map constr_aff residual)) in
+        let is_eq =
+          Array.of_list
+            (List.init m (fun _ -> false)
+            @ List.map (function Eq _ -> true | Ge _ -> false) residual)
+        in
+        let nt = Array.length tracked in
+        let fwd = Array.map (fun e -> Array.init k (Aff.coeff e)) tracked in
+        let back =
+          Array.map (Array.mapi (fun j c -> -c * (hi.(j) - lo.(j)))) fwd
+        in
+        let x = Array.copy lo in
+        let v = Array.map (fun e -> Aff.eval e x) tracked in
+        let rec inside i =
+          i >= nt || ((if is_eq.(i) then v.(i) = 0 else v.(i) >= 0) && inside (i + 1))
+        in
+        let count = ref 0 in
+        let rec step j =
+          j >= 0
+          &&
+          if x.(j) < hi.(j) then begin
+            x.(j) <- x.(j) + 1;
+            for i = 0 to nt - 1 do
+              v.(i) <- v.(i) + fwd.(i).(j)
+            done;
+            true
+          end
+          else begin
+            x.(j) <- lo.(j);
+            for i = 0 to nt - 1 do
+              v.(i) <- v.(i) + back.(i).(j)
+            done;
+            step (j - 1)
+          end
+        in
+        (try
+           while
+             if inside m then begin
+               incr count;
+               visit x v
+             end;
+             step (k - 1)
+           do
+             ()
+           done
+         with Exit -> ());
+        !count
+      end
+
 exception Off_the_set
 
 (* Greedy lexicographic extremum over prefix projections: [proj.(j)] is

@@ -63,6 +63,17 @@ val bounding_box : t -> (int * int) array option
 val enumerate : t -> int array list
 (** All integer points (exact). @raise Invalid_argument when unbounded. *)
 
+val walk : t -> Aff.t array -> (int array -> int array -> unit) -> int
+(** [walk t exprs visit] visits every integer point of [t] in the order
+    of {!enumerate} (row-major) without materializing them, and returns
+    how many it visited. [exprs] are over [t]'s variables. [visit x v] gets the point [x] and, in
+    [v.(0 .. Array.length exprs - 1)], the values of [exprs] at [x]; both
+    are scratch arrays the walk keeps updating, so [visit] must not
+    retain them. Values are kept incrementally, so a point costs no
+    allocation and O(1) additions per tracked expression. Raising [Exit]
+    from [visit] stops the walk.
+    @raise Invalid_argument when [t] is unbounded. *)
+
 val lexmin : t -> int array option
 val lexmax : t -> int array option
 (** Lexicographic extrema, computed symbolically from prefix

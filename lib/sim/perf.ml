@@ -17,19 +17,6 @@ let transfer_cycles ~bytes ~board =
   in
   int_of_float (Float.ceil (ideal /. Constants.axi_efficiency))
 
-(* The controller round is simulated cycle-by-cycle, which dominates the
-   wall-clock of a design-space sweep (~latency cycles per configuration,
-   with latencies in the millions for unfactorized kernels). For uniform
-   latencies the round is a pure function of (k, batch, latency), and many
-   configurations of a sweep share all three — memoize it. *)
-let round_memo : (int * int * int, int) Poly.Memo.t =
-  Poly.Memo.create ~name:"sim.round" ()
-
-let simulated_round_cycles ~k ~batch ~latency =
-  Poly.Memo.find_or_compute round_memo (k, batch, latency) (fun () ->
-      let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
-      Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make k latency))
-
 let c_perf_runs = Obs.Metrics.counter "sim.perf.runs"
 let h_total_cycles = Obs.Metrics.histogram "sim.perf.total-cycles"
 
@@ -162,14 +149,22 @@ module Schedule = struct
 end
 
 (* Every round is identical (same latency on all k accelerators), so one
-   round is simulated cycle-by-cycle through the controller FSM and the
-   schedule multiplies it out over the host main loop. *)
-let schedule ~overlap ~(system : Sysgen.System.t) ~board =
-  Schedule.make ~overlap ~system ~board
-    ~round_cycles:
-      (simulated_round_cycles ~k:system.Sysgen.System.solution.Sysgen.Replicate.k
-         ~batch:system.Sysgen.System.host.Sysgen.System.rounds_per_block
-         ~latency:system.Sysgen.System.kernel.Hls.Model.latency_cycles)
+   round is run through the controller FSM and the schedule multiplies it
+   out over the host main loop. Also returns the FSM steps the round
+   took. *)
+let simulate ~overlap ~(system : Sysgen.System.t) ~board =
+  let k = system.Sysgen.System.solution.Sysgen.Replicate.k in
+  let ctrl =
+    Sysgen.Axi_ctrl.create ~k
+      ~batch:system.Sysgen.System.host.Sysgen.System.rounds_per_block
+  in
+  let round_cycles =
+    Sysgen.Axi_ctrl.run_round ctrl
+      ~latencies:(Array.make k system.Sysgen.System.kernel.Hls.Model.latency_cycles)
+  in
+  (Schedule.make ~overlap ~system ~board ~round_cycles, Sysgen.Axi_ctrl.steps ctrl)
+
+let schedule ~overlap ~system ~board = fst (simulate ~overlap ~system ~board)
 
 let result ~board (s : Schedule.t) =
   let exec = Schedule.exec_cycles s in
@@ -190,7 +185,7 @@ let run_hw_general ~overlap ~(system : Sysgen.System.t) ~board =
   Obs.Trace.with_span "sim.perf" @@ fun () ->
   Obs.Trace.span_attr "k" (string_of_int sol.Sysgen.Replicate.k);
   Obs.Trace.span_attr "m" (string_of_int sol.Sysgen.Replicate.m);
-  let s = schedule ~overlap ~system ~board in
+  let s, steps = simulate ~overlap ~system ~board in
   Obs.Metrics.incr c_perf_runs;
   if Obs.Timeline.enabled () then
     Schedule.iter_phases s
@@ -199,6 +194,7 @@ let run_hw_general ~overlap ~(system : Sysgen.System.t) ~board =
         Obs.Timeline.phase ~track ~name ~start ~dur ~attrs ());
   let r = result ~board s in
   Obs.Trace.span_attr "round_cycles" (string_of_int s.Schedule.round_cycles);
+  Obs.Trace.span_attr "ctrl_steps" (string_of_int steps);
   Obs.Metrics.observe h_total_cycles (float_of_int r.total_cycles);
   r
 

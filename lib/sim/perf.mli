@@ -99,8 +99,9 @@ val schedule :
   system:Sysgen.System.t ->
   board:Fpga_platform.Board.t ->
   Schedule.t
-(** {!Schedule.make} with the round simulated cycle-by-cycle through
-    {!Sysgen.Axi_ctrl.run_round} (memoized on [(k, batch, latency)]). *)
+(** {!Schedule.make} with the round run through the controller FSM by
+    {!Sysgen.Axi_ctrl.run_round}, which steps it once per event (at most
+    3 steps for the uniform round). *)
 
 val result : board:Fpga_platform.Board.t -> Schedule.t -> hw_result
 (** A schedule's totals at the board clock. Pure: no metrics, no

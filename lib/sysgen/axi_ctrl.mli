@@ -38,7 +38,18 @@ val step : t -> ready:bool array -> done_:bool array -> outputs
 
 val busy : t -> bool
 
+val steps : t -> int
+(** {!step} calls so far, including those made by {!run_round}. *)
+
 val run_round : t -> latencies:int array -> int
 (** Convenience for performance simulation: fire one round where
     accelerator [i] takes [latencies.(i)] cycles, stepping the FSM until
-    the interrupt; returns the cycle count (handshake included). *)
+    the interrupt; returns the cycle count (handshake included).
+
+    The FSM is stepped once per event, not once per cycle: a step that
+    emits nothing and leaves the controller state unchanged is replayed
+    identically until the smallest positive remaining latency runs out,
+    so those cycles are counted without being stepped. The count equals
+    stepping every cycle; a round takes at most [2d + 2] steps for [d]
+    distinct positive latencies, 3 for a uniform positive latency.
+    @raise Protocol_error past 100,000,000 cycles. *)

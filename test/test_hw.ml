@@ -305,20 +305,93 @@ let test_table1_lut_model () =
 
 (* The cycle model's one independent check: Sim.Perf steps this FSM for
    its round, the static estimate uses latency + handshake in closed
-   form, and the two must agree on every uniform-latency round. *)
+   form, and the two must agree on every uniform-latency round. The
+   latencies reach those of unfactorized kernels (millions of cycles);
+   a uniform positive round takes 3 steps. *)
 let qcheck_axi_round_closed_form =
   QCheck.Test.make ~count:200
     ~name:"uniform round = latency + controller handshake"
-    QCheck.(triple (int_range 1 16) (int_range 1 8) (int_range 1 5000))
+    QCheck.(triple (int_range 1 16) (int_range 1 8) (int_range 1 50_000_000))
     (fun (k, batch, latency) ->
       let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
       let cycles =
         Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make k latency)
       in
       (cycles = latency + Sim.Constants.controller_handshake_cycles
-      && not (Sysgen.Axi_ctrl.busy ctrl))
-      || QCheck.Test.fail_reportf "k=%d batch=%d latency=%d: %d cycles" k
-           batch latency cycles)
+      && (not (Sysgen.Axi_ctrl.busy ctrl))
+      && Sysgen.Axi_ctrl.steps ctrl <= 3)
+      || QCheck.Test.fail_reportf "k=%d batch=%d latency=%d: %d cycles, %d steps"
+           k batch latency cycles (Sysgen.Axi_ctrl.steps ctrl))
+
+(* [Axi_ctrl.run_round] as it was before it stepped per event: the
+   public [step] on every cycle, each accelerator raising done once its
+   latency has elapsed after the start broadcast. *)
+let reference_round ctrl ~latencies =
+  let k = Sysgen.Axi_ctrl.k ctrl in
+  Sysgen.Axi_ctrl.write_start ctrl;
+  let ready = Array.make k true in
+  let remaining = Array.copy latencies in
+  let started = ref false and cycles = ref 0 and finished = ref false in
+  while not !finished do
+    incr cycles;
+    let done_ = Array.map (fun r -> !started && r <= 0) remaining in
+    let out = Sysgen.Axi_ctrl.step ctrl ~ready ~done_ in
+    if out.Sysgen.Axi_ctrl.ap_start_broadcast then started := true
+    else if !started then
+      Array.iteri (fun i r -> if r > 0 then remaining.(i) <- r - 1) remaining;
+    if out.Sysgen.Axi_ctrl.irq then finished := true
+  done;
+  !cycles
+
+(* The batch counter is visible on the outputs of an idle step. *)
+let batch_index ctrl =
+  let k = Sysgen.Axi_ctrl.k ctrl in
+  (Sysgen.Axi_ctrl.step ctrl ~ready:(Array.make k true) ~done_:(Array.make k false))
+    .Sysgen.Axi_ctrl.batch_index
+
+(* Per-event stepping against the per-cycle driver: independent
+   latencies (ties, zeros and stragglers occur) over 1-4 consecutive
+   rounds on one controller, so the batch counter wraps. A round may
+   take at most 2d + 2 steps for d distinct positive latencies. *)
+let qcheck_axi_round_per_cycle =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 16 >>= fun k ->
+      triple (return k) (int_range 1 8)
+        (list_size (int_range 1 4) (array_size (return k) (int_range 0 5000))))
+  in
+  let print (k, batch, rounds) =
+    Printf.sprintf "k=%d batch=%d rounds=[%s]" k batch
+      (String.concat "; "
+         (List.map
+            (fun l -> String.concat "," (Array.to_list (Array.map string_of_int l)))
+            rounds))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"per-event round = per-cycle round, within 2d + 2 steps"
+    (QCheck.make ~print gen)
+    (fun (k, batch, rounds) ->
+      let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
+      let reference = Sysgen.Axi_ctrl.create ~k ~batch in
+      List.for_all
+        (fun latencies ->
+          let before = Sysgen.Axi_ctrl.steps ctrl in
+          let cycles = Sysgen.Axi_ctrl.run_round ctrl ~latencies in
+          let steps = Sysgen.Axi_ctrl.steps ctrl - before in
+          let want = reference_round reference ~latencies in
+          let distinct =
+            List.length
+              (List.sort_uniq compare
+                 (List.filter (fun l -> l > 0) (Array.to_list latencies)))
+          in
+          (cycles = want
+          && Sysgen.Axi_ctrl.busy ctrl = Sysgen.Axi_ctrl.busy reference
+          && batch_index ctrl = batch_index reference
+          && steps <= (2 * distinct) + 2)
+          || QCheck.Test.fail_reportf "[%s]: %d cycles in %d steps, want %d cycles"
+               (String.concat "," (Array.to_list (Array.map string_of_int latencies)))
+               cycles steps want)
+        rounds)
 
 let test_axi_round_basic () =
   let ctrl = Sysgen.Axi_ctrl.create ~k:4 ~batch:1 in
@@ -587,6 +660,7 @@ let suite =
       [
         case "basic round" test_axi_round_basic;
         Test_seed.to_alcotest qcheck_axi_round_closed_form;
+        Test_seed.to_alcotest qcheck_axi_round_per_cycle;
         case "straggler" test_axi_round_straggler;
         case "batch counter" test_axi_batch_counter;
         case "protocol errors" test_axi_protocol_errors;

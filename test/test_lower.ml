@@ -119,6 +119,60 @@ let test_flow_validate_catches_oob () =
   | exception Lower.Flow.Error _ -> ()
   | exception Poly.Aff.Arity_mismatch _ -> ()
 
+(* Layout injectivity is checked at any array size: a 17^3 = 4,913-word
+   input whose j stride is 16 aliases (j + 1, k = 0 with j, k = 16). *)
+let test_flow_validate_large_layout () =
+  let shape = [ 17; 17; 17 ] in
+  let space = Poly.Space.make "a" [ "i"; "j"; "k" ] in
+  let aliasing =
+    Poly.Aff_map.make space (Poly.Space.make "a" [ "o" ])
+      [| Poly.Aff.make [| 289; 16; 1 |] 0 |]
+  in
+  let program layout =
+    {
+      Lower.Flow.prog_name = "large";
+      arrays =
+        [
+          {
+            Lower.Flow.array_name = "a";
+            kind = Lower.Flow.Input;
+            tensor_shape = shape;
+            layout;
+            size = 4913;
+          };
+        ];
+      stmts = [];
+    }
+  in
+  Lower.Flow.validate (program (Lower.Flow.default_layout "a" shape));
+  match Lower.Flow.validate (program aliasing) with
+  | () -> Alcotest.fail "an aliasing 4,913-word layout validated"
+  | exception Lower.Flow.Error msg ->
+      Alcotest.(check bool) msg true
+        (try
+           ignore (Str.search_forward (Str.regexp_string "not injective") msg 0);
+           true
+         with Not_found -> false)
+
+(* Every operator validates at every order, factorized or not, the
+   3-D arrays past 4,096 words (p = 17) included. *)
+let test_flow_validate_operators () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (name, ast) ->
+          let checked = Cfdlang.Check.check_exn ast in
+          List.iter
+            (fun factorize_contractions ->
+              let kernel =
+                Tir.Transform.optimize ~factorize_contractions
+                  (Tir.Builder.build ~name checked)
+              in
+              Lower.Flow.validate (Lower.Flow.of_kernel ~name kernel))
+            [ true; false ])
+        (Cfdlang.Operators.all ~p ()))
+    [ 4; 7; 11; 17 ]
+
 (* ---------- Schedule ---------- *)
 
 let test_reference_schedule_valid_and_legal () =
@@ -539,6 +593,8 @@ let suite =
         case "operand map (hadamard)" test_flow_operand_map_hadamard;
         case "operand map (contraction)" test_flow_operand_map_contraction;
         case "validate catches bad layout" test_flow_validate_catches_oob;
+        case "validate checks layouts past 4,096 words" test_flow_validate_large_layout;
+        case "operators validate, p = 4..17" test_flow_validate_operators;
       ] );
     ( "lower.schedule",
       [

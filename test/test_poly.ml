@@ -388,6 +388,101 @@ let qcheck_image_matches_enumeration =
       let img = Aff_map.image l b in
       List.for_all (fun p -> Basic_set.mem img p) (Aff_map.image_points l b))
 
+(* Injectivity and the point walk against plain enumeration. Sets of 1-4
+   dimensions: a box with possibly negative lower bounds plus random
+   [Ge]/[Eq] constraints, so empty, single-point and non-box sets occur;
+   maps of 1-3 outputs with coefficients in -4..4, half of them multiples
+   of one expression, so that collisions also occur in image boxes too
+   sparse for a bitmap. *)
+let walk_case_gen =
+  QCheck.Gen.(
+    let* nvars = int_range 1 4 in
+    let* bounds =
+      list_repeat nvars
+        (let* lo = int_range (-4) 2 in
+         let* width = int_range 0 (if nvars <= 2 then 7 else 4) in
+         return (lo, lo + width))
+    in
+    let* nconstrs = int_range 0 3 in
+    let* constrs =
+      list_repeat nconstrs
+        (let* coeffs = list_repeat nvars (int_range (-2) 2) in
+         let* c = int_range (-2) 6 in
+         let* is_eq = map (fun n -> n = 0) (int_range 0 5) in
+         let e = Aff.make (Array.of_list coeffs) c in
+         return (if is_eq then Basic_set.Eq e else Basic_set.Ge e))
+    in
+    let* nout = int_range 1 3 in
+    let* base = list_repeat nvars (int_range (-2) 2) in
+    let* scaled = bool in
+    let* exprs =
+      list_repeat nout
+        (let* coeffs =
+           if scaled then map (fun s -> List.map (( * ) s) base) (int_range (-2) 2)
+           else list_repeat nvars (int_range (-4) 4)
+         in
+         let* c = int_range (-4) 4 in
+         return (Aff.make (Array.of_list coeffs) c))
+    in
+    return (nvars, bounds, constrs, Array.of_list exprs))
+
+let walk_case_print (nvars, bounds, constrs, exprs) =
+  let sp = Space.make "R" (List.init nvars (Printf.sprintf "x%d")) in
+  let b = Basic_set.of_constraints sp constrs in
+  Format.asprintf "box [%s] %a -> [%s]"
+    (String.concat "; " (List.map (fun (l, h) -> Printf.sprintf "%d..%d" l h) bounds))
+    Basic_set.pp b
+    (String.concat ", "
+       (Array.to_list (Array.map (Format.asprintf "%a" Aff.pp_anon) exprs)))
+
+let walk_case (nvars, bounds, constrs, exprs) =
+  let sp = Space.make "R" (List.init nvars (Printf.sprintf "x%d")) in
+  let set = List.fold_left Basic_set.add_constraint (Basic_set.of_box sp bounds) constrs in
+  (set, Aff_map.make sp (Space.anonymous (Array.length exprs)) exprs)
+
+(* [Aff_map.is_injective_on] as it was before the walk: every point
+   listed, every image kept as a tuple. *)
+let reference_injective map set =
+  let seen = Hashtbl.create 64 in
+  List.for_all
+    (fun p ->
+      let q = Aff_map.apply map p in
+      (not (Hashtbl.mem seen q)) && (Hashtbl.add seen q (); true))
+    (Basic_set.enumerate set)
+
+let qcheck_injective_matches_enumeration =
+  QCheck.Test.make ~name:"injectivity walk = enumeration" ~count:1000
+    (QCheck.make ~print:walk_case_print walk_case_gen) (fun case ->
+      let set, map = walk_case case in
+      let got = Aff_map.is_injective_on map set in
+      got = reference_injective map set
+      || QCheck.Test.fail_reportf "walk says %b" got)
+
+let qcheck_walk_matches_enumeration =
+  QCheck.Test.make ~name:"walk visits enumerate's points, values tracked"
+    ~count:300 (QCheck.make ~print:walk_case_print walk_case_gen) (fun case ->
+      let set, map = walk_case case in
+      let exprs = Aff_map.exprs map in
+      let visited = ref [] in
+      let n =
+        Basic_set.walk set exprs (fun x v ->
+            visited := (Array.copy x, Array.sub v 0 (Array.length exprs)) :: !visited)
+      in
+      let want = List.map (fun p -> (p, Aff_map.apply map p)) (Basic_set.enumerate set) in
+      (n = List.length want && List.rev !visited = want)
+      || QCheck.Test.fail_reportf "walk visited %d points, enumerate %d" n
+           (List.length want))
+
+(* Image boxes beyond an int's range keep their images as tuples. *)
+let test_aff_map_injective_huge_image () =
+  let big = 1 lsl 40 in
+  let b = Basic_set.of_box sp2 [ (0, 5); (0, 5) ] in
+  let map a c = Aff_map.make sp2 sp2 [| Aff.make a 0; Aff.make c 0 |] in
+  Alcotest.(check bool) "scaled permutation injective" true
+    (Aff_map.is_injective_on (map [| 0; big |] [| big; 0 |]) b);
+  Alcotest.(check bool) "scaled difference not injective" false
+    (Aff_map.is_injective_on (map [| big; -big |] [| big; -big |]) b)
+
 (* ---------- Rel ---------- *)
 
 let test_rel_of_aff_map () =
@@ -575,8 +670,11 @@ let suite =
         case "image (FM)" test_aff_map_image;
         case "image points" test_aff_map_image_points;
         case "injectivity check" test_aff_map_injective;
+        case "injectivity, huge image box" test_aff_map_injective_huge_image;
         case "concat/select outputs" test_aff_map_concat_select;
         Test_seed.to_alcotest qcheck_image_matches_enumeration;
+        Test_seed.to_alcotest qcheck_injective_matches_enumeration;
+        Test_seed.to_alcotest qcheck_walk_matches_enumeration;
       ] );
     ( "poly.rel",
       [
