@@ -624,8 +624,8 @@ let exec () =
     (if Parallel.Pool.default_jobs () = 1 then "" else "s");
   (* Functional simulation of the full system: a jobs x elements matrix
      over both scheduling strategies. The sequential baseline is the
-     round-scheduled strategy at jobs:1 (the Kelly-faithful host loop
-     with no helper domains); the parallel story is the element-sharded
+     round-scheduled strategy at jobs:1 (the controller-round-faithful
+     host loop with no helper domains); the parallel story is the element-sharded
      strategy, whose single dispatch amortizes pool costs over the whole
      run. *)
   let n_headline = 1024 in

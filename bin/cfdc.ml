@@ -490,10 +490,11 @@ let strategy_arg =
        & info [ "strategy" ] ~docv:"STRATEGY"
            ~doc:"Functional-simulation scheduling strategy: $(b,shard) \
                  (element-sharded, one long-lived task per domain — the \
-                 multi-core fast path) or $(b,round) (Kelly-schedule-faithful \
-                 controller rounds — the only strategy the PLM access \
-                 recorder can reconstruct timestamps from, and the default \
-                 here because these subcommands feed the memory profiler)")
+                 multi-core fast path) or $(b,round) (controller-round-faithful \
+                 — the only strategy that feeds the PLM access recorder's \
+                 per-PLM-set DMA ledger and runs leaf instances in the \
+                 controller's order, and the default here because these \
+                 subcommands feed the memory profiler)")
 
 (* ---- memprof command ---- *)
 
@@ -519,9 +520,9 @@ let recorded_sim_leg r ~strategy ~elements ~sim_n =
           with
           | _ -> Some (sim_n, Memprof.Record.snapshot ())
           | exception Sim.Functional.Error msg ->
-              (* Notably: the audit rejects the sharded strategy here —
-                 Kelly timestamps are only reconstructable from the
-                 round-scheduled order. *)
+              (* Notably: the recorder rejects the sharded strategy
+                 here — its DMA ledger and instance order exist only on
+                 the round-scheduled path. *)
               prerr_endline ("cfdc: functional simulation failed: " ^ msg);
               fatal ("functional simulation failed: " ^ msg))
 
@@ -743,9 +744,10 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       (* Under the round-scheduled strategy the simulation leg doubles as
          the memprof recorder run: engines compiled while the recorder is
          enabled report PLM accesses and DMA volumes into the
-         production-path store. The sharded strategy has no Kelly-
-         reconstructable schedule, so its run is timed/traced only and
-         the memory report falls back to the static-vs-dynamic audits. *)
+         production-path store. The sharded strategy feeds no DMA ledger
+         and runs instances outside the controller's order, so its run
+         is timed/traced only and the memory report falls back to the
+         static-vs-dynamic audits. *)
       let record = strategy = Sim.Functional.Round_scheduled in
       if record then Memprof.Record.enable ();
       (match
@@ -776,8 +778,8 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
         (Sim.Functional.strategy_name strategy);
       if not record then
         Format.printf
-          "memprof: PLM recording skipped (sharded strategy has no \
-           Kelly-reconstructable schedule; rerun with --strategy round)@.";
+          "memprof: PLM recording skipped (the recorder needs the \
+           round-scheduled strategy; rerun with --strategy round)@.";
       Format.printf "%a@?" Memprof.Report.pp mreport;
       if not (Memprof.Report.passed mreport) then fatal "memprof audit failed";
       (* Device-cycle timeline leg. Its PLM tracks come from the memprof

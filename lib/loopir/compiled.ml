@@ -60,8 +60,9 @@ type frame = {
   scal : float array;  (* scalar slot -> value *)
   cur : int array;  (* access cursor -> current linear index *)
   vars : int array;
-      (* loop-variable slot -> current iteration value; written only by
-         probe-instrumented loops, length 1 otherwise *)
+      (* loop depth -> current iteration value of the enclosing loop at
+         that depth; written only by probe-instrumented loops, length 1
+         otherwise *)
 }
 
 (* --- memory probe ------------------------------------------------------ *)
@@ -70,16 +71,18 @@ type frame = {
    [on_site] fires once per leaf statement at compile time (sites are
    numbered in pre-order of the body, matching
    [Lower.Codegen.generate_with_provenance]); [on_instance] fires before
-   each dynamic execution of a leaf with the current values of its
-   enclosing loop variables (outermost first, same order as [on_site]'s
-   [vars]); [on_access] fires once per array access of that instance —
-   reads in evaluation order, then the write. An accumulate reports one
-   write (its read-modify port is implicit), mirroring the static
-   reads+writes port accounting in [Mnemosyne.Memgen]. *)
+   each dynamic execution of a leaf with the frame's loop-value array,
+   whose first [depth] entries are the enclosing loop values (outermost
+   first, same order as [on_site]'s [vars]); [on_access] fires once per
+   in-range array access of that instance, naming the array by its slot
+   ([array_slots]) — reads in textual order, then the write. An
+   accumulate reports one write (its read-modify port is implicit),
+   mirroring the static reads+writes port accounting in
+   [Mnemosyne.Memgen]. *)
 type probe = {
   on_site : site:int -> vars:string array -> stmt:Prog.stmt -> unit;
   on_instance : site:int -> values:int array -> unit;
-  on_access : site:int -> buffer:string -> index:int -> write:bool -> unit;
+  on_access : site:int -> slot:int -> index:int -> write:bool -> unit;
 }
 
 (* The one-branch disabled gate, mirroring [Obs.Trace]: with no provider
@@ -94,6 +97,19 @@ let set_probe_provider p = Atomic.set probe_provider p
 
 type array_info = { a_name : string; a_size : int; a_local : bool }
 
+(* Array slots: parameters in declaration order, then locals. *)
+let array_infos (proc : Prog.proc) =
+  List.map
+    (fun (p : Prog.param) ->
+      { a_name = p.Prog.name; a_size = p.Prog.size; a_local = false })
+    proc.Prog.params
+  @ List.map
+      (fun (n, size) -> { a_name = n; a_size = size; a_local = true })
+      proc.Prog.locals
+
+let array_slots proc =
+  Array.of_list (List.map (fun a -> (a.a_name, a.a_size)) (array_infos proc))
+
 type op = frame -> unit
 
 type t = {
@@ -107,7 +123,7 @@ type t = {
   ops : op array;
   stmts_per_run : int;  (* leaf statements executed by one run *)
   iters_per_run : int;  (* loop iterations executed by one run *)
-  n_vars : int;  (* loop-variable slots (probe-instrumented only) *)
+  n_vars : int;  (* loop nesting depth (probe-instrumented only) *)
   probed : bool;
 }
 
@@ -121,7 +137,7 @@ type state = {
   mutable st_nscal : int;
   mutable st_bases : int list;  (* reversed *)
   mutable st_ncur : int;
-  mutable st_nvars : int;  (* loop-variable slots, instrumented path only *)
+  mutable st_nvars : int;  (* loop nesting depth, instrumented path only *)
   mutable st_nsites : int;  (* probe sites numbered so far (pre-order) *)
 }
 
@@ -374,9 +390,11 @@ and compile_loop st env ~check (l : Prog.loop) : op =
 (* ------------------------------------------------------------------ *)
 
 (* A separate generic path used only when a probe is installed: every
-   array access additionally reports (site, buffer, index, direction),
+   array access additionally reports (site, slot, index, direction),
    every leaf reports its instance vector, and loops keep their current
-   iteration value in the frame's [vars] slots so leaves can read it.
+   iteration value in the frame's [vars] at their nesting depth, so a
+   leaf at depth [d] hands the probe the frame's array itself: its first
+   [d] entries are exactly the enclosing loop values.
    The hot-path specializations above are deliberately not duplicated
    here — profiled runs pay for observation, unprofiled runs pay one
    atomic load at compile time. *)
@@ -393,28 +411,38 @@ let rec pcompile_expr st env ~check ~(probe : probe) ~site (e : Prog.fexpr) :
       let c = cursor st env ix in
       if check then fun fr ->
         let i = Array.unsafe_get fr.cur c in
-        probe.on_access ~site ~buffer:a ~index:i ~write:false;
-        checked_get a fr.bufs.(s) i
+        let v = checked_get a fr.bufs.(s) i in
+        probe.on_access ~site ~slot:s ~index:i ~write:false;
+        v
       else fun fr ->
         let i = Array.unsafe_get fr.cur c in
-        probe.on_access ~site ~buffer:a ~index:i ~write:false;
+        probe.on_access ~site ~slot:s ~index:i ~write:false;
         Array.unsafe_get (Array.unsafe_get fr.bufs s) i
+  (* operands in textual order, so reads reach the probe left to right *)
   | Prog.Add (x, y) ->
       let fx = pcompile_expr st env ~check ~probe ~site x
       and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr +. fy fr
+      fun fr ->
+        let a = fx fr in
+        a +. fy fr
   | Prog.Sub (x, y) ->
       let fx = pcompile_expr st env ~check ~probe ~site x
       and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr -. fy fr
+      fun fr ->
+        let a = fx fr in
+        a -. fy fr
   | Prog.Mul (x, y) ->
       let fx = pcompile_expr st env ~check ~probe ~site x
       and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr *. fy fr
+      fun fr ->
+        let a = fx fr in
+        a *. fy fr
   | Prog.Div (x, y) ->
       let fx = pcompile_expr st env ~check ~probe ~site x
       and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr /. fy fr
+      fun fr ->
+        let a = fx fr in
+        a /. fy fr
 
 let pcompile_write st env ~check ~probe ~site ~accumulate a ix value : op =
   let s = array_slot st a in
@@ -426,23 +454,21 @@ let pcompile_write st env ~check ~probe ~site ~accumulate a ix value : op =
     let v = value fr in
     let arr = fr.bufs.(s) in
     let i = Array.unsafe_get fr.cur c in
-    probe.on_access ~site ~buffer:a ~index:i ~write:true;
     if check && (i < 0 || i >= Array.length arr) then
       errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
+    probe.on_access ~site ~slot:s ~index:i ~write:true;
     Array.unsafe_set arr i
       (if accumulate then Array.unsafe_get arr i +. v else v)
 
-(* [vslots] is the enclosing loop nest, outermost first, as
-   (variable name, frame vars slot). *)
-let rec pcompile_stmt st env ~check ~probe ~vslots (stmt : Prog.stmt) : op =
+(* [outer] names the enclosing loop variables, innermost first; its
+   length is the statement's loop depth. *)
+let rec pcompile_stmt st env ~check ~probe ~outer (stmt : Prog.stmt) : op =
   match stmt with
-  | Prog.For l -> pcompile_loop st env ~check ~probe ~vslots l
+  | Prog.For l -> pcompile_loop st env ~check ~probe ~outer l
   | leaf ->
       let site = st.st_nsites in
       st.st_nsites <- site + 1;
-      probe.on_site ~site
-        ~vars:(Array.of_list (List.map fst vslots))
-        ~stmt:leaf;
+      probe.on_site ~site ~vars:(Array.of_list (List.rev outer)) ~stmt:leaf;
       let body =
         match leaf with
         | Prog.For _ -> assert false
@@ -463,16 +489,13 @@ let rec pcompile_stmt st env ~check ~probe ~vslots (stmt : Prog.stmt) : op =
               Array.unsafe_set fr.scal i
                 (Array.unsafe_get fr.scal i +. value fr)
       in
-      let slots = Array.of_list (List.map snd vslots) in
-      let nv = Array.length slots in
       fun fr ->
-        let values = Array.init nv (fun j -> fr.vars.(slots.(j))) in
-        probe.on_instance ~site ~values;
+        probe.on_instance ~site ~values:fr.vars;
         body fr
 
-and pcompile_loop st env ~check ~probe ~vslots (l : Prog.loop) : op =
-  let vslot = st.st_nvars in
-  st.st_nvars <- vslot + 1;
+and pcompile_loop st env ~check ~probe ~outer (l : Prog.loop) : op =
+  let depth = List.length outer in
+  st.st_nvars <- max st.st_nvars (depth + 1);
   let incs = ref [] in
   let body =
     (* left-to-right explicitly: site numbering must follow textual
@@ -483,9 +506,7 @@ and pcompile_loop st env ~check ~probe ~vslots (l : Prog.loop) : op =
             (fun acc s ->
               pcompile_stmt st
                 ((l.var, incs) :: env)
-                ~check ~probe
-                ~vslots:(vslots @ [ (l.var, vslot) ])
-                s
+                ~check ~probe ~outer:(l.var :: outer) s
               :: acc)
             [] l.body))
   in
@@ -503,7 +524,7 @@ and pcompile_loop st env ~check ~probe ~vslots (l : Prog.loop) : op =
           (Array.unsafe_get cur c + (Array.unsafe_get strides j * lo))
       done;
     for it = lo to hi - 1 do
-      fr.vars.(vslot) <- it;
+      fr.vars.(depth) <- it;
       for i = 0 to nb - 1 do
         (Array.unsafe_get body i) fr
       done;
@@ -535,15 +556,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
         | Some provider -> provider proc)
   in
   let slots = Hashtbl.create 16 in
-  let arrays =
-    List.map
-      (fun (p : Prog.param) ->
-        { a_name = p.Prog.name; a_size = p.Prog.size; a_local = false })
-      proc.Prog.params
-    @ List.map
-        (fun (n, size) -> { a_name = n; a_size = size; a_local = true })
-        proc.Prog.locals
-  in
+  let arrays = array_infos proc in
   List.iteri
     (fun i info ->
       if Hashtbl.mem slots info.a_name then
@@ -570,7 +583,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
           (List.rev
              (List.fold_left
                 (fun acc s ->
-                  pcompile_stmt st [] ~check ~probe ~vslots:[] s :: acc)
+                  pcompile_stmt st [] ~check ~probe ~outer:[] s :: acc)
                 [] proc.Prog.body))
   in
   (match mode with

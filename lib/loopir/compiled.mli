@@ -56,17 +56,29 @@ type probe = {
           [Lower.Codegen.generate_with_provenance] lists its leaves.
           [vars] names the enclosing loop variables, outermost first. *)
   on_instance : site:int -> values:int array -> unit;
-      (** Fired at run time before each dynamic execution of the leaf,
-          with the current enclosing loop values (outermost first,
-          aligned with [on_site]'s [vars]). *)
-  on_access : site:int -> buffer:string -> index:int -> write:bool -> unit;
-      (** Fired once per array access of the instance: reads in
-          evaluation order, then the write. An accumulate reports a
-          single write — its read-modify port is implicit — mirroring
-          Mnemosyne's static reads+writes port accounting. *)
+      (** Fired at run time before each dynamic execution of the leaf.
+          [values] is the frame's loop-value array, indexed by loop
+          depth: its first [depth] entries ([depth] = the length of
+          [on_site]'s [vars]) are the enclosing loop values, outermost
+          first; entries beyond [depth] are stale. The array belongs to
+          the frame: read it during the call, never keep or write it. *)
+  on_access : site:int -> slot:int -> index:int -> write:bool -> unit;
+      (** Fired once per array access of the instance, naming the array
+          by its slot ({!array_slots}): reads in textual order, left to
+          right, then the write. An accumulate reports a single write —
+          its read-modify port is implicit — mirroring Mnemosyne's
+          static reads+writes port accounting. Under a checking mode an
+          out-of-range access raises {!Error} before its event. *)
 }
 (** A memory probe: observes every array access of a compiled program,
-    for the dynamic PLM profiler ([Memprof]). *)
+    for the dynamic PLM profiler ([Memprof]). Probe callbacks run in the
+    domain that runs the frame, so a probe shared by frames running in
+    several domains must keep its mutable state per domain. *)
+
+val array_slots : Prog.proc -> (string * int) array
+(** The name and declared size of each array slot, as
+    [probe.on_access] numbers them: parameters in declaration order,
+    then locals. *)
 
 val set_probe_provider : (Prog.proc -> probe option) option -> unit
 (** Install (or remove, with [None]) the process-global probe provider

@@ -244,8 +244,9 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
         cur_stmt := m.sm_stmt;
         cur_x := x
   in
-  let on_access ~site ~buffer ~index ~write =
-    ignore site;
+  let slot_names = Array.map fst (Loopir.Compiled.array_slots proc) in
+  let on_access ~site:_ ~slot ~index ~write =
+    let buffer = slot_names.(slot) in
     incr accesses;
     let ts = !cur_ts in
     let rs = Option.value ~default:[] (Hashtbl.find_opt residents buffer) in

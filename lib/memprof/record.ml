@@ -9,12 +9,21 @@
    architecture-agnostic (it sees buffer names and word indices); the
    report layer joins its snapshot against a Mnemosyne architecture.
 
-   Recording is process-global and domain-safe: probe events take one
-   mutex. Instance boundaries are tracked per domain, so the
-   simultaneous-access (port pressure) accounting of one accelerator
-   instance is never polluted by a concurrently simulated one. When
-   disabled (the default) no provider is installed and compiled engines
-   are bit-identical to unprofiled ones — see
+   A probe event costs a few array increments and takes no lock. State
+   is kept per (engine, domain), where an engine is one probed compile,
+   in int arrays indexed by array slot, word and site. A domain reaches
+   its state through one [Domain.DLS] cell that caches the engine it
+   last recorded for, so the lookup is a DLS read and a physical
+   comparison; the lock is taken only when a domain first records for
+   an engine.
+   Instance boundaries are therefore per domain, and the port pressure
+   of one accelerator instance is never polluted by a concurrently
+   simulated one. Each instance's per-buffer tally is folded into a
+   count per pressure value; the [memprof.pressure.<buffer>] histograms
+   and the [memprof.*] access and instance counters receive these in
+   bulk when [snapshot], [disable] or [reset] flushes. When disabled
+   (the default) no provider is installed and compiled engines are
+   bit-identical to unprofiled ones — see
    [Loopir.Compiled.set_probe_provider]. *)
 
 let c_reads = Obs.Metrics.counter "memprof.accesses.read"
@@ -23,152 +32,191 @@ let c_instances = Obs.Metrics.counter "memprof.instances"
 let c_dma_in = Obs.Metrics.counter "memprof.dma.words_in"
 let c_dma_out = Obs.Metrics.counter "memprof.dma.words_out"
 
-type word_cell = {
-  mutable wc_reads : int;
-  mutable wc_writes : int;
-  mutable wc_first_write : int;  (* instance seq; -1 = never *)
-  mutable wc_last_read : int;  (* instance seq; -1 = never *)
+(* What one domain recorded for one engine. Positions are this state's
+   instance numbers, starting at 1; 0 means never. *)
+type local = {
+  l_owner : cell;  (* the recording domain's DLS cell, as an identity *)
+  l_words : int array array;
+      (* slot -> per word, stride 4: reads, writes, first-write position,
+         last-read position *)
+  l_sites : int array;  (* per site, stride 3: instances, reads, writes *)
+  mutable l_seq : int;  (* instances so far = the open one's position *)
+  l_tally : int array;  (* slot -> accesses in the open instance *)
+  l_touched : int array;  (* slots with a non-zero tally, in the first *)
+  mutable l_ntouched : int;  (* [l_ntouched] entries *)
+  l_max_pressure : int array;  (* slot -> max tally of a closed instance *)
+  l_pressure : int array array;
+      (* slot -> pressure -> closed instances not yet flushed *)
+  mutable l_flushed_instances : int;  (* totals already in the counters *)
+  mutable l_flushed_reads : int;
+  mutable l_flushed_writes : int;
 }
 
-type buf_cell = {
-  bc_name : string;
-  mutable bc_reads : int;
-  mutable bc_writes : int;
-  mutable bc_max_pressure : int;
-  bc_words : (int, word_cell) Hashtbl.t;
-  bc_hist : Obs.Metrics.histogram;
-}
+(* A domain's cache of the engine it last recorded for. *)
+and cell = { mutable c_last : (engine * local) option }
 
-type site_cell = {
-  sc_desc : string;
-  mutable sc_instances : int;
-  mutable sc_reads : int;
-  mutable sc_writes : int;
-}
-
-(* One simulated accelerator instance boundary per domain: the tally of
-   accesses per buffer since that domain's last [on_instance]. *)
-type domain_cell = {
-  mutable dc_tally : (string * int ref) list;  (* buffer -> accesses *)
+and engine = {
+  e_proc : string;
+  e_slots : (string * int) array;  (* slot -> array name, size *)
+  mutable e_descs : string list;  (* site descriptions, last site first *)
+  mutable e_locals : local list;  (* one per domain that ran it *)
 }
 
 type dma_cell = { mutable dma_in : int; mutable dma_out : int }
 
+(* [lock] guards the engine list, each engine's [e_locals] and the DMA
+   ledger; the per-domain arrays are touched under it only by flushes
+   and snapshots, which run while no recorded engine does. *)
 let lock = Mutex.create ()
 let enabled_flag = Atomic.make false
-let seq = ref 0
-let buffers : (string, buf_cell) Hashtbl.t = Hashtbl.create 16
-let sites : (string * int, site_cell) Hashtbl.t = Hashtbl.create 64
-let domains : (int, domain_cell) Hashtbl.t = Hashtbl.create 8
+let engines : engine list ref = ref []  (* newest first *)
 let dma : (int, dma_cell) Hashtbl.t = Hashtbl.create 8
+let cell_key = Domain.DLS.new_key (fun () -> { c_last = None })
 
-let buf_cell name =
-  match Hashtbl.find_opt buffers name with
-  | Some b -> b
-  | None ->
-      let b =
-        {
-          bc_name = name;
-          bc_reads = 0;
-          bc_writes = 0;
-          bc_max_pressure = 0;
-          bc_words = Hashtbl.create 64;
-          bc_hist = Obs.Metrics.histogram ("memprof.pressure." ^ name);
-        }
+let new_local owner e =
+  let nslots = Array.length e.e_slots in
+  {
+    l_owner = owner;
+    l_words = Array.map (fun (_, size) -> Array.make (4 * size) 0) e.e_slots;
+    l_sites = Array.make (3 * List.length e.e_descs) 0;
+    l_seq = 0;
+    l_tally = Array.make nslots 0;
+    l_touched = Array.make nslots 0;
+    l_ntouched = 0;
+    l_max_pressure = Array.make nslots 0;
+    l_pressure = Array.make nslots [||];
+    l_flushed_instances = 0;
+    l_flushed_reads = 0;
+    l_flushed_writes = 0;
+  }
+
+(* The calling domain's state for [e]. *)
+let local e =
+  let c = Domain.DLS.get cell_key in
+  match c.c_last with
+  | Some (e', l) when e' == e -> l
+  | _ ->
+      let l =
+        Mutex.protect lock (fun () ->
+            match List.find_opt (fun l -> l.l_owner == c) e.e_locals with
+            | Some l -> l
+            | None ->
+                let l = new_local c e in
+                e.e_locals <- l :: e.e_locals;
+                l)
       in
-      Hashtbl.replace buffers name b;
-      b
+      c.c_last <- Some (e, l);
+      l
 
-let word_cell b word =
-  match Hashtbl.find_opt b.bc_words word with
-  | Some w -> w
-  | None ->
-      let w =
-        { wc_reads = 0; wc_writes = 0; wc_first_write = -1; wc_last_read = -1 }
-      in
-      Hashtbl.replace b.bc_words word w;
-      w
-
-let domain_cell () =
-  let id = (Domain.self () :> int) in
-  match Hashtbl.find_opt domains id with
-  | Some d -> d
-  | None ->
-      let d = { dc_tally = [] } in
-      Hashtbl.replace domains id d;
-      d
-
-(* Close the domain's current instance: fold its per-buffer tally into
-   the pressure statistics. Call with [lock] held. *)
-let flush_instance d =
-  List.iter
-    (fun (name, n) ->
-      let b = buf_cell name in
-      if !n > b.bc_max_pressure then b.bc_max_pressure <- !n;
-      Obs.Metrics.observe b.bc_hist (float_of_int !n))
-    d.dc_tally;
-  d.dc_tally <- []
+(* Fold the open instance's tallies into the pressure counts. *)
+let close_instance l =
+  for i = 0 to l.l_ntouched - 1 do
+    let slot = l.l_touched.(i) in
+    let n = l.l_tally.(slot) in
+    l.l_tally.(slot) <- 0;
+    if n > l.l_max_pressure.(slot) then l.l_max_pressure.(slot) <- n;
+    let counts = l.l_pressure.(slot) in
+    let counts =
+      if n < Array.length counts then counts
+      else begin
+        let grown = Array.make (2 * n) 0 in
+        Array.blit counts 0 grown 0 (Array.length counts);
+        l.l_pressure.(slot) <- grown;
+        grown
+      end
+    in
+    counts.(n) <- counts.(n) + 1
+  done;
+  l.l_ntouched <- 0
 
 let make_probe (proc : Loopir.Prog.proc) =
-  let pname = proc.Loopir.Prog.name in
-  let on_site ~site ~vars ~stmt =
-    ignore vars;
-    Mutex.protect lock (fun () ->
-        if not (Hashtbl.mem sites (pname, site)) then
-          Hashtbl.replace sites (pname, site)
-            {
-              sc_desc = Loopir.Prog.leaf_desc stmt;
-              sc_instances = 0;
-              sc_reads = 0;
-              sc_writes = 0;
-            })
+  let e =
+    {
+      e_proc = proc.Loopir.Prog.name;
+      e_slots = Loopir.Compiled.array_slots proc;
+      e_descs = [];
+      e_locals = [];
+    }
   in
-  let on_instance ~site ~values =
-    ignore values;
-    Mutex.protect lock (fun () ->
-        let d = domain_cell () in
-        flush_instance d;
-        incr seq;
-        Obs.Metrics.incr c_instances;
-        match Hashtbl.find_opt sites (pname, site) with
-        | Some s -> s.sc_instances <- s.sc_instances + 1
-        | None -> ())
+  Mutex.protect lock (fun () -> engines := e :: !engines);
+  (* sites arrive numbered 0, 1, ... in pre-order *)
+  let on_site ~site:_ ~vars:_ ~stmt =
+    e.e_descs <- Loopir.Prog.leaf_desc stmt :: e.e_descs
   in
-  let on_access ~site ~buffer ~index ~write =
-    Mutex.protect lock (fun () ->
-        let b = buf_cell buffer in
-        let w = word_cell b index in
-        let now = !seq in
-        if write then begin
-          b.bc_writes <- b.bc_writes + 1;
-          w.wc_writes <- w.wc_writes + 1;
-          if w.wc_first_write < 0 then w.wc_first_write <- now;
-          Obs.Metrics.incr c_writes
-        end
-        else begin
-          b.bc_reads <- b.bc_reads + 1;
-          w.wc_reads <- w.wc_reads + 1;
-          w.wc_last_read <- now;
-          Obs.Metrics.incr c_reads
-        end;
-        (match Hashtbl.find_opt sites (pname, site) with
-        | Some s ->
-            if write then s.sc_writes <- s.sc_writes + 1
-            else s.sc_reads <- s.sc_reads + 1
-        | None -> ());
-        let d = domain_cell () in
-        match List.assoc_opt buffer d.dc_tally with
-        | Some n -> incr n
-        | None -> d.dc_tally <- (buffer, ref 1) :: d.dc_tally)
+  let on_instance ~site ~values:_ =
+    let l = local e in
+    close_instance l;
+    l.l_seq <- l.l_seq + 1;
+    let s = 3 * site in
+    l.l_sites.(s) <- l.l_sites.(s) + 1
+  in
+  let on_access ~site ~slot ~index ~write =
+    let l = local e in
+    let words = l.l_words.(slot) and w = 4 * index and s = 3 * site in
+    if write then begin
+      words.(w + 1) <- words.(w + 1) + 1;
+      if words.(w + 2) = 0 then words.(w + 2) <- l.l_seq;
+      l.l_sites.(s + 2) <- l.l_sites.(s + 2) + 1
+    end
+    else begin
+      words.(w) <- words.(w) + 1;
+      words.(w + 3) <- l.l_seq;
+      l.l_sites.(s + 1) <- l.l_sites.(s + 1) + 1
+    end;
+    let n = l.l_tally.(slot) in
+    if n = 0 then begin
+      l.l_touched.(l.l_ntouched) <- slot;
+      l.l_ntouched <- l.l_ntouched + 1
+    end;
+    l.l_tally.(slot) <- n + 1
   in
   Some { Loopir.Compiled.on_site; on_instance; on_access }
 
+(* Hand everything recorded since the last flush to the [memprof.*]
+   counters and pressure histograms. [close] first closes every domain's
+   open instance: only a snapshot does, so pressure is complete there
+   and an instance left open by [disable] or [reset] counts as it always
+   did. Call with [lock] held. *)
+let flush ~close =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun l ->
+          if close then close_instance l;
+          let reads = ref 0 and writes = ref 0 in
+          for s = 0 to (Array.length l.l_sites / 3) - 1 do
+            reads := !reads + l.l_sites.((3 * s) + 1);
+            writes := !writes + l.l_sites.((3 * s) + 2)
+          done;
+          Obs.Metrics.add c_instances (l.l_seq - l.l_flushed_instances);
+          Obs.Metrics.add c_reads (!reads - l.l_flushed_reads);
+          Obs.Metrics.add c_writes (!writes - l.l_flushed_writes);
+          l.l_flushed_instances <- l.l_seq;
+          l.l_flushed_reads <- !reads;
+          l.l_flushed_writes <- !writes;
+          Array.iteri
+            (fun slot counts ->
+              if Array.exists (fun n -> n > 0) counts then begin
+                let h =
+                  Obs.Metrics.histogram
+                    ("memprof.pressure." ^ fst e.e_slots.(slot))
+                in
+                Array.iteri
+                  (fun v n ->
+                    if n > 0 then begin
+                      Obs.Metrics.observe_n h (float_of_int v) n;
+                      counts.(v) <- 0
+                    end)
+                  counts
+              end)
+            l.l_pressure)
+        e.e_locals)
+    !engines
+
 let reset () =
   Mutex.protect lock (fun () ->
-      seq := 0;
-      Hashtbl.reset buffers;
-      Hashtbl.reset sites;
-      Hashtbl.reset domains;
+      flush ~close:false;
+      engines := [];
       Hashtbl.reset dma)
 
 let enabled () = Atomic.get enabled_flag
@@ -180,7 +228,8 @@ let enable () =
 
 let disable () =
   Loopir.Compiled.set_probe_provider None;
-  Atomic.set enabled_flag false
+  Atomic.set enabled_flag false;
+  Mutex.protect lock (fun () -> flush ~close:false)
 
 let record_dma ~set ~dir ~words =
   if enabled () then
@@ -239,53 +288,118 @@ type snapshot = {
   sn_accesses : int;
 }
 
+(* One buffer's counts merged over engines and domains: word arrays in
+   the [l_words] layout (positions merged by min first write and max
+   last read), and the max pressure. *)
+type merged = { mutable m_words : int array; mutable m_max_pressure : int }
+
+let merge_words m words =
+  if Array.length words > Array.length m.m_words then begin
+    let grown = Array.make (Array.length words) 0 in
+    Array.blit m.m_words 0 grown 0 (Array.length m.m_words);
+    m.m_words <- grown
+  end;
+  let mw = m.m_words in
+  for w = 0 to (Array.length words / 4) - 1 do
+    let k = 4 * w in
+    mw.(k) <- mw.(k) + words.(k);
+    mw.(k + 1) <- mw.(k + 1) + words.(k + 1);
+    let fw = words.(k + 2) in
+    if fw > 0 && (mw.(k + 2) = 0 || fw < mw.(k + 2)) then mw.(k + 2) <- fw;
+    mw.(k + 3) <- max mw.(k + 3) words.(k + 3)
+  done
+
+let buffer_stats name m =
+  let opt v = if v = 0 then None else Some v in
+  let words = ref [] and reads = ref 0 and writes = ref 0 in
+  for w = (Array.length m.m_words / 4) - 1 downto 0 do
+    let k = 4 * w in
+    let r = m.m_words.(k) and wr = m.m_words.(k + 1) in
+    if r + wr > 0 then begin
+      reads := !reads + r;
+      writes := !writes + wr;
+      words :=
+        {
+          w_word = w;
+          w_reads = r;
+          w_writes = wr;
+          w_first_write = opt m.m_words.(k + 2);
+          w_last_read = opt m.m_words.(k + 3);
+        }
+        :: !words
+    end
+  done;
+  {
+    b_buffer = name;
+    b_reads = !reads;
+    b_writes = !writes;
+    b_words_touched = List.length !words;
+    b_max_pressure = m.m_max_pressure;
+    b_words = !words;
+  }
+
 let snapshot () =
   Mutex.protect lock (fun () ->
-      (* close every domain's open instance so pressure is complete *)
-      Hashtbl.iter (fun _ d -> flush_instance d) domains;
-      let opt v = if v < 0 then None else Some v in
+      flush ~close:true;
+      let buffers : (string, merged) Hashtbl.t = Hashtbl.create 16 in
+      let sites : (string * int, site_stats) Hashtbl.t = Hashtbl.create 64 in
+      let instances = ref 0 in
+      (* oldest engine first: the first to register a site names it *)
+      List.iter
+        (fun e ->
+          List.iteri
+            (fun site desc ->
+              if not (Hashtbl.mem sites (e.e_proc, site)) then
+                Hashtbl.replace sites (e.e_proc, site)
+                  {
+                    s_proc = e.e_proc;
+                    s_site = site;
+                    s_desc = desc;
+                    s_instances = 0;
+                    s_reads = 0;
+                    s_writes = 0;
+                  })
+            (List.rev e.e_descs);
+          List.iter
+            (fun l ->
+              instances := !instances + l.l_seq;
+              for site = 0 to (Array.length l.l_sites / 3) - 1 do
+                let s = Hashtbl.find sites (e.e_proc, site) and k = 3 * site in
+                Hashtbl.replace sites (e.e_proc, site)
+                  {
+                    s with
+                    s_instances = s.s_instances + l.l_sites.(k);
+                    s_reads = s.s_reads + l.l_sites.(k + 1);
+                    s_writes = s.s_writes + l.l_sites.(k + 2);
+                  }
+              done;
+              Array.iteri
+                (fun slot words ->
+                  let name = fst e.e_slots.(slot) in
+                  let m =
+                    match Hashtbl.find_opt buffers name with
+                    | Some m -> m
+                    | None ->
+                        let m = { m_words = [||]; m_max_pressure = 0 } in
+                        Hashtbl.replace buffers name m;
+                        m
+                  in
+                  merge_words m words;
+                  m.m_max_pressure <-
+                    max m.m_max_pressure l.l_max_pressure.(slot))
+                l.l_words)
+            e.e_locals)
+        (List.rev !engines);
       let buffers =
         Hashtbl.fold
-          (fun _ b acc ->
-            let words =
-              Hashtbl.fold
-                (fun word w acc ->
-                  {
-                    w_word = word;
-                    w_reads = w.wc_reads;
-                    w_writes = w.wc_writes;
-                    w_first_write = opt w.wc_first_write;
-                    w_last_read = opt w.wc_last_read;
-                  }
-                  :: acc)
-                b.bc_words []
-              |> List.sort (fun a b -> compare a.w_word b.w_word)
-            in
-            {
-              b_buffer = b.bc_name;
-              b_reads = b.bc_reads;
-              b_writes = b.bc_writes;
-              b_words_touched = Hashtbl.length b.bc_words;
-              b_max_pressure = b.bc_max_pressure;
-              b_words = words;
-            }
-            :: acc)
+          (fun name m acc ->
+            let b = buffer_stats name m in
+            if b.b_words = [] then acc else b :: acc)
           buffers []
         |> List.sort (fun a b -> compare a.b_buffer b.b_buffer)
       in
       let sites =
-        Hashtbl.fold
-          (fun (proc, site) s acc ->
-            {
-              s_proc = proc;
-              s_site = site;
-              s_desc = s.sc_desc;
-              s_instances = s.sc_instances;
-              s_reads = s.sc_reads;
-              s_writes = s.sc_writes;
-            }
-            :: acc)
-          sites []
+        Hashtbl.fold (fun _ s acc -> s :: acc) sites []
         |> List.sort (fun a b -> compare (a.s_proc, a.s_site) (b.s_proc, b.s_site))
       in
       let dma =
@@ -303,6 +417,6 @@ let snapshot () =
         sn_buffers = buffers;
         sn_sites = sites;
         sn_dma = dma;
-        sn_instances = !seq;
+        sn_instances = !instances;
         sn_accesses = accesses;
       })

@@ -15,9 +15,16 @@
     [Memprof.Audit], which runs its own instrumented execution and does
     not go through this global store.
 
-    Domain-safe: events take one mutex, and instance boundaries are
-    tracked per domain so concurrently simulated accelerators do not
-    pollute each other's pressure accounting. With recording disabled
+    Events take no lock: each (engine, domain) pair — an engine is one
+    probed compile — records into its own int arrays, reached through
+    [Domain.DLS], and instance boundaries are per domain, so
+    concurrently simulated accelerators do not pollute each other's
+    pressure accounting. The [memprof.*] access and instance counters
+    and the [memprof.pressure.<buffer>] histograms (one observation per
+    leaf instance and buffer it touched) are fed in bulk when
+    {!snapshot}, {!disable} or {!reset} flushes. Call those three only
+    while no recorded engine runs — e.g. after [Sim.Functional.run]
+    returns, which joins its worker domains. With recording disabled
     (the default) compiled engines carry no instrumentation at all. *)
 
 val enable : unit -> unit
@@ -27,11 +34,16 @@ val enable : unit -> unit
     time). *)
 
 val disable : unit -> unit
-(** Remove the provider. The store keeps its contents for {!snapshot}
-    until the next {!enable} or {!reset}. *)
+(** Remove the provider and flush the counters, and the pressure of
+    every closed instance, to the metrics; an instance still open is
+    closed by the next {!snapshot}. The store keeps its contents for
+    {!snapshot} until the next {!enable} or {!reset}. *)
 
 val enabled : unit -> bool
+
 val reset : unit -> unit
+(** Flush, then empty the store. Engines compiled before a reset record
+    nowhere afterwards. *)
 
 val record_dma : set:int -> dir:[ `In | `Out ] -> words:int -> unit
 (** Account a DMA transfer of [words] PLM words for the given PLM set.
@@ -46,9 +58,15 @@ type word_stats = {
   w_reads : int;
   w_writes : int;
   w_first_write : int option;
-      (** instance sequence number of the first write, if any *)
-  w_last_read : int option;
+      (** position of the instance of the first write, if any *)
+  w_last_read : int option;  (** position of the instance of the last read *)
 }
+(** Positions number the leaf instances an engine ran in one domain, in
+    execution order from 1. When one domain runs the engine — a jobs:1
+    simulation — they are the run's instance order. At jobs > 1 each
+    domain numbers its own instances, and the snapshot merges them by
+    min (first write) and max (last read), so positions are not
+    comparable across words then. Nothing in the flow reads them. *)
 
 type buffer_stats = {
   b_buffer : string;
@@ -80,5 +98,6 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Consistent view of everything recorded since the last reset; closes
-    every domain's open instance first so pressure totals are final. *)
+(** Everything recorded since the last reset, merged over engines and
+    domains by buffer name and by (proc, site); closes every domain's
+    open instance first so pressure totals are final. *)

@@ -92,14 +92,18 @@ let histogram name =
       (Histogram h, h))
     (function Histogram h -> Some h | _ -> None)
 
-let observe h v =
-  Mutex.protect h.h_lock (fun () ->
-      h.count <- h.count + 1;
-      h.sum <- h.sum +. v;
-      h.min_v <- (if h.count = 1 then v else Float.min h.min_v v);
-      h.max_v <- (if h.count = 1 then v else Float.max h.max_v v);
-      let b = bucket_of v in
-      h.buckets.(b) <- h.buckets.(b) + 1)
+let observe_n h v n =
+  if n < 0 then invalid_arg "Obs.Metrics.observe_n: negative count";
+  if n > 0 then
+    Mutex.protect h.h_lock (fun () ->
+        h.min_v <- (if h.count = 0 then v else Float.min h.min_v v);
+        h.max_v <- (if h.count = 0 then v else Float.max h.max_v v);
+        h.count <- h.count + n;
+        h.sum <- h.sum +. (float_of_int n *. v);
+        let b = bucket_of v in
+        h.buckets.(b) <- h.buckets.(b) + n)
+
+let observe h v = observe_n h v 1
 
 type histogram_snapshot = {
   h_count : int;

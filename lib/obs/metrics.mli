@@ -2,11 +2,13 @@
 
     One process-wide registry, safe to update from any [Domain]:
     counters and gauges are atomics, histograms take a per-histogram
-    mutex (they are low-frequency by design — observe per run, not per
-    iteration). Metrics are registered on first use and live for the
-    process; [metric name] is get-or-create, so two modules naming the
-    same counter share one cell and hot paths can cache the handle at
-    module initialization.
+    mutex. Keep that mutex off per-event paths: observe once per run, or
+    fold per-event values into counts and hand them over with
+    {!observe_n} (the memprof recorder folds one port-pressure value per
+    leaf instance and flushes the counts at snapshot). Metrics are
+    registered on first use and live for the process; [metric name] is
+    get-or-create, so two modules naming the same counter share one cell
+    and hot paths can cache the handle at module initialization.
 
     Naming convention (see docs/OBSERVABILITY.md for the full catalogue):
     dot-separated lowercase, subsystem first — ["poly.eliminate.hits"],
@@ -38,6 +40,14 @@ val histogram : string -> histogram
     buckets (two per octave) from which p50/p95/p99 are estimated. *)
 
 val observe : histogram -> float -> unit
+
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h v n] records [n] observations of [v] under one lock:
+    count, min, max and percentiles are those of [n] calls of
+    [observe h v], and the sum grows by [float n *. v] — the same as [n]
+    repeated additions whenever those are exact, e.g. for integer
+    values. [n = 0] is a no-op.
+    @raise Invalid_argument when [n < 0]. *)
 
 type histogram_snapshot = {
   h_count : int;

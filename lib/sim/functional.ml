@@ -59,18 +59,18 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
     | Some j when j < 1 -> errf "jobs must be positive"
     | Some j -> j
   in
-  (* The PLM access recorder reconstructs Kelly-schedule timestamps from
-     the per-set DMA and access order of the real controller schedule;
-     element shards run their own private frame sets in arbitrary
-     interleaving, so those timestamps do not exist. Refuse up front,
-     before any engine is compiled against the recorder. *)
+  (* The PLM access recorder needs the round-scheduled path: only that
+     path feeds its per-PLM-set DMA ledger, and its instance positions
+     follow the controller's order there. Element shards run private
+     frame sets in their own interleaving and record no DMA. Refuse up
+     front, before any engine is compiled against the recorder. *)
   (match strategy with
   | Sharded when Memprof.Record.enabled () ->
       errf
         "strategy sharded: the PLM access recorder requires the \
-         round-scheduled strategy (Kelly-schedule timestamps are not \
-         reconstructable across element shards); rerun with \
-         ~strategy:Round_scheduled"
+         round-scheduled strategy (only that path feeds its per-PLM-set \
+         DMA ledger, and its instance order follows the controller only \
+         there); rerun with ~strategy:Round_scheduled"
   | _ -> ());
   (* The kernel is compiled once, at the strongest mode the static
      verifier licenses; all mutable execution state lives in frames, so
@@ -128,7 +128,7 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
           (tr.Sysgen.System.array, Array.sub buf tr.Sysgen.System.offset words))
         host.Sysgen.System.per_element_out
   in
-  (* --- Round-scheduled: the Kelly-schedule-faithful host main loop.
+  (* --- Round-scheduled: the controller-round-faithful host main loop.
      Blocks of m elements; within a block, m/k controller rounds whose k
      active accelerators (disjoint PLM-set frames) run Domain-parallel.
      Each round is a pool dispatch of at most k tiny tasks. --- *)

@@ -21,13 +21,16 @@
       whole DMA-in → execute → DMA-out cycle over its shard, so pool
       dispatch is amortized over the shard's hundreds of kernel runs and
       no state is shared between domains (no false sharing).
-    - {!Round_scheduled}: the Kelly-schedule-faithful host main loop —
+    - {!Round_scheduled}: the controller-round-faithful host main loop —
       blocks of [m] elements, [m/k] controller rounds each running the
       [k] accelerator instances on the PLM set selected by the batch
-      counter (Figure 7c), one frame per PLM set. This is the schedule
-      the memory profiler ([Memprof.Record]) reconstructs Kelly
-      timestamps from; recording {e requires} it, and {!run} refuses the
-      sharded strategy while the recorder is enabled.
+      counter (Figure 7c), one frame per PLM set. The PLM access
+      recorder ([Memprof.Record]) {e requires} it: only this path feeds
+      the recorder's per-PLM-set DMA ledger, and the recorder numbers
+      leaf instances in execution order, which follows the controller's
+      here. {!run} refuses the sharded strategy while the recorder is
+      enabled. (The recorder rebuilds no Kelly-schedule timestamps; only
+      [Memprof.Audit] does, in its own run.)
 
     Results are independent of [strategy] and [jobs]. *)
 
@@ -85,6 +88,6 @@ val run :
     strategies and job counts.
 
     @raise Error on missing inputs, size mismatches, [jobs < 1], or the
-    sharded strategy while [Memprof.Record] is enabled (Kelly-schedule
-    timestamps are only reconstructable from the round-scheduled
-    order). *)
+    sharded strategy while [Memprof.Record] is enabled (the recorder's
+    DMA ledger and instance order exist only on the round-scheduled
+    path). *)

@@ -136,9 +136,10 @@ let test_profile_strategy_flags () =
       [ "--strategy"; "round"; "--jobs"; "2" ];
     ]
 
-(* The memprof pipeline needs Kelly-reconstructable timestamps: the
-   sharded strategy must be refused with a diagnostic pointing at the
-   round-scheduled one, not silently mis-profiled. *)
+(* The memprof recorder needs the round-scheduled path (its DMA ledger
+   and instance order exist only there): the sharded strategy must be
+   refused with a diagnostic pointing at the round-scheduled one, not
+   silently mis-profiled. *)
 let test_memprof_rejects_sharded () =
   let code, text =
     run_capture

@@ -14,8 +14,9 @@
 
    Plus unit tests for the verifier license itself (an out-of-bounds
    proc must be refused the unchecked fast path), the CFD_EXEC_DEBUG
-   escape hatch, the persistent work pool, and the [~jobs] plumbing of
-   the functional simulator.
+   escape hatch, the persistent work pool, the [~jobs] plumbing of the
+   functional simulator, and the memory probe's event stream against a
+   tree walk of the proc.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
 
@@ -498,6 +499,203 @@ let test_functional_jobs_equivalent () =
     [ 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
+(* The probe contract, against a tree walk of the proc                 *)
+(* ------------------------------------------------------------------ *)
+
+type probe_event =
+  | Site of int * string list  (** compile time: site, enclosing loops *)
+  | Instance of int * int list  (** site, enclosing loop values *)
+  | Access of int * string * int * bool  (** site, array, index, write *)
+
+let event_string = function
+  | Site (s, vars) -> Printf.sprintf "site %d (%s)" s (String.concat "," vars)
+  | Instance (s, values) ->
+      Printf.sprintf "instance %d (%s)" s
+        (String.concat "," (List.map string_of_int values))
+  | Access (s, a, i, w) ->
+      Printf.sprintf "%s %s[%d] at site %d" (if w then "write" else "read") a i s
+
+type walk_node = Loop of Prog.loop * walk_node list | Leaf of int * string list * Prog.stmt
+
+(* What a probe must see for [proc]: every leaf as a site, numbered in
+   pre-order with its enclosing loop variables; then, per leaf
+   execution, its instance with the enclosing loop values, its reads left
+   to right and its write. *)
+let walk_events (proc : Prog.proc) =
+  let events = ref [] and next = ref 0 in
+  let emit e = events := e :: !events in
+  let rec annotate vars stmts =
+    List.rev (List.fold_left (fun acc s -> node vars s :: acc) [] stmts)
+  and node vars = function
+    | Prog.For l -> Loop (l, annotate (vars @ [ l.Prog.var ]) l.Prog.body)
+    | leaf ->
+        let site = !next in
+        incr next;
+        emit (Site (site, vars));
+        Leaf (site, vars, leaf)
+  in
+  let tree = annotate [] proc.Prog.body in
+  let rec exec env = function
+    | Loop (l, body) ->
+        for i = l.Prog.lo to l.Prog.hi - 1 do
+          List.iter (exec ((l.Prog.var, i) :: env)) body
+        done
+    | Leaf (site, vars, stmt) -> (
+        let value v = List.assoc v env in
+        emit (Instance (site, List.map value vars));
+        let rec reads = function
+          | Prog.Const _ | Prog.Scalar _ -> ()
+          | Prog.Load (a, ix) -> emit (Access (site, a, Ix.eval ix value, false))
+          | Prog.Add (x, y) | Prog.Sub (x, y) | Prog.Mul (x, y) | Prog.Div (x, y)
+            ->
+              reads x;
+              reads y
+        in
+        match stmt with
+        | Prog.Store { array; index; value = e } | Prog.Accum { array; index; value = e }
+          ->
+            reads e;
+            emit (Access (site, array, Ix.eval index value, true))
+        | Prog.Set_scalar { value = e; _ } | Prog.Acc_scalar { value = e; _ } ->
+            reads e
+        | Prog.For _ -> assert false)
+  in
+  List.iter (exec []) tree;
+  List.rev !events
+
+(* The events a recording probe sees over one run: the array comes from
+   the slot map, and the loop values are the first [depth] entries of
+   the frame's array. *)
+let probe_events ~mode (proc : Prog.proc) =
+  let names = Array.map fst (Compiled.array_slots proc) in
+  let depth = Hashtbl.create 16 and events = ref [] in
+  let emit e = events := e :: !events in
+  let probe =
+    {
+      Compiled.on_site =
+        (fun ~site ~vars ~stmt:_ ->
+          Hashtbl.replace depth site (Array.length vars);
+          emit (Site (site, Array.to_list vars)));
+      on_instance =
+        (fun ~site ~values ->
+          emit
+            (Instance
+               (site, Array.to_list (Array.sub values 0 (Hashtbl.find depth site)))));
+      on_access =
+        (fun ~site ~slot ~index ~write ->
+          emit (Access (site, names.(slot), index, write)));
+    }
+  in
+  let t = Compiled.compile ~mode ~probe proc in
+  Compiled.run t (Compiled.make_frame t);
+  List.rev !events
+
+let check_probe_contract ~what proc =
+  let expected = walk_events proc in
+  List.iter
+    (fun mode ->
+      let got = probe_events ~mode proc in
+      let rec first_diff i = function
+        | e :: es, g :: gs ->
+            if e = g then first_diff (i + 1) (es, gs)
+            else
+              Alcotest.failf "%s: event %d: expected %s, probe saw %s" what i
+                (event_string e) (event_string g)
+        | [], [] -> ()
+        | e :: _, [] ->
+            Alcotest.failf "%s: probe stopped at event %d, expected %s" what i
+              (event_string e)
+        | [], g :: _ ->
+            Alcotest.failf "%s: probe saw extra event %d: %s" what i
+              (event_string g)
+      in
+      first_diff 0 (expected, got))
+    [ Compiled.Checked; Compiled.Unchecked ]
+
+let test_probe_operators () =
+  List.iter
+    (fun (name, ast) ->
+      let r = Cfd_core.Compile.compile ast in
+      check_probe_contract ~what:(name ^ " p=4") r.Cfd_core.Compile.proc)
+    (Cfdlang.Operators.all ~p:4 ())
+
+(* Shallow leaves after deeper sibling nests: the frame's loop-value
+   array still holds the deeper loops' last values beyond the shallow
+   leaf's depth, and an engine that stored a loop's value anywhere but
+   at its depth would hand the probe one of those stale values. *)
+let test_probe_hand_built_nests () =
+  let ix terms c = Ix.of_terms terms c in
+  let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body } in
+  let store array index value = Prog.Store { array; index; value } in
+  let proc =
+    {
+      Prog.name = "nests";
+      params =
+        [
+          { Prog.name = "x"; size = 64; dir = Prog.In };
+          { Prog.name = "y"; size = 64; dir = Prog.Out };
+        ];
+      locals = [ ("t", 64) ];
+      body =
+        [
+          loop "i" 0 3
+            [
+              loop "j" 1 4
+                [
+                  loop "k" 0 2
+                    [
+                      store "t"
+                        (ix [ (16, "i"); (4, "j"); (1, "k") ] 0)
+                        (Prog.Load ("x", ix [ (4, "j"); (1, "k") ] 0));
+                    ];
+                ];
+              Prog.Accum
+                {
+                  array = "y";
+                  index = ix [ (1, "i") ] 0;
+                  value = Prog.Load ("t", ix [ (16, "i") ] 5);
+                };
+              loop "m" 2 5
+                [
+                  Prog.Set_scalar
+                    { name = "s"; value = Prog.Load ("x", ix [ (2, "i") ] 1) };
+                  store "y"
+                    (ix [ (1, "m") ] 8)
+                    (Prog.Add
+                       (Prog.Load ("t", ix [ (1, "m") ] 0), Prog.Scalar "s"));
+                ];
+            ];
+          loop "n" 1 3
+            [
+              Prog.Acc_scalar
+                {
+                  name = "s";
+                  value =
+                    Prog.Mul
+                      ( Prog.Load ("t", ix [ (1, "n") ] 40),
+                        Prog.Load ("x", ix [ (3, "n") ] 0) );
+                };
+            ];
+          store "y" (Ix.const 63) (Prog.Scalar "s");
+        ];
+    }
+  in
+  Prog.validate proc;
+  check_probe_contract ~what:"hand-built nests" proc
+
+let qcheck_probe_random_procs =
+  QCheck.Test.make ~name:"probe events = tree walk on random procs" ~count:200
+    arb_spec
+    (fun spec ->
+      (* out-of-range accesses end the run before their event; the walk
+         has no such notion, so only procs that run clean are compared *)
+      match Interp.run_fresh spec.proc ~inputs:spec.inputs with
+      | _ ->
+          check_probe_contract ~what:"random proc" spec.proc;
+          true
+      | exception Interp.Error _ -> QCheck.assume_fail ())
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -522,5 +720,11 @@ let suite =
         case "jobs:0 rejected" test_functional_jobs_rejected;
         case "jobs:N = jobs:1 on a padded-tail run"
           test_functional_jobs_equivalent;
+      ] );
+    ( "compiled.probe",
+      [
+        case "events = tree walk: Operators.all p=4" test_probe_operators;
+        case "events = tree walk: shallow after deep" test_probe_hand_built_nests;
+        Test_seed.to_alcotest qcheck_probe_random_procs;
       ] );
   ]

@@ -1,7 +1,9 @@
 (* Dynamic PLM access profiler: the live-interval audit passes on every
    kernel in both memgen modes, reproduces the paper's 31 -> 18 BRAM18
    sharing numbers from observation, catches a forced-illegal storage
-   merge with a concrete witness, and costs nothing when disabled. *)
+   merge with a concrete witness, and costs nothing when disabled. The
+   per-domain recorder counts exactly what a single-mutex recorder
+   does, at any job count. *)
 
 let kernels_dir () =
   if Sys.file_exists "../kernels" then "../kernels" else "kernels"
@@ -286,6 +288,368 @@ let test_recorder_bookkeeping () =
       | dma -> Alcotest.failf "expected 2 DMA sets, got %d" (List.length dma))
 
 (* ------------------------------------------------------------------ *)
+(* The recorder against its single-mutex form                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The recorder as it was before its state went per (engine, domain):
+   every event takes one mutex, finds its buffer, word and (proc, site)
+   cells in hashtables and updates the metrics on the spot, and each
+   domain's open instance is a tally list keyed by buffer name. The only
+   change is that accesses name their array by slot. Its metrics live
+   under [memprof_oracle.*]; it keeps no DMA ledger. *)
+module Oracle = struct
+  module R = Memprof.Record
+
+  let c_reads = Obs.Metrics.counter "memprof_oracle.accesses.read"
+  let c_writes = Obs.Metrics.counter "memprof_oracle.accesses.write"
+  let c_instances = Obs.Metrics.counter "memprof_oracle.instances"
+
+  type word_cell = {
+    mutable wc_reads : int;
+    mutable wc_writes : int;
+    mutable wc_first_write : int;
+    mutable wc_last_read : int;
+  }
+
+  type buf_cell = {
+    bc_name : string;
+    mutable bc_reads : int;
+    mutable bc_writes : int;
+    mutable bc_max_pressure : int;
+    bc_words : (int, word_cell) Hashtbl.t;
+    bc_hist : Obs.Metrics.histogram;
+  }
+
+  type site_cell = {
+    sc_desc : string;
+    mutable sc_instances : int;
+    mutable sc_reads : int;
+    mutable sc_writes : int;
+  }
+
+  type domain_cell = { mutable dc_tally : (string * int ref) list }
+
+  let lock = Mutex.create ()
+  let seq = ref 0
+  let buffers : (string, buf_cell) Hashtbl.t = Hashtbl.create 16
+  let sites : (string * int, site_cell) Hashtbl.t = Hashtbl.create 64
+  let domains : (int, domain_cell) Hashtbl.t = Hashtbl.create 8
+
+  let buf_cell name =
+    match Hashtbl.find_opt buffers name with
+    | Some b -> b
+    | None ->
+        let b =
+          {
+            bc_name = name;
+            bc_reads = 0;
+            bc_writes = 0;
+            bc_max_pressure = 0;
+            bc_words = Hashtbl.create 64;
+            bc_hist = Obs.Metrics.histogram ("memprof_oracle.pressure." ^ name);
+          }
+        in
+        Hashtbl.replace buffers name b;
+        b
+
+  let word_cell b word =
+    match Hashtbl.find_opt b.bc_words word with
+    | Some w -> w
+    | None ->
+        let w =
+          { wc_reads = 0; wc_writes = 0; wc_first_write = -1; wc_last_read = -1 }
+        in
+        Hashtbl.replace b.bc_words word w;
+        w
+
+  let domain_cell () =
+    let id = (Domain.self () :> int) in
+    match Hashtbl.find_opt domains id with
+    | Some d -> d
+    | None ->
+        let d = { dc_tally = [] } in
+        Hashtbl.replace domains id d;
+        d
+
+  let flush_instance d =
+    List.iter
+      (fun (name, n) ->
+        let b = buf_cell name in
+        if !n > b.bc_max_pressure then b.bc_max_pressure <- !n;
+        Obs.Metrics.observe b.bc_hist (float_of_int !n))
+      d.dc_tally;
+    d.dc_tally <- []
+
+  let make_probe (proc : Loopir.Prog.proc) =
+    let pname = proc.Loopir.Prog.name in
+    let names = Array.map fst (Loopir.Compiled.array_slots proc) in
+    let on_site ~site ~vars:_ ~stmt =
+      Mutex.protect lock (fun () ->
+          if not (Hashtbl.mem sites (pname, site)) then
+            Hashtbl.replace sites (pname, site)
+              {
+                sc_desc = Loopir.Prog.leaf_desc stmt;
+                sc_instances = 0;
+                sc_reads = 0;
+                sc_writes = 0;
+              })
+    in
+    let on_instance ~site ~values:_ =
+      Mutex.protect lock (fun () ->
+          let d = domain_cell () in
+          flush_instance d;
+          incr seq;
+          Obs.Metrics.incr c_instances;
+          match Hashtbl.find_opt sites (pname, site) with
+          | Some s -> s.sc_instances <- s.sc_instances + 1
+          | None -> ())
+    in
+    let on_access ~site ~slot ~index ~write =
+      let buffer = names.(slot) in
+      Mutex.protect lock (fun () ->
+          let b = buf_cell buffer in
+          let w = word_cell b index in
+          let now = !seq in
+          if write then begin
+            b.bc_writes <- b.bc_writes + 1;
+            w.wc_writes <- w.wc_writes + 1;
+            if w.wc_first_write < 0 then w.wc_first_write <- now;
+            Obs.Metrics.incr c_writes
+          end
+          else begin
+            b.bc_reads <- b.bc_reads + 1;
+            w.wc_reads <- w.wc_reads + 1;
+            w.wc_last_read <- now;
+            Obs.Metrics.incr c_reads
+          end;
+          (match Hashtbl.find_opt sites (pname, site) with
+          | Some s ->
+              if write then s.sc_writes <- s.sc_writes + 1
+              else s.sc_reads <- s.sc_reads + 1
+          | None -> ());
+          let d = domain_cell () in
+          match List.assoc_opt buffer d.dc_tally with
+          | Some n -> incr n
+          | None -> d.dc_tally <- (buffer, ref 1) :: d.dc_tally)
+    in
+    { Loopir.Compiled.on_site; on_instance; on_access }
+
+  let reset () =
+    Mutex.protect lock (fun () ->
+        seq := 0;
+        Hashtbl.reset buffers;
+        Hashtbl.reset sites;
+        Hashtbl.reset domains)
+
+  let snapshot () : R.snapshot =
+    Mutex.protect lock (fun () ->
+        Hashtbl.iter (fun _ d -> flush_instance d) domains;
+        let opt v = if v < 0 then None else Some v in
+        let buffers =
+          Hashtbl.fold
+            (fun _ b acc ->
+              let words =
+                Hashtbl.fold
+                  (fun word w acc ->
+                    {
+                      R.w_word = word;
+                      w_reads = w.wc_reads;
+                      w_writes = w.wc_writes;
+                      w_first_write = opt w.wc_first_write;
+                      w_last_read = opt w.wc_last_read;
+                    }
+                    :: acc)
+                  b.bc_words []
+                |> List.sort (fun a b -> compare a.R.w_word b.R.w_word)
+              in
+              {
+                R.b_buffer = b.bc_name;
+                b_reads = b.bc_reads;
+                b_writes = b.bc_writes;
+                b_words_touched = Hashtbl.length b.bc_words;
+                b_max_pressure = b.bc_max_pressure;
+                b_words = words;
+              }
+              :: acc)
+            buffers []
+          |> List.sort (fun a b -> compare a.R.b_buffer b.R.b_buffer)
+        in
+        let sites =
+          Hashtbl.fold
+            (fun (proc, site) s acc ->
+              {
+                R.s_proc = proc;
+                s_site = site;
+                s_desc = s.sc_desc;
+                s_instances = s.sc_instances;
+                s_reads = s.sc_reads;
+                s_writes = s.sc_writes;
+              }
+              :: acc)
+            sites []
+          |> List.sort (fun a b ->
+                 compare (a.R.s_proc, a.R.s_site) (b.R.s_proc, b.R.s_site))
+        in
+        {
+          R.sn_buffers = buffers;
+          sn_sites = sites;
+          sn_dma = [];
+          sn_instances = !seq;
+          sn_accesses =
+            List.fold_left
+              (fun acc b -> acc + b.R.b_reads + b.R.b_writes)
+              0 buffers;
+        })
+end
+
+(* Every Operators.all kernel at p = 4 and 7, simulated over 3, 8 and
+   20 elements. *)
+let recorder_cases =
+  lazy
+    (List.concat_map
+       (fun p ->
+         List.concat_map
+           (fun (name, ast) ->
+             let r = Cfd_core.Compile.compile ast in
+             List.map
+               (fun n ->
+                 let system = Cfd_core.Compile.build_system ~n_elements:n r in
+                 (Printf.sprintf "%s p=%d n=%d" name p n, r, system, n))
+               [ 3; 8; 20 ])
+           (Cfdlang.Operators.all ~p ()))
+       [ 4; 7 ])
+
+(* A snapshot as lines, one per buffer, word, site and DMA set. *)
+let snapshot_lines ~positions (sn : Memprof.Record.snapshot) =
+  let module R = Memprof.Record in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf "instances %d, accesses %d" sn.R.sn_instances sn.R.sn_accesses
+  :: List.concat_map
+       (fun (b : R.buffer_stats) ->
+         Printf.sprintf "%s: %d reads, %d writes, %d words, pressure %d"
+           b.R.b_buffer b.R.b_reads b.R.b_writes b.R.b_words_touched
+           b.R.b_max_pressure
+         :: List.map
+              (fun (w : R.word_stats) ->
+                Printf.sprintf "%s[%d]: %d reads, %d writes%s" b.R.b_buffer
+                  w.R.w_word w.R.w_reads w.R.w_writes
+                  (if positions then
+                     Printf.sprintf ", first write %s, last read %s"
+                       (opt w.R.w_first_write) (opt w.R.w_last_read)
+                   else ""))
+              b.R.b_words)
+       sn.R.sn_buffers
+  @ List.map
+      (fun (s : R.site_stats) ->
+        Printf.sprintf "site %s/%d (%s): %d instances, %d reads, %d writes"
+          s.R.s_proc s.R.s_site s.R.s_desc s.R.s_instances s.R.s_reads
+          s.R.s_writes)
+      sn.R.sn_sites
+  @ List.map
+      (fun (d : R.dma_stats) ->
+        Printf.sprintf "dma set %d: %d in, %d out" d.R.d_set d.R.d_words_in
+          d.R.d_words_out)
+      sn.R.sn_dma
+
+(* The pressure histograms and access/instance counters under [prefix],
+   as lines. *)
+let metric_lines prefix (sn : Memprof.Record.snapshot) =
+  List.map
+    (fun (b : Memprof.Record.buffer_stats) ->
+      let h =
+        Obs.Metrics.histogram_snapshot
+          (Obs.Metrics.histogram
+             (prefix ^ ".pressure." ^ b.Memprof.Record.b_buffer))
+      in
+      Printf.sprintf "pressure %s: n %d, sum %h, min %h, max %h, p50 %h, p95 %h, p99 %h"
+        b.Memprof.Record.b_buffer h.Obs.Metrics.h_count h.Obs.Metrics.h_sum
+        h.Obs.Metrics.h_min h.Obs.Metrics.h_max h.Obs.Metrics.h_p50
+        h.Obs.Metrics.h_p95 h.Obs.Metrics.h_p99)
+    sn.Memprof.Record.sn_buffers
+  @ List.map
+      (fun c ->
+        Printf.sprintf "%s %d" c
+          (Obs.Metrics.counter_value (Obs.Metrics.counter (prefix ^ "." ^ c))))
+      [ "accesses.read"; "accesses.write"; "instances" ]
+
+let same_lines what expected got =
+  let rec go i = function
+    | e :: es, g :: gs ->
+        if e <> g then Alcotest.failf "%s, line %d: expected %S, got %S" what i e g
+        else go (i + 1) (es, gs)
+    | [], [] -> ()
+    | e :: _, [] -> Alcotest.failf "%s: missing line %d, %S" what i e
+    | [], g :: _ -> Alcotest.failf "%s: extra line %d, %S" what i g
+  in
+  go 0 (expected, got)
+
+(* One recorded round-scheduled simulation, from fresh metrics; with
+   [oracle], the oracle watches the same engine through a tee. *)
+let recorded_run ?(oracle = false) ~jobs (r : Cfd_core.Compile.result) system n =
+  Obs.Metrics.reset ();
+  Memprof.Record.enable ();
+  if oracle then begin
+    Oracle.reset ();
+    Loopir.Compiled.set_probe_provider
+      (Some
+         (fun proc ->
+           Option.map
+             (fun (a : Loopir.Compiled.probe) ->
+               let b = Oracle.make_probe proc in
+               {
+                 Loopir.Compiled.on_site =
+                   (fun ~site ~vars ~stmt ->
+                     a.on_site ~site ~vars ~stmt;
+                     b.on_site ~site ~vars ~stmt);
+                 on_instance =
+                   (fun ~site ~values ->
+                     a.on_instance ~site ~values;
+                     b.on_instance ~site ~values);
+                 on_access =
+                   (fun ~site ~slot ~index ~write ->
+                     a.on_access ~site ~slot ~index ~write;
+                     b.on_access ~site ~slot ~index ~write);
+               })
+             (Memprof.Record.make_probe proc)))
+  end;
+  Fun.protect ~finally:Memprof.Record.disable (fun () ->
+      ignore
+        (Sim.Functional.run ~jobs ~strategy:Sim.Functional.Round_scheduled
+           ~system ~proc:r.Cfd_core.Compile.proc
+           ~inputs:(Cfd_core.Costing.synthetic_inputs system)
+           ~n ()));
+  Memprof.Record.snapshot ()
+
+let test_recorder_matches_oracle () =
+  List.iter
+    (fun (what, r, system, n) ->
+      let sn = recorded_run ~oracle:true ~jobs:1 r system n in
+      let osn = Oracle.snapshot () in
+      Alcotest.(check bool) (what ^ ": accesses recorded") true
+        (sn.Memprof.Record.sn_accesses > 0);
+      same_lines (what ^ " snapshot")
+        (snapshot_lines ~positions:true osn)
+        (snapshot_lines ~positions:true { sn with Memprof.Record.sn_dma = [] });
+      same_lines (what ^ " metrics")
+        (metric_lines "memprof_oracle" osn)
+        (metric_lines "memprof" sn))
+    (Lazy.force recorder_cases)
+
+let test_recorder_jobs_invariant () =
+  List.iter
+    (fun (what, r, system, n) ->
+      let lines jobs =
+        let sn = recorded_run ~jobs r system n in
+        snapshot_lines ~positions:false sn @ metric_lines "memprof" sn
+      in
+      let seq = lines 1 in
+      List.iter
+        (fun jobs ->
+          same_lines (Printf.sprintf "%s jobs:%d" what jobs) seq (lines jobs))
+        [ 2; 4 ])
+    (Lazy.force recorder_cases)
+
+(* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -330,6 +694,13 @@ let test_report_json_wellformed () =
 
 let suite =
   [
+    ( "memprof.oracle",
+      [
+        Alcotest.test_case "recorder = mutex recorder at jobs:1" `Quick
+          test_recorder_matches_oracle;
+        Alcotest.test_case "counts at jobs 2 and 4 = jobs:1" `Quick
+          test_recorder_jobs_invariant;
+      ] );
     ( "memprof",
       Alcotest.test_case "paper numbers: 31 -> 18 BRAM18 observed" `Quick
         test_paper_brams

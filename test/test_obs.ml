@@ -260,6 +260,39 @@ let test_percentiles_tolerance () =
     (s.Obs.Metrics.h_p50 <= s.Obs.Metrics.h_p95
     && s.Obs.Metrics.h_p95 <= s.Obs.Metrics.h_p99)
 
+(* [observe_n h v n] is [n] calls of [observe h v]: same count, sum,
+   min, max and percentile estimates (the values keep every sum exact). *)
+let test_observe_n () =
+  let bulk = Obs.Metrics.histogram "test.obs.observe_n.bulk"
+  and calls = Obs.Metrics.histogram "test.obs.observe_n.calls" in
+  let show h =
+    let s = Obs.Metrics.histogram_snapshot h in
+    Printf.sprintf "n %d, sum %h, min %h, max %h, p50 %h, p95 %h, p99 %h"
+      s.Obs.Metrics.h_count s.Obs.Metrics.h_sum s.Obs.Metrics.h_min
+      s.Obs.Metrics.h_max s.Obs.Metrics.h_p50 s.Obs.Metrics.h_p95
+      s.Obs.Metrics.h_p99
+  in
+  let both v n =
+    Obs.Metrics.observe_n bulk v n;
+    for _ = 1 to n do
+      Obs.Metrics.observe calls v
+    done;
+    Alcotest.(check string)
+      (Printf.sprintf "after %d x %g" n v)
+      (show calls) (show bulk)
+  in
+  both 5.0 0;
+  Alcotest.(check int) "n = 0 on an empty histogram" 0
+    (Obs.Metrics.histogram_snapshot bulk).Obs.Metrics.h_count;
+  List.iter
+    (fun (v, n) -> both v n)
+    [ (3.0, 5); (0.5, 0); (1.0, 1); (1024.0, 7); (0.0, 3); (2.5, 4); (3.0, 200) ];
+  let before = show bulk in
+  Alcotest.check_raises "negative n rejected"
+    (Invalid_argument "Obs.Metrics.observe_n: negative count") (fun () ->
+      Obs.Metrics.observe_n bulk 1.0 (-1));
+  Alcotest.(check string) "a rejected call records nothing" before (show bulk)
+
 let member_exn what k t =
   match Obs.Json.member k t with
   | Some v -> v
@@ -390,6 +423,7 @@ let suite =
           test_percentiles_empty;
         Alcotest.test_case "percentiles exported in metrics JSON" `Quick
           test_percentiles_exported;
+        Alcotest.test_case "observe_n = n observe calls" `Quick test_observe_n;
         Alcotest.test_case "summary guards: no nan/inf ever printed" `Quick
           test_summary_guards;
       ] );

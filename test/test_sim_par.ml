@@ -1,7 +1,7 @@
 (* Differential and stress tests for the parallel functional simulator.
 
    The element-sharded strategy of {!Sim.Functional} must be observably
-   indistinguishable from the Kelly-schedule-faithful round-scheduled
+   indistinguishable from the controller-round-faithful round-scheduled
    strategy — bit-identical per-element results and identical [sim.*]
    schedule counters — at every job count, including padded tails and
    job counts exceeding the element count (qcheck over a matrix of
@@ -16,7 +16,8 @@
 
    Plus unit tests for the strategy-aware jobs default, the CLI
    strategy spellings, the recorder guard (sharded + [Memprof.Record]
-   must be refused — Kelly timestamps only exist in round order), and
+   must be refused — the recorder's DMA ledger and instance order exist
+   only in round order), and
    the [sim.shard] span / [sim.shards] counter telemetry.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
