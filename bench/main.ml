@@ -1069,7 +1069,8 @@ let timeline_bench () =
   let r = compile ~p ~sharing:true () in
   let report =
     Cfd_core.Timeline.analyze ~force_k:8 ~force_m:16
-      ~overlap:Cfd_core.Timeline.Require ~n_elements:elements r
+      ~overlap:Cfd_core.Timeline.Require ~audit:(Cfd_core.Compile.audit r)
+      ~n_elements:elements r
   in
   Format.printf "%a@?" Cfd_core.Timeline.pp_report report;
   let leg label =

@@ -474,7 +474,7 @@ let explore_cmd =
       const do_explore $ file_arg $ elements_arg $ jobs_arg $ prefilter_arg
       $ stats_arg $ cache_dir_arg $ obs_opts_term)
 
-(* ---- functional-simulation strategy flag (profile / memprof) ---- *)
+(* ---- functional-simulation strategy flag (profile) ---- *)
 
 let strategy_conv =
   let parse s =
@@ -486,22 +486,20 @@ let strategy_conv =
   Arg.conv (parse, print)
 
 let strategy_arg =
-  Arg.(value & opt strategy_conv Sim.Functional.Round_scheduled
+  Arg.(value & opt strategy_conv Sim.Functional.Sharded
        & info [ "strategy" ] ~docv:"STRATEGY"
            ~doc:"Functional-simulation scheduling strategy: $(b,shard) \
                  (element-sharded, one long-lived task per domain — the \
-                 multi-core fast path) or $(b,round) (controller-round-faithful \
-                 — the only strategy that feeds the PLM access recorder's \
-                 per-PLM-set DMA ledger and runs leaf instances in the \
-                 controller's order, and the default here because these \
-                 subcommands feed the memory profiler)")
+                 multi-core fast path, and the default) or $(b,round) \
+                 (controller-round-faithful). Results and the PLM access \
+                 recorder's profile are the same under either")
 
 (* ---- memprof command ---- *)
 
 (* Run the functional simulator with the PLM access recorder on and
    return (elements, snapshot); [None] when no feasible system exists
    (the audits do not need one). *)
-let recorded_sim_leg r ~strategy ~elements ~sim_n =
+let recorded_sim_leg r ~elements ~sim_n =
   match Cfd_core.Compile.build_system ~n_elements:elements r with
   | exception Sysgen.Replicate.Infeasible msg ->
       Format.eprintf "cfdc: memprof: skipping simulation leg (infeasible: %s)@."
@@ -514,41 +512,23 @@ let recorded_sim_leg r ~strategy ~elements ~sim_n =
         ~finally:(fun () -> Memprof.Record.disable ())
         (fun () ->
           match
-            Sim.Functional.run ~strategy ~system:sys
-              ~proc:r.Cfd_core.Compile.proc
+            Sim.Functional.run ~system:sys ~proc:r.Cfd_core.Compile.proc
               ~inputs:(Cfd_core.Costing.synthetic_inputs sys) ~n:sim_n ()
           with
           | _ -> Some (sim_n, Memprof.Record.snapshot ())
           | exception Sim.Functional.Error msg ->
-              (* Notably: the recorder rejects the sharded strategy
-                 here — its DMA ledger and instance order exist only on
-                 the round-scheduled path. *)
               prerr_endline ("cfdc: functional simulation failed: " ^ msg);
               fatal ("functional simulation failed: " ^ msg))
 
-(* Audit both memgen modes under the compile options actually in force. *)
+(* Each memgen mode audited once under the compile options in force, as
+   (mode, audit), no-sharing first. *)
 let run_audits r =
-  let program = r.Cfd_core.Compile.program
-  and schedule = r.Cfd_core.Compile.schedule in
-  let scope =
-    if r.Cfd_core.Compile.opts.Cfd_core.Compile.decoupled then
-      Mnemosyne.Memgen.All
-    else Mnemosyne.Memgen.Interface_only
-  in
-  let unroll =
-    Option.value r.Cfd_core.Compile.opts.Cfd_core.Compile.unroll ~default:1
-  in
   List.map
-    (fun mode -> Memprof.Audit.run ~scope ~unroll ~mode program schedule)
+    (fun mode -> (mode, Cfd_core.Compile.audit ~mode r))
     [ Mnemosyne.Memgen.No_sharing; Mnemosyne.Memgen.Sharing ]
 
-let memprof_report r ~name ~strategy ~sim_n ~elements =
-  let audits = run_audits r in
-  let sim = recorded_sim_leg r ~strategy ~elements ~sim_n in
-  Memprof.Report.make ~kernel:name ?sim audits
-
-let do_memprof file name factorize decoupled sharing elements sim_n strategy
-    json_out trace_out log log_level flight =
+let do_memprof file name factorize decoupled sharing elements sim_n json_out
+    trace_out log log_level flight =
   obs_setup
     {
       oo_trace = None;
@@ -565,7 +545,9 @@ let do_memprof file name factorize decoupled sharing elements sim_n strategy
   in
   let r = compile_result src options in
   print_front_warnings ~name r;
-  let report = memprof_report r ~name ~strategy ~sim_n ~elements in
+  let audits = List.map snd (run_audits r) in
+  let sim = recorded_sim_leg r ~elements ~sim_n in
+  let report = Memprof.Report.make ~kernel:name ?sim audits in
   Format.printf "%a@?" Memprof.Report.pp report;
   (match json_out with
   | Some path ->
@@ -603,7 +585,7 @@ let memprof_cmd =
   Cmd.v (Cmd.info "memprof" ~doc)
     Term.(
       const do_memprof $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ elements_arg $ memprof_sim_elements_arg $ strategy_arg
+      $ sharing_arg $ elements_arg $ memprof_sim_elements_arg
       $ memprof_json_arg $ memprof_trace_arg $ log_arg $ log_level_arg
       $ flight_arg)
 
@@ -639,7 +621,7 @@ let do_timeline file name factorize decoupled sharing elements k m overlap
   let report =
     match
       Cfd_core.Timeline.analyze ?force_k:k ?force_m:m ~overlap
-        ~n_elements:elements r
+        ~audit:(Cfd_core.Compile.audit r) ~n_elements:elements r
     with
     | report -> report
     | exception Sysgen.Replicate.Infeasible msg ->
@@ -741,18 +723,14 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
          counters without replaying the full element count. *)
       let inputs = Cfd_core.Costing.synthetic_inputs sys in
       let jobs = if jobs <= 0 then None else Some jobs in
-      (* Under the round-scheduled strategy the simulation leg doubles as
-         the memprof recorder run: engines compiled while the recorder is
-         enabled report PLM accesses and DMA volumes into the
-         production-path store. The sharded strategy feeds no DMA ledger
-         and runs instances outside the controller's order, so its run
-         is timed/traced only and the memory report falls back to the
-         static-vs-dynamic audits. *)
-      let record = strategy = Sim.Functional.Round_scheduled in
-      if record then Memprof.Record.enable ();
+      (* The simulation leg doubles as the memprof recorder run: engines
+         compiled while the recorder is enabled report PLM accesses and
+         DMA volumes into the production-path store, under either
+         strategy. *)
+      Memprof.Record.enable ();
       (match
          Fun.protect
-           ~finally:(fun () -> if record then Memprof.Record.disable ())
+           ~finally:(fun () -> Memprof.Record.disable ())
            (fun () ->
              Sim.Functional.run ?jobs ~strategy ~system:sys
                ~proc:r.Cfd_core.Compile.proc ~inputs ~n:sim_n ())
@@ -761,12 +739,11 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       | exception Sim.Functional.Error msg ->
           prerr_endline ("cfdc: functional simulation failed: " ^ msg);
           fatal ("functional simulation failed: " ^ msg));
+      let audits = run_audits r in
       let mreport =
-        if record then
-          Memprof.Report.make ~kernel:name
-            ~sim:(sim_n, Memprof.Record.snapshot ())
-            (run_audits r)
-        else Memprof.Report.make ~kernel:name (run_audits r)
+        Memprof.Report.make ~kernel:name
+          ~sim:(sim_n, Memprof.Record.snapshot ())
+          (List.map snd audits)
       in
       Format.printf "kernel: %s (%s)@." name file;
       Format.printf "%a@." Hls.Model.pp_report r.Cfd_core.Compile.hls;
@@ -776,16 +753,17 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       Format.printf "functional simulation: %d elements OK (%s strategy)@."
         sim_n
         (Sim.Functional.strategy_name strategy);
-      if not record then
-        Format.printf
-          "memprof: PLM recording skipped (the recorder needs the \
-           round-scheduled strategy; rerun with --strategy round)@.";
       Format.printf "%a@?" Memprof.Report.pp mreport;
       if not (Memprof.Report.passed mreport) then fatal "memprof audit failed";
-      (* Device-cycle timeline leg. Its PLM tracks come from the memprof
-         audit's own instrumented execution, so they do not depend on the
-         simulation strategy above. *)
-      let treport = Cfd_core.Timeline.analyze ~n_elements:elements r in
+      (* Device-cycle timeline leg: its PLM tracks join the audit of the
+         compiled memgen mode run above. *)
+      let treport =
+        Cfd_core.Timeline.analyze
+          ~audit:
+            (List.assoc r.Cfd_core.Compile.memory.Mnemosyne.Memgen.arch_mode
+               audits)
+          ~n_elements:elements r
+      in
       Format.printf "%a@?" Cfd_core.Timeline.pp_report treport;
       (match timeline_out with
       | Some path ->

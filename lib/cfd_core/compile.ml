@@ -48,6 +48,14 @@ let validate_options o =
         (Error (Printf.sprintf "invalid pipeline II %d (must be >= 1)" ii))
   | _ -> ()
 
+(* The Mnemosyne parameters the options select: the compile's own
+   architecture and every PLM audit of it are generated under these. *)
+let memgen_scope o =
+  if o.decoupled then Mnemosyne.Memgen.All else Mnemosyne.Memgen.Interface_only
+
+let memgen_mode o =
+  if o.sharing then Mnemosyne.Memgen.Sharing else Mnemosyne.Memgen.No_sharing
+
 let c_compile_runs = Obs.Metrics.counter "compile.runs"
 
 (* One span per pipeline stage, nested under an outer "compile" span, so
@@ -209,15 +217,9 @@ and compile_stages ~options ast =
   let checked, tir, program, schedule, liveness = front_stages ~options ast in
   let memory =
     stage "mnemosyne" (fun () ->
-        Mnemosyne.Memgen.generate
-          ~scope:
-            (if options.decoupled then Mnemosyne.Memgen.All
-             else Mnemosyne.Memgen.Interface_only)
+        Mnemosyne.Memgen.generate ~scope:(memgen_scope options)
           ~unroll:(Option.value ~default:1 options.unroll)
-          ~mode:
-            (if options.sharing then Mnemosyne.Memgen.Sharing
-             else Mnemosyne.Memgen.No_sharing)
-          program schedule)
+          ~mode:(memgen_mode options) program schedule)
   in
   let codegen_options =
     {
@@ -309,6 +311,12 @@ let buffer_of result array =
   match List.assoc_opt array result.memory.Mnemosyne.Memgen.storage with
   | Some (buffer, offset) -> (buffer, offset)
   | None -> (array, 0)
+
+let audit ?mode result =
+  Memprof.Audit.run ~scope:(memgen_scope result.opts)
+    ~unroll:(Option.value ~default:1 result.opts.unroll)
+    ~mode:(Option.value mode ~default:(memgen_mode result.opts))
+    result.program result.schedule
 
 let engine result =
   Loopir.Compiled.compile

@@ -98,6 +98,13 @@ val compile_source :
   ?cache:Cache.Store.t -> ?options:options -> string -> (result, string) Result.t
 (** Parse, check and compile CFDlang source text. *)
 
+val audit : ?mode:Mnemosyne.Memgen.mode -> result -> Memprof.Audit.result
+(** {!Memprof.Audit.run} on [result]'s program and schedule, under the
+    scope and unroll factor its options compiled with, in [mode]
+    (default: the options' own memgen mode). Each run observes into the
+    mode's pressure histograms, so a command audits each mode once and
+    hands the result to every consumer ([Timeline.analyze] takes it). *)
+
 val engine : result -> Loopir.Compiled.t
 (** The compiled execution engine for [result.proc], at the strongest
     mode the static verifier licenses ({!Analysis.Verify.execution_mode}:

@@ -70,16 +70,15 @@ let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
   let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let in0 = v "sim.dma.bytes_in" and out0 = v "sim.dma.bytes_out" in
   (* The recorder's probe gate is at compile time, so the engine must be
-     compiled inside the enabled window — Functional.run does that. Only
-     the round-scheduled strategy reports per-set DMA in set order. *)
+     compiled inside the enabled window — Functional.run does that. *)
   Memprof.Record.enable ();
   let snap =
     Fun.protect
       ~finally:(fun () -> Memprof.Record.disable ())
       (fun () ->
         ignore
-          (Sim.Functional.run ~strategy:Sim.Functional.Round_scheduled ~system
-             ~proc ~inputs:(synthetic_inputs system) ~n:sim_n ());
+          (Sim.Functional.run ~system ~proc ~inputs:(synthetic_inputs system)
+             ~n:sim_n ());
         Memprof.Record.snapshot ())
   in
   let hw = Sim.Perf.run_hw ~system ~board in

@@ -11,10 +11,10 @@
     - the {e cycle estimate} is [Sim.Perf]'s block schedule (the one
       cycle model) built at the closed-form round length, kernel latency
       plus [Sim.Constants.controller_handshake_cycles];
-    - the {e observation} runs one recorded round-scheduled functional
-      simulation and reads back the [sim.dma.*] counter deltas, the
-      [Memprof.Record] snapshot, and the cycle-accurate [Sim.Perf]
-      result;
+    - the {e observation} runs one recorded functional simulation
+      under {!Sim.Functional}'s default strategy and reads back the
+      [sim.dma.*] counter deltas, the [Memprof.Record] snapshot, and the
+      cycle-accurate [Sim.Perf] result;
     - {!Analysis.Cost.drift} then reports every mismatch as a
       [cost-drift-*] diagnostic. *)
 
@@ -64,9 +64,9 @@ val observe :
   board:Fpga_platform.Board.t ->
   Compile.result ->
   Analysis.Cost.observed
-(** Run the dynamic legs: one recorded round-scheduled functional
-    simulation of [sim_n] elements (default 4) with deterministic
-    synthetic inputs, plus the cycle-accurate performance model.
+(** Run the dynamic legs: one recorded functional simulation of
+    [sim_n] elements (default 4) with deterministic synthetic inputs,
+    plus the cycle-accurate performance model.
     @raise Sim.Functional.Error when the simulation fails. *)
 
 val analyze :

@@ -43,31 +43,16 @@ let passed t = D.errors t.tl_diagnostics = []
 
 (* --- memprof join ------------------------------------------------------- *)
 
-let audit_of (r : Compile.result) =
-  let scope =
-    if r.Compile.opts.Compile.decoupled then Mnemosyne.Memgen.All
-    else Mnemosyne.Memgen.Interface_only
-  in
-  let unroll = Option.value r.Compile.opts.Compile.unroll ~default:1 in
-  let mode =
-    if r.Compile.opts.Compile.sharing then Mnemosyne.Memgen.Sharing
-    else Mnemosyne.Memgen.No_sharing
-  in
-  Memprof.Audit.run ~scope ~unroll ~mode r.Compile.program r.Compile.schedule
-
 (* The audit's pressure series live on the kernel-instance sequence
    number; the timeline lives on the cycle clock. Both modes place the
    first kernel execution at cycle [block_in] (plain: block 0's compute;
    overlapped: steady slot 0), so the join maps the sequence domain
    [0, instances) affinely onto that first execution's latency window —
    the port profile every subsequent round repeats. *)
-let inject_port_samples ~kernel ~start ~latency (a : Memprof.Audit.result) =
+let inject_port_samples ~start ~latency (a : Memprof.Audit.result) =
   let instances = max 1 a.Memprof.Audit.r_instances in
-  let tracks =
-    Memprof.Report.port_pressure_tracks (Memprof.Report.make ~kernel [ a ])
-  in
   List.iter
-    (fun (_label, unit_name, series) ->
+    (fun (unit_name, series) ->
       Array.iter
         (fun (seq, v) ->
           TL.sample
@@ -75,8 +60,8 @@ let inject_port_samples ~kernel ~start ~latency (a : Memprof.Audit.result) =
             ~series:"port-pressure"
             ~cycle:(start + (seq * latency / instances))
             ~value:v)
-        series)
-    tracks
+        (Memprof.Audit.downsample series))
+    a.Memprof.Audit.r_pressure_series
 
 (* --- one leg ------------------------------------------------------------ *)
 
@@ -132,8 +117,7 @@ let run_leg ~label ~overlap ~board ~audit (r : Compile.result)
           if overlap then Sim.Perf.run_hw_overlapped else Sim.Perf.run_hw
         in
         let hw = run ~system:sys ~board in
-        inject_port_samples ~kernel:r.Compile.proc.Loopir.Prog.name
-          ~start:sched.Sim.Perf.Schedule.block_in
+        inject_port_samples ~start:sched.Sim.Perf.Schedule.block_in
           ~latency:r.Compile.hls.Hls.Model.latency_cycles audit;
         (hw, TL.capture ()))
   in
@@ -160,9 +144,8 @@ let overlap_k ~m =
 (* --- the report --------------------------------------------------------- *)
 
 let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
-    ?(overlap = Auto) ~n_elements (r : Compile.result) =
+    ?(overlap = Auto) ~audit ~n_elements (r : Compile.result) =
   let board = config.Sysgen.Replicate.board in
-  let audit = audit_of r in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
   let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in

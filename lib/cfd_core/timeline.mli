@@ -67,16 +67,18 @@ val analyze :
   ?force_k:int ->
   ?force_m:int ->
   ?overlap:overlap_policy ->
+  audit:Memprof.Audit.result ->
   n_elements:int ->
   Compile.result ->
   report
 (** Build the system at [n_elements] (propagating
     [Sysgen.Replicate.Infeasible]), run the plain leg and — per
     [overlap] (default [Auto]) — the overlapped leg, each under a
-    fresh timeline capture. The PLM audit runs once (its own
-    instrumented execution, independent of any simulation strategy) and
-    its pressure series is joined onto the first kernel execution's
-    latency window, which starts at the schedule's [block_in]. *)
+    fresh timeline capture. [audit] is the PLM audit of the result's
+    own memgen mode ({!Compile.audit}), which the caller runs once and
+    may share with other consumers; its pressure series is joined onto
+    the first kernel execution's latency window, which starts at the
+    schedule's [block_in]. *)
 
 val passed : report -> bool
 (** No error-severity diagnostic: every requested leg ran. *)

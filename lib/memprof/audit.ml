@@ -476,12 +476,15 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
         })
       units
   in
+  (* sorted by unit name: the order the report's counter tracks and the
+     device timeline's PLM tracks are emitted in *)
   let series sel =
     List.map
       (fun (u : Memgen.plm_unit) ->
         let ua = Hashtbl.find uaccs u.Memgen.unit_name in
         (u.Memgen.unit_name, Array.of_list (List.rev (sel ua))))
       units
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   (* One structured warning per failing audit (witness details stay in
      the diagnostics themselves): visible on stderr, counted, and
@@ -503,21 +506,39 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
     r_occupancy_series = series (fun ua -> ua.ua_occupancy);
   }
 
+(* At most [max_samples] samples, keeping each bucket's maximum — the
+   audit-relevant value of a pressure series. *)
+let max_samples = 1024
+
+let downsample (s : series) =
+  let n = Array.length s in
+  if n <= max_samples then s
+  else
+    Array.init max_samples (fun b ->
+        let lo = b * n / max_samples and hi = ((b + 1) * n / max_samples) - 1 in
+        let best = ref s.(lo) in
+        for i = lo + 1 to hi do
+          if snd s.(i) > snd !best then best := s.(i)
+        done;
+        !best)
+
 let mode_label = function
   | Memgen.No_sharing -> "no-sharing"
   | Memgen.Sharing -> "sharing"
 
 let run ?(scope = Memgen.All) ?(unroll = 1) ~mode program schedule =
-  let arch = Memgen.generate ~scope ~unroll ~mode program schedule in
-  let options =
-    { Lower.Codegen.default with
-      Lower.Codegen.exported_temps = scope = Memgen.All }
-  in
-  let r =
-    run_core ~label:(mode_label mode) ~units:arch.Memgen.units ~unroll ~options
-      ~storage:arch.Memgen.storage program schedule
-  in
-  { r with r_arch = Some arch }
+  let label = mode_label mode in
+  Obs.Trace.with_span ~attrs:[ ("label", label) ] "memprof.audit" (fun () ->
+      let arch = Memgen.generate ~scope ~unroll ~mode program schedule in
+      let options =
+        { Lower.Codegen.default with
+          Lower.Codegen.exported_temps = scope = Memgen.All }
+      in
+      let r =
+        run_core ~label ~units:arch.Memgen.units ~unroll ~options
+          ~storage:arch.Memgen.storage program schedule
+      in
+      { r with r_arch = Some arch })
 
 let audit_storage ?(label = "custom") ~storage program schedule =
   let r =

@@ -65,10 +65,18 @@ type result = {
   r_instances : int;  (** dynamic leaf instances executed *)
   r_accesses : int;  (** dynamic array accesses observed *)
   r_pressure_series : (string * series) list;
-      (** per unit: port pressure of each instance touching it *)
+      (** per unit, sorted by unit name: port pressure of each instance
+          touching it *)
   r_occupancy_series : (string * series) list;
-      (** per unit: cumulative distinct words touched (monotone) *)
+      (** per unit, sorted by unit name: cumulative distinct words
+          touched (monotone) *)
 }
+
+val downsample : series -> series
+(** At most 1024 samples: a longer series is cut into 1024 equal
+    buckets, each represented by its first sample of maximum value. The
+    form every consumer renders (the report's counter tracks, the
+    device-cycle timeline's port-pressure tracks). *)
 
 val run :
   ?scope:Mnemosyne.Memgen.scope ->
@@ -79,10 +87,12 @@ val run :
   result
 (** Generate the PLM architecture for [mode] (as [Mnemosyne.Memgen]
     would), regenerate the loop nest over its storage map, execute it
-    once instrumented, and audit. Per-instance unit pressure is also
-    observed into the [Obs.Metrics] histograms
+    once instrumented, and audit, inside one ["memprof.audit"] span
+    whose [label] attribute names the mode. Per-instance unit pressure
+    is also observed into the [Obs.Metrics] histograms
     ["memprof.<label>.pressure.<unit>"], from which the report renders
-    p50/p95/p99. *)
+    p50/p95/p99 — so audit each mode once per process, or its counts
+    double. *)
 
 val audit_storage :
   ?label:string ->

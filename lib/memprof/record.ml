@@ -3,8 +3,7 @@
    [enable] installs a probe provider into [Loopir.Compiled], so every
    engine compiled while recording is on — the functional system
    simulation, the SEM operator — reports its dynamic memory behaviour
-   here: per-buffer and per-word read/write counts, first-write /
-   last-read positions in the dynamic instance sequence, per-site access
+   here: per-buffer read/write counts and words touched, per-site access
    totals and per-instance port pressure. The recorder is
    architecture-agnostic (it sees buffer names and word indices); the
    report layer joins its snapshot against a Mnemosyne architecture.
@@ -21,8 +20,11 @@
    simulated one. Each instance's per-buffer tally is folded into a
    count per pressure value; the [memprof.pressure.<buffer>] histograms
    and the [memprof.*] access and instance counters receive these in
-   bulk when [snapshot], [disable] or [reset] flushes. When disabled
-   (the default) no provider is installed and compiled engines are
+   bulk when [snapshot], [disable] or [reset] flushes. Every merge over
+   engines and domains is a sum, a max or a union of touched words, so
+   a snapshot does not depend on how a simulation spread its elements
+   over domains or in which order it ran them. When disabled (the
+   default) no provider is installed and compiled engines are
    bit-identical to unprofiled ones — see
    [Loopir.Compiled.set_probe_provider]. *)
 
@@ -32,15 +34,11 @@ let c_instances = Obs.Metrics.counter "memprof.instances"
 let c_dma_in = Obs.Metrics.counter "memprof.dma.words_in"
 let c_dma_out = Obs.Metrics.counter "memprof.dma.words_out"
 
-(* What one domain recorded for one engine. Positions are this state's
-   instance numbers, starting at 1; 0 means never. *)
+(* What one domain recorded for one engine. *)
 type local = {
   l_owner : cell;  (* the recording domain's DLS cell, as an identity *)
-  l_words : int array array;
-      (* slot -> per word, stride 4: reads, writes, first-write position,
-         last-read position *)
+  l_words : int array array;  (* slot -> per word, stride 2: reads, writes *)
   l_sites : int array;  (* per site, stride 3: instances, reads, writes *)
-  mutable l_seq : int;  (* instances so far = the open one's position *)
   l_tally : int array;  (* slot -> accesses in the open instance *)
   l_touched : int array;  (* slots with a non-zero tally, in the first *)
   mutable l_ntouched : int;  (* [l_ntouched] entries *)
@@ -77,9 +75,8 @@ let new_local owner e =
   let nslots = Array.length e.e_slots in
   {
     l_owner = owner;
-    l_words = Array.map (fun (_, size) -> Array.make (4 * size) 0) e.e_slots;
+    l_words = Array.map (fun (_, size) -> Array.make (2 * size) 0) e.e_slots;
     l_sites = Array.make (3 * List.length e.e_descs) 0;
-    l_seq = 0;
     l_tally = Array.make nslots 0;
     l_touched = Array.make nslots 0;
     l_ntouched = 0;
@@ -146,23 +143,15 @@ let make_probe (proc : Loopir.Prog.proc) =
   let on_instance ~site ~values:_ =
     let l = local e in
     close_instance l;
-    l.l_seq <- l.l_seq + 1;
     let s = 3 * site in
     l.l_sites.(s) <- l.l_sites.(s) + 1
   in
   let on_access ~site ~slot ~index ~write =
     let l = local e in
-    let words = l.l_words.(slot) and w = 4 * index and s = 3 * site in
-    if write then begin
-      words.(w + 1) <- words.(w + 1) + 1;
-      if words.(w + 2) = 0 then words.(w + 2) <- l.l_seq;
-      l.l_sites.(s + 2) <- l.l_sites.(s + 2) + 1
-    end
-    else begin
-      words.(w) <- words.(w) + 1;
-      words.(w + 3) <- l.l_seq;
-      l.l_sites.(s + 1) <- l.l_sites.(s + 1) + 1
-    end;
+    let words = l.l_words.(slot) and dir = Bool.to_int write in
+    let w = (2 * index) + dir and s = (3 * site) + 1 + dir in
+    words.(w) <- words.(w) + 1;
+    l.l_sites.(s) <- l.l_sites.(s) + 1;
     let n = l.l_tally.(slot) in
     if n = 0 then begin
       l.l_touched.(l.l_ntouched) <- slot;
@@ -183,15 +172,16 @@ let flush ~close =
       List.iter
         (fun l ->
           if close then close_instance l;
-          let reads = ref 0 and writes = ref 0 in
+          let instances = ref 0 and reads = ref 0 and writes = ref 0 in
           for s = 0 to (Array.length l.l_sites / 3) - 1 do
+            instances := !instances + l.l_sites.(3 * s);
             reads := !reads + l.l_sites.((3 * s) + 1);
             writes := !writes + l.l_sites.((3 * s) + 2)
           done;
-          Obs.Metrics.add c_instances (l.l_seq - l.l_flushed_instances);
+          Obs.Metrics.add c_instances (!instances - l.l_flushed_instances);
           Obs.Metrics.add c_reads (!reads - l.l_flushed_reads);
           Obs.Metrics.add c_writes (!writes - l.l_flushed_writes);
-          l.l_flushed_instances <- l.l_seq;
+          l.l_flushed_instances <- !instances;
           l.l_flushed_reads <- !reads;
           l.l_flushed_writes <- !writes;
           Array.iteri
@@ -252,21 +242,12 @@ let record_dma ~set ~dir ~words =
 
 (* --- snapshot ----------------------------------------------------------- *)
 
-type word_stats = {
-  w_word : int;
-  w_reads : int;
-  w_writes : int;
-  w_first_write : int option;  (* instance sequence number *)
-  w_last_read : int option;
-}
-
 type buffer_stats = {
   b_buffer : string;
   b_reads : int;
   b_writes : int;
   b_words_touched : int;
   b_max_pressure : int;
-  b_words : word_stats list;  (* sorted by word *)
 }
 
 type site_stats = {
@@ -288,9 +269,8 @@ type snapshot = {
   sn_accesses : int;
 }
 
-(* One buffer's counts merged over engines and domains: word arrays in
-   the [l_words] layout (positions merged by min first write and max
-   last read), and the max pressure. *)
+(* One buffer's counts summed over engines and domains, in the
+   [l_words] layout, and its max pressure. *)
 type merged = { mutable m_words : int array; mutable m_max_pressure : int }
 
 let merge_words m words =
@@ -299,43 +279,22 @@ let merge_words m words =
     Array.blit m.m_words 0 grown 0 (Array.length m.m_words);
     m.m_words <- grown
   end;
-  let mw = m.m_words in
-  for w = 0 to (Array.length words / 4) - 1 do
-    let k = 4 * w in
-    mw.(k) <- mw.(k) + words.(k);
-    mw.(k + 1) <- mw.(k + 1) + words.(k + 1);
-    let fw = words.(k + 2) in
-    if fw > 0 && (mw.(k + 2) = 0 || fw < mw.(k + 2)) then mw.(k + 2) <- fw;
-    mw.(k + 3) <- max mw.(k + 3) words.(k + 3)
-  done
+  Array.iteri (fun i n -> m.m_words.(i) <- m.m_words.(i) + n) words
 
 let buffer_stats name m =
-  let opt v = if v = 0 then None else Some v in
-  let words = ref [] and reads = ref 0 and writes = ref 0 in
-  for w = (Array.length m.m_words / 4) - 1 downto 0 do
-    let k = 4 * w in
-    let r = m.m_words.(k) and wr = m.m_words.(k + 1) in
-    if r + wr > 0 then begin
-      reads := !reads + r;
-      writes := !writes + wr;
-      words :=
-        {
-          w_word = w;
-          w_reads = r;
-          w_writes = wr;
-          w_first_write = opt m.m_words.(k + 2);
-          w_last_read = opt m.m_words.(k + 3);
-        }
-        :: !words
-    end
+  let reads = ref 0 and writes = ref 0 and touched = ref 0 in
+  for w = 0 to (Array.length m.m_words / 2) - 1 do
+    let r = m.m_words.(2 * w) and wr = m.m_words.((2 * w) + 1) in
+    reads := !reads + r;
+    writes := !writes + wr;
+    if r + wr > 0 then incr touched
   done;
   {
     b_buffer = name;
     b_reads = !reads;
     b_writes = !writes;
-    b_words_touched = List.length !words;
+    b_words_touched = !touched;
     b_max_pressure = m.m_max_pressure;
-    b_words = !words;
   }
 
 let snapshot () =
@@ -343,7 +302,6 @@ let snapshot () =
       flush ~close:true;
       let buffers : (string, merged) Hashtbl.t = Hashtbl.create 16 in
       let sites : (string * int, site_stats) Hashtbl.t = Hashtbl.create 64 in
-      let instances = ref 0 in
       (* oldest engine first: the first to register a site names it *)
       List.iter
         (fun e ->
@@ -362,7 +320,6 @@ let snapshot () =
             (List.rev e.e_descs);
           List.iter
             (fun l ->
-              instances := !instances + l.l_seq;
               for site = 0 to (Array.length l.l_sites / 3) - 1 do
                 let s = Hashtbl.find sites (e.e_proc, site) and k = 3 * site in
                 Hashtbl.replace sites (e.e_proc, site)
@@ -394,7 +351,7 @@ let snapshot () =
         Hashtbl.fold
           (fun name m acc ->
             let b = buffer_stats name m in
-            if b.b_words = [] then acc else b :: acc)
+            if b.b_words_touched = 0 then acc else b :: acc)
           buffers []
         |> List.sort (fun a b -> compare a.b_buffer b.b_buffer)
       in
@@ -410,13 +367,11 @@ let snapshot () =
           dma []
         |> List.sort (fun a b -> compare a.d_set b.d_set)
       in
-      let accesses =
-        List.fold_left (fun acc b -> acc + b.b_reads + b.b_writes) 0 buffers
-      in
+      let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
       {
         sn_buffers = buffers;
         sn_sites = sites;
         sn_dma = dma;
-        sn_instances = !instances;
-        sn_accesses = accesses;
+        sn_instances = sum (fun s -> s.s_instances) sites;
+        sn_accesses = sum (fun b -> b.b_reads + b.b_writes) buffers;
       })

@@ -3,11 +3,11 @@
     {!enable} installs a probe provider into [Loopir.Compiled] (the same
     one-branch disabled gate as [Obs.Trace]): every engine compiled
     while recording is on reports its dynamic memory behaviour here —
-    per-buffer/per-word read and write counts, first-write and last-read
-    positions in the dynamic instance sequence, per-probe-site access
-    totals and per-instance port pressure (simultaneous accesses to one
-    buffer within one leaf-statement instance). [Sim.Functional]
-    additionally reports DMA words per PLM set through {!record_dma}.
+    per-buffer read and write counts and words touched, per-probe-site
+    access totals and per-instance port pressure (simultaneous accesses
+    to one buffer within one leaf-statement instance). [Sim.Functional]
+    additionally reports DMA words per PLM set through {!record_dma},
+    under either of its strategies.
 
     The recorder is architecture-agnostic; [Memprof.Report] joins a
     snapshot against the Mnemosyne architecture. The exact
@@ -24,8 +24,11 @@
     leaf instance and buffer it touched) are fed in bulk when
     {!snapshot}, {!disable} or {!reset} flushes. Call those three only
     while no recorded engine runs — e.g. after [Sim.Functional.run]
-    returns, which joins its worker domains. With recording disabled
-    (the default) compiled engines carry no instrumentation at all. *)
+    returns, which joins its worker domains. Every merge over engines
+    and domains is a sum, a max or a union, so what a run records does
+    not depend on its simulation strategy or job count. With recording
+    disabled (the default) compiled engines carry no instrumentation at
+    all. *)
 
 val enable : unit -> unit
 (** Reset the store and install the probe provider. Engines compiled
@@ -39,34 +42,19 @@ val disable : unit -> unit
     closed by the next {!snapshot}. The store keeps its contents for
     {!snapshot} until the next {!enable} or {!reset}. *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Flush, then empty the store. Engines compiled before a reset record
     nowhere afterwards. *)
 
 val record_dma : set:int -> dir:[ `In | `Out ] -> words:int -> unit
 (** Account a DMA transfer of [words] PLM words for the given PLM set.
+    [Sim.Functional] files element [e]'s transfers under its set in the
+    controller's block of [m], [e mod m], whichever strategy runs it.
     No-op while disabled. *)
 
 val make_probe : Loopir.Prog.proc -> Loopir.Compiled.probe option
 (** The provider installed by {!enable}, exposed for direct use in
     tests. *)
-
-type word_stats = {
-  w_word : int;
-  w_reads : int;
-  w_writes : int;
-  w_first_write : int option;
-      (** position of the instance of the first write, if any *)
-  w_last_read : int option;  (** position of the instance of the last read *)
-}
-(** Positions number the leaf instances an engine ran in one domain, in
-    execution order from 1. When one domain runs the engine — a jobs:1
-    simulation — they are the run's instance order. At jobs > 1 each
-    domain numbers its own instances, and the snapshot merges them by
-    min (first write) and max (last read), so positions are not
-    comparable across words then. Nothing in the flow reads them. *)
 
 type buffer_stats = {
   b_buffer : string;
@@ -75,7 +63,6 @@ type buffer_stats = {
   b_words_touched : int;
   b_max_pressure : int;
       (** max simultaneous accesses in one leaf instance *)
-  b_words : word_stats list;  (** sorted by word *)
 }
 
 type site_stats = {

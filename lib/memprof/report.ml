@@ -174,23 +174,7 @@ let to_json t =
 (* --- Chrome-trace counter tracks ---------------------------------------- *)
 
 (* Counter ("ph":"C") events over the instance sequence number as the
-   time axis. Pressure series are downsampled to at most [max_samples]
-   per unit, keeping the per-bucket maximum (the audit-relevant value);
-   occupancy is monotone and already bounded by the unit's word count. *)
-let max_samples = 1024
-
-let downsample_max (s : Audit.series) =
-  let n = Array.length s in
-  if n <= max_samples then s
-  else
-    Array.init max_samples (fun b ->
-        let lo = b * n / max_samples and hi = ((b + 1) * n / max_samples) - 1 in
-        let best = ref s.(lo) in
-        for i = lo + 1 to hi do
-          if snd s.(i) > snd !best then best := s.(i)
-        done;
-        !best)
-
+   time axis; every series is downsampled ({!Audit.downsample}). *)
 let counter_events ~tid ~name ~arg (s : Audit.series) =
   Array.to_list
     (Array.map
@@ -207,13 +191,6 @@ let counter_events ~tid ~name ~arg (s : Audit.series) =
            ])
        s)
 
-(* Series lists come from the audit in unit order; sort them by unit
-   name (and audits are already in caller order) so the emitted trace
-   JSON is byte-deterministic across runs — hashtable iteration order
-   must never leak into the byte stream the hit≡miss and
-   jobs-equivalence assertions compare. *)
-let sorted_series l = List.sort (fun (a, _) (b, _) -> compare a b) l
-
 let chrome_counters t =
   let events =
     List.concat
@@ -224,15 +201,15 @@ let chrome_counters t =
                counter_events ~tid
                  ~name:
                    (Printf.sprintf "port-pressure %s (%s)" u a.Audit.r_label)
-                 ~arg:"pressure" (downsample_max s))
-             (sorted_series a.Audit.r_pressure_series)
+                 ~arg:"pressure" (Audit.downsample s))
+             a.Audit.r_pressure_series
            @ List.concat_map
                (fun (u, s) ->
                  counter_events ~tid
                    ~name:
                      (Printf.sprintf "plm-occupancy %s (%s)" u a.Audit.r_label)
-                   ~arg:"words" (downsample_max s))
-               (sorted_series a.Audit.r_occupancy_series))
+                   ~arg:"words" (Audit.downsample s))
+               a.Audit.r_occupancy_series)
          t.rep_audits)
   in
   Obs.Json.Obj
@@ -240,15 +217,6 @@ let chrome_counters t =
       ("traceEvents", Obs.Json.List events);
       ("displayTimeUnit", Obs.Json.String "ms");
     ]
-
-let port_pressure_tracks t =
-  List.sort compare
-    (List.concat_map
-       (fun (a : Audit.result) ->
-         List.map
-           (fun (u, s) -> (a.Audit.r_label, u, downsample_max s))
-           a.Audit.r_pressure_series)
-       t.rep_audits)
 
 (* --- human summary ------------------------------------------------------ *)
 

@@ -35,10 +35,4 @@ val chrome_counters : t -> Obs.Json.t
     tracks and series are emitted sorted by unit name so the JSON is
     byte-deterministic across runs. *)
 
-val port_pressure_tracks : t -> (string * string * Audit.series) list
-(** [(mode label, unit name, series)] for every audited port-pressure
-    series, sorted by (label, unit) and downsampled to at most 1024
-    samples (per-bucket maxima) — the join surface for the device-cycle
-    timeline's per-buffer occupancy counter tracks. *)
-
 val pp : Format.formatter -> t -> unit

@@ -59,19 +59,6 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
     | Some j when j < 1 -> errf "jobs must be positive"
     | Some j -> j
   in
-  (* The PLM access recorder needs the round-scheduled path: only that
-     path feeds its per-PLM-set DMA ledger, and its instance positions
-     follow the controller's order there. Element shards run private
-     frame sets in their own interleaving and record no DMA. Refuse up
-     front, before any engine is compiled against the recorder. *)
-  (match strategy with
-  | Sharded when Memprof.Record.enabled () ->
-      errf
-        "strategy sharded: the PLM access recorder requires the \
-         round-scheduled strategy (only that path feeds its per-PLM-set \
-         DMA ledger, and its instance order follows the controller only \
-         there); rerun with ~strategy:Round_scheduled"
-  | _ -> ());
   (* The kernel is compiled once, at the strongest mode the static
      verifier licenses; all mutable execution state lives in frames, so
      one compiled program drives every frame set of every domain. *)
@@ -93,15 +80,15 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
   Obs.Metrics.add c_dma_out
     (n * bytes_per_element host.Sysgen.System.per_element_out);
   (* Staging helpers shared by both strategies, parameterized by the
-     frame set in use ([record] feeds the memprof DMA accounting, which
-     is only meaningful — and only enabled — on the round-scheduled
-     path). *)
+     frame set in use. The memprof DMA ledger files element [e] under
+     its PLM set in the controller's block, [e mod m], whichever frame
+     stages it. *)
   let buffer frames slot name =
     match Loopir.Compiled.buffer exec frames.(slot) name with
     | b -> b
     | exception Loopir.Compiled.Error _ -> errf "unknown PLM buffer %s" name
   in
-  let dma_in ~record frames ~slot e =
+  let dma_in frames ~slot e =
     let bindings = inputs e in
     List.iter
       (fun (tr : Sysgen.System.transfer) ->
@@ -115,16 +102,16 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
             Array.blit data 0
               (buffer frames slot tr.Sysgen.System.buffer)
               tr.Sysgen.System.offset words;
-            if record then Memprof.Record.record_dma ~set:slot ~dir:`In ~words)
+            Memprof.Record.record_dma ~set:(e mod m) ~dir:`In ~words)
       host.Sysgen.System.per_element_in
   in
-  let dma_out ~record frames ~slot e =
+  let dma_out frames ~slot e =
     results.(e) <-
       List.map
         (fun (tr : Sysgen.System.transfer) ->
           let words = tr.Sysgen.System.bytes / 8 in
           let buf = buffer frames slot tr.Sysgen.System.buffer in
-          if record then Memprof.Record.record_dma ~set:slot ~dir:`Out ~words;
+          Memprof.Record.record_dma ~set:(e mod m) ~dir:`Out ~words;
           (tr.Sysgen.System.array, Array.sub buf tr.Sysgen.System.offset words))
         host.Sysgen.System.per_element_out
   in
@@ -149,7 +136,7 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
                  simulation skips the work. *)
               for slot = 0 to m - 1 do
                 let e = (block * m) + slot in
-                if e < n then dma_in ~record:true plm ~slot e
+                if e < n then dma_in plm ~slot e
               done;
               (* m/k controller rounds: accelerator i drives PLM set
                  i*batch + round; the active accelerators of a round run in
@@ -192,7 +179,7 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
               (* Output DMA. *)
               for slot = 0 to m - 1 do
                 let e = (block * m) + slot in
-                if e < n then dma_out ~record:true plm ~slot e
+                if e < n then dma_out plm ~slot e
               done)
         done)
   in
@@ -219,7 +206,7 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
         while !pos < hi do
           let stop = min hi (!pos + mf) in
           for e = !pos to stop - 1 do
-            dma_in ~record:false frames ~slot:(e - !pos) e
+            dma_in frames ~slot:(e - !pos) e
           done;
           for e = !pos to stop - 1 do
             try Loopir.Compiled.run exec frames.(e - !pos)
@@ -234,7 +221,7 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
                 raw
           done;
           for e = !pos to stop - 1 do
-            dma_out ~record:false frames ~slot:(e - !pos) e
+            dma_out frames ~slot:(e - !pos) e
           done;
           pos := stop
         done)

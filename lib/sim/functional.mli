@@ -24,15 +24,13 @@
     - {!Round_scheduled}: the controller-round-faithful host main loop —
       blocks of [m] elements, [m/k] controller rounds each running the
       [k] accelerator instances on the PLM set selected by the batch
-      counter (Figure 7c), one frame per PLM set. The PLM access
-      recorder ([Memprof.Record]) {e requires} it: only this path feeds
-      the recorder's per-PLM-set DMA ledger, and the recorder numbers
-      leaf instances in execution order, which follows the controller's
-      here. {!run} refuses the sharded strategy while the recorder is
-      enabled. (The recorder rebuilds no Kelly-schedule timestamps; only
-      [Memprof.Audit] does, in its own run.)
+      counter (Figure 7c), one frame per PLM set. It is the reference
+      the sharded path is tested against.
 
-    Results are independent of [strategy] and [jobs]. *)
+    Results are independent of [strategy] and [jobs], and so is what the
+    PLM access recorder ([Memprof.Record]) observes while it is enabled:
+    both strategies file element [e]'s DMA words under its PLM set,
+    [e mod m]. *)
 
 exception Error of string
 
@@ -42,7 +40,7 @@ type strategy =
           frame sets, dispatch amortized over the whole run. *)
   | Round_scheduled
       (** Controller-round-faithful: k-way parallelism within each
-          round, per-round joins. Required by the PLM access recorder. *)
+          round, per-round joins. *)
 
 val strategy_name : strategy -> string
 (** ["sharded"] / ["round-scheduled"]. *)
@@ -87,7 +85,4 @@ val run :
     by [n] and the solution, so their values are identical across
     strategies and job counts.
 
-    @raise Error on missing inputs, size mismatches, [jobs < 1], or the
-    sharded strategy while [Memprof.Record] is enabled (the recorder's
-    DMA ledger and instance order exist only on the round-scheduled
-    path). *)
+    @raise Error on missing inputs, size mismatches or [jobs < 1]. *)

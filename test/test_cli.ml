@@ -107,10 +107,9 @@ let test_profile_ok () =
   Sys.remove metrics;
   Sys.remove trace
 
-(* The sharded strategy on the profile pipeline: both spellings accepted,
-   recorder leg skipped but the run itself succeeds at any jobs. The
-   timeline leg's PLM tracks come from the memprof audit's own
-   instrumented run, so every strategy prints them. *)
+(* Both strategies on the profile pipeline, in every spelling and at
+   any jobs: the run succeeds, records the PLM profile and DMA ledger,
+   and the timeline leg joins the audit's port-pressure tracks. *)
 let test_profile_strategy_flags () =
   List.iter
     (fun args ->
@@ -122,6 +121,11 @@ let test_profile_strategy_flags () =
           @ args)
       in
       Alcotest.(check int) (what ^ " exits 0") 0 code;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (what ^ " prints " ^ line) true
+            (contains ~sub:line text))
+        [ "functional sim (4 elements)"; "plm set 3: dma in" ];
       List.iter
         (fun u ->
           let line = "plm:" ^ u ^ " port-pressure" in
@@ -136,20 +140,67 @@ let test_profile_strategy_flags () =
       [ "--strategy"; "round"; "--jobs"; "2" ];
     ]
 
-(* The memprof recorder needs the round-scheduled path (its DMA ledger
-   and instance order exist only there): the sharded strategy must be
-   refused with a diagnostic pointing at the round-scheduled one, not
-   silently mis-profiled. *)
-let test_memprof_rejects_sharded () =
-  let code, text =
-    run_capture
-      [ "memprof"; kernel "mass.cfd"; "--sim-elements"; "2"; "--strategy";
-        "shard" ]
+(* Each memgen mode is audited once per profile run, whichever mode the
+   kernel compiles in: one memprof.audit span per mode, and every
+   memprof.<mode>.pressure.<unit> histogram holds one observation per
+   leaf instance, 11^3 on mass. *)
+let test_profile_audits_once () =
+  let starts_with ~prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
   in
-  Alcotest.(check bool) "memprof --strategy shard exits non-zero" true
-    (code <> 0);
-  Alcotest.(check bool) "diagnostic points at round-scheduled" true
-    (contains ~sub:"round-scheduled" text)
+  List.iter
+    (fun sharing ->
+      let what = "profile --sharing " ^ sharing in
+      let metrics = tmp ".metrics.json" and trace = tmp ".trace.json" in
+      let code =
+        run [ "profile"; kernel "mass.cfd"; "--sim-elements"; "4"; "--sharing";
+              sharing; "--metrics"; metrics; "--trace"; trace ]
+      in
+      Alcotest.(check int) (what ^ " exits 0") 0 code;
+      let m = parse_file "profile metrics" metrics
+      and t = parse_file "profile trace" trace in
+      Sys.remove metrics;
+      Sys.remove trace;
+      let labels =
+        match member_exn "profile trace" "traceEvents" t with
+        | Obs.Json.List evs ->
+            List.filter_map
+              (fun e ->
+                match Obs.Json.member "name" e with
+                | Some (Obs.Json.String "memprof.audit") -> (
+                    match
+                      Obs.Json.member "label" (member_exn "span" "args" e)
+                    with
+                    | Some (Obs.Json.String l) -> Some l
+                    | _ -> Alcotest.failf "%s: audit span without label" what)
+                | _ -> None)
+              evs
+        | _ -> Alcotest.failf "%s: no traceEvents" what
+      in
+      Alcotest.(check (list string)) (what ^ ": one audit span per mode")
+        [ "no-sharing"; "sharing" ] (List.sort compare labels);
+      let audited =
+        match member_exn "profile metrics" "histograms" m with
+        | Obs.Json.Obj hs ->
+            List.filter
+              (fun (name, _) ->
+                starts_with ~prefix:"memprof.no-sharing.pressure." name
+                || starts_with ~prefix:"memprof.sharing.pressure." name)
+              hs
+        | _ -> Alcotest.failf "%s: histograms is not an object" what
+      in
+      Alcotest.(check int) (what ^ ": 3 units in each of 2 modes") 6
+        (List.length audited);
+      List.iter
+        (fun (name, h) ->
+          match member_exn name "count" h with
+          | Obs.Json.Int n ->
+              Alcotest.(check int) (Printf.sprintf "%s: %s count" what name)
+                1331 n
+          | v -> Alcotest.failf "%s count = %s" name (Obs.Json.to_string v))
+        audited)
+    [ "true"; "false" ]
 
 (* Like [run_capture], but with an environment assignment prefixed to
    the shell command (e.g. "CFDC_CACHE_DIR=/tmp/x"). *)
@@ -334,8 +385,8 @@ let test_crash_report_on_fatal () =
   in
   let code, text =
     run_capture_env env
-      [ "memprof"; kernel "mass.cfd"; "--sim-elements"; "2"; "--strategy";
-        "shard" ]
+      [ "timeline"; kernel "mass.cfd"; "--overlap"; "require"; "-k"; "8";
+        "-m"; "8" ]
   in
   Alcotest.(check bool) "fatal path exits non-zero" true (code <> 0);
   Alcotest.(check bool) "stderr names the crash report" true
@@ -348,8 +399,8 @@ let test_crash_report_on_fatal () =
   let b = parse_file "crash bundle" (Filename.concat dir (List.hd bundles)) in
   (match member_exn "crash bundle" "reason" b with
   | Obs.Json.String r ->
-      Alcotest.(check bool) "reason names the failing strategy" true
-        (contains ~sub:"round-scheduled" r)
+      Alcotest.(check bool) "reason names the failing rule" true
+        (contains ~sub:"sim-overlap-infeasible" r)
   | v -> Alcotest.failf "reason = %s" (Obs.Json.to_string v));
   ignore
     (member_exn "crash provenance" "build"
@@ -436,8 +487,8 @@ let test_bad_flags_rejected () =
       ("profile unknown flag", [ "profile"; kernel "mass.cfd"; "--bogus" ]);
       ( "profile unknown strategy",
         [ "profile"; kernel "mass.cfd"; "--strategy"; "bogus" ] );
-      ( "memprof unknown strategy",
-        [ "memprof"; kernel "mass.cfd"; "--strategy"; "bogus" ] );
+      ( "memprof has no strategy",
+        [ "memprof"; kernel "mass.cfd"; "--strategy"; "round" ] );
       ( "profile missing source",
         [ "profile"; "/nonexistent/kernel.cfd"; "--sim-elements"; "2" ] );
       ("unknown subcommand", [ "memprofile" ]);
@@ -458,8 +509,8 @@ let () =
             test_profile_ok;
           Alcotest.test_case "profile accepts both strategies" `Quick
             test_profile_strategy_flags;
-          Alcotest.test_case "memprof refuses the sharded strategy" `Quick
-            test_memprof_rejects_sharded;
+          Alcotest.test_case "profile audits each mode once" `Quick
+            test_profile_audits_once;
           Alcotest.test_case "timeline --json is well-formed" `Quick
             test_timeline_json;
           Alcotest.test_case "timeline --overlap require on m < 2k fails"

@@ -234,7 +234,7 @@ let test_disabled_recorder_invisible () =
       Alcotest.(check bool) "recorded buffers" true
         (sn.Memprof.Record.sn_buffers <> []))
 
-(* Per-word recorder bookkeeping: counts, first-write, last-read and the
+(* Recorder bookkeeping: instance, access and per-buffer counts and the
    DMA ledger are exact on a hand-checkable engine run. *)
 let test_recorder_bookkeeping () =
   let r = compile_kernel "mass.cfd" in
@@ -258,24 +258,16 @@ let test_recorder_bookkeeping () =
         sn.Memprof.Record.sn_accesses;
       List.iter
         (fun (b : Memprof.Record.buffer_stats) ->
-          Alcotest.(check int)
-            (b.Memprof.Record.b_buffer ^ " touches every word")
-            1331 b.Memprof.Record.b_words_touched;
-          List.iter
-            (fun (w : Memprof.Record.word_stats) ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s word %d accessed once"
-                   b.Memprof.Record.b_buffer w.Memprof.Record.w_word)
-                1
-                (w.Memprof.Record.w_reads + w.Memprof.Record.w_writes);
-              match
-                (w.Memprof.Record.w_first_write, w.Memprof.Record.w_last_read)
-              with
-              | Some _, Some _ ->
-                  Alcotest.fail "a word is both read-only and write-only here"
-              | None, None -> Alcotest.fail "a touched word has no position"
-              | _ -> ())
-            b.Memprof.Record.b_words)
+          let name = b.Memprof.Record.b_buffer in
+          Alcotest.(check int) (name ^ " touches every word") 1331
+            b.Memprof.Record.b_words_touched;
+          (* each word once: read-only inputs, a write-only output *)
+          Alcotest.(check int) (name ^ " accesses every word once") 1331
+            (b.Memprof.Record.b_reads + b.Memprof.Record.b_writes);
+          Alcotest.(check bool) (name ^ " is read-only or write-only") true
+            (b.Memprof.Record.b_reads = 0 || b.Memprof.Record.b_writes = 0);
+          Alcotest.(check int) (name ^ " pressure") 1
+            b.Memprof.Record.b_max_pressure)
         sn.Memprof.Record.sn_buffers;
       match sn.Memprof.Record.sn_dma with
       | [ d0; d3 ] ->
@@ -292,10 +284,11 @@ let test_recorder_bookkeeping () =
 (* ------------------------------------------------------------------ *)
 
 (* The recorder as it was before its state went per (engine, domain):
-   every event takes one mutex, finds its buffer, word and (proc, site)
-   cells in hashtables and updates the metrics on the spot, and each
-   domain's open instance is a tally list keyed by buffer name. The only
-   change is that accesses name their array by slot. Its metrics live
+   every event takes one mutex, finds its buffer and (proc, site) cells
+   in hashtables, marks the word touched and updates the metrics on the
+   spot, and each domain's open instance is a tally list keyed by buffer
+   name. The only changes are that accesses name their array by slot
+   and that it keeps no per-word counts or positions. Its metrics live
    under [memprof_oracle.*]; it keeps no DMA ledger. *)
 module Oracle = struct
   module R = Memprof.Record
@@ -304,19 +297,12 @@ module Oracle = struct
   let c_writes = Obs.Metrics.counter "memprof_oracle.accesses.write"
   let c_instances = Obs.Metrics.counter "memprof_oracle.instances"
 
-  type word_cell = {
-    mutable wc_reads : int;
-    mutable wc_writes : int;
-    mutable wc_first_write : int;
-    mutable wc_last_read : int;
-  }
-
   type buf_cell = {
     bc_name : string;
     mutable bc_reads : int;
     mutable bc_writes : int;
     mutable bc_max_pressure : int;
-    bc_words : (int, word_cell) Hashtbl.t;
+    bc_words : (int, unit) Hashtbl.t;  (* the words touched *)
     bc_hist : Obs.Metrics.histogram;
   }
 
@@ -351,16 +337,6 @@ module Oracle = struct
         in
         Hashtbl.replace buffers name b;
         b
-
-  let word_cell b word =
-    match Hashtbl.find_opt b.bc_words word with
-    | Some w -> w
-    | None ->
-        let w =
-          { wc_reads = 0; wc_writes = 0; wc_first_write = -1; wc_last_read = -1 }
-        in
-        Hashtbl.replace b.bc_words word w;
-        w
 
   let domain_cell () =
     let id = (Domain.self () :> int) in
@@ -408,18 +384,13 @@ module Oracle = struct
       let buffer = names.(slot) in
       Mutex.protect lock (fun () ->
           let b = buf_cell buffer in
-          let w = word_cell b index in
-          let now = !seq in
+          Hashtbl.replace b.bc_words index ();
           if write then begin
             b.bc_writes <- b.bc_writes + 1;
-            w.wc_writes <- w.wc_writes + 1;
-            if w.wc_first_write < 0 then w.wc_first_write <- now;
             Obs.Metrics.incr c_writes
           end
           else begin
             b.bc_reads <- b.bc_reads + 1;
-            w.wc_reads <- w.wc_reads + 1;
-            w.wc_last_read <- now;
             Obs.Metrics.incr c_reads
           end;
           (match Hashtbl.find_opt sites (pname, site) with
@@ -444,31 +415,15 @@ module Oracle = struct
   let snapshot () : R.snapshot =
     Mutex.protect lock (fun () ->
         Hashtbl.iter (fun _ d -> flush_instance d) domains;
-        let opt v = if v < 0 then None else Some v in
         let buffers =
           Hashtbl.fold
             (fun _ b acc ->
-              let words =
-                Hashtbl.fold
-                  (fun word w acc ->
-                    {
-                      R.w_word = word;
-                      w_reads = w.wc_reads;
-                      w_writes = w.wc_writes;
-                      w_first_write = opt w.wc_first_write;
-                      w_last_read = opt w.wc_last_read;
-                    }
-                    :: acc)
-                  b.bc_words []
-                |> List.sort (fun a b -> compare a.R.w_word b.R.w_word)
-              in
               {
                 R.b_buffer = b.bc_name;
                 b_reads = b.bc_reads;
                 b_writes = b.bc_writes;
                 b_words_touched = Hashtbl.length b.bc_words;
                 b_max_pressure = b.bc_max_pressure;
-                b_words = words;
               }
               :: acc)
             buffers []
@@ -503,41 +458,49 @@ module Oracle = struct
 end
 
 (* Every Operators.all kernel at p = 4 and 7, simulated over 3, 8 and
-   20 elements. *)
+   20 elements on the solved k = m shape, plus forced k < m shapes:
+   there each accelerator runs m/k PLM sets in controller rounds, so the
+   round-scheduled and element-sharded strategies visit the elements in
+   different orders. *)
 let recorder_cases =
   lazy
-    (List.concat_map
+    (let operators p = Cfdlang.Operators.all ~p () in
+     let case ?force_k ?force_m name p ast n =
+       let r = Cfd_core.Compile.compile ast in
+       let system =
+         Cfd_core.Compile.build_system ?force_k ?force_m ~n_elements:n r
+       in
+       let sol = system.Sysgen.System.solution in
+       ( Printf.sprintf "%s p=%d n=%d k=%d m=%d" name p n
+           sol.Sysgen.Replicate.k sol.Sysgen.Replicate.m,
+         r,
+         system,
+         n )
+     in
+     List.concat_map
        (fun p ->
          List.concat_map
-           (fun (name, ast) ->
-             let r = Cfd_core.Compile.compile ast in
-             List.map
-               (fun n ->
-                 let system = Cfd_core.Compile.build_system ~n_elements:n r in
-                 (Printf.sprintf "%s p=%d n=%d" name p n, r, system, n))
-               [ 3; 8; 20 ])
-           (Cfdlang.Operators.all ~p ()))
-       [ 4; 7 ])
+           (fun (name, ast) -> List.map (case name p ast) [ 3; 8; 20 ])
+           (operators p))
+       [ 4; 7 ]
+     @ List.map
+         (fun (name, p, k, m, n) ->
+           case ~force_k:k ~force_m:m name p (List.assoc name (operators p)) n)
+         [
+           ("interpolation", 4, 2, 8, 20);
+           ("inverse_helmholtz", 7, 2, 8, 20);
+           ("mass", 4, 1, 4, 7);
+         ])
 
-(* A snapshot as lines, one per buffer, word, site and DMA set. *)
-let snapshot_lines ~positions (sn : Memprof.Record.snapshot) =
+(* A snapshot as lines, one per buffer, site and DMA set. *)
+let snapshot_lines (sn : Memprof.Record.snapshot) =
   let module R = Memprof.Record in
-  let opt = function None -> "-" | Some v -> string_of_int v in
   Printf.sprintf "instances %d, accesses %d" sn.R.sn_instances sn.R.sn_accesses
-  :: List.concat_map
+  :: List.map
        (fun (b : R.buffer_stats) ->
          Printf.sprintf "%s: %d reads, %d writes, %d words, pressure %d"
            b.R.b_buffer b.R.b_reads b.R.b_writes b.R.b_words_touched
-           b.R.b_max_pressure
-         :: List.map
-              (fun (w : R.word_stats) ->
-                Printf.sprintf "%s[%d]: %d reads, %d writes%s" b.R.b_buffer
-                  w.R.w_word w.R.w_reads w.R.w_writes
-                  (if positions then
-                     Printf.sprintf ", first write %s, last read %s"
-                       (opt w.R.w_first_write) (opt w.R.w_last_read)
-                   else ""))
-              b.R.b_words)
+           b.R.b_max_pressure)
        sn.R.sn_buffers
   @ List.map
       (fun (s : R.site_stats) ->
@@ -551,9 +514,11 @@ let snapshot_lines ~positions (sn : Memprof.Record.snapshot) =
           d.R.d_words_out)
       sn.R.sn_dma
 
-(* The pressure histograms and access/instance counters under [prefix],
-   as lines. *)
-let metric_lines prefix (sn : Memprof.Record.snapshot) =
+(* The pressure histograms and the [counters] under [prefix], as
+   lines. *)
+let metric_lines
+    ?(counters = [ "accesses.read"; "accesses.write"; "instances" ]) prefix
+    (sn : Memprof.Record.snapshot) =
   List.map
     (fun (b : Memprof.Record.buffer_stats) ->
       let h =
@@ -570,7 +535,7 @@ let metric_lines prefix (sn : Memprof.Record.snapshot) =
       (fun c ->
         Printf.sprintf "%s %d" c
           (Obs.Metrics.counter_value (Obs.Metrics.counter (prefix ^ "." ^ c))))
-      [ "accesses.read"; "accesses.write"; "instances" ]
+      counters
 
 let same_lines what expected got =
   let rec go i = function
@@ -583,9 +548,11 @@ let same_lines what expected got =
   in
   go 0 (expected, got)
 
-(* One recorded round-scheduled simulation, from fresh metrics; with
-   [oracle], the oracle watches the same engine through a tee. *)
-let recorded_run ?(oracle = false) ~jobs (r : Cfd_core.Compile.result) system n =
+(* One recorded simulation (round-scheduled unless [strategy] says
+   otherwise), from fresh metrics; with [oracle], the oracle watches the
+   same engine through a tee. *)
+let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
+    ~jobs (r : Cfd_core.Compile.result) system n =
   Obs.Metrics.reset ();
   Memprof.Record.enable ();
   if oracle then begin
@@ -614,8 +581,8 @@ let recorded_run ?(oracle = false) ~jobs (r : Cfd_core.Compile.result) system n 
   end;
   Fun.protect ~finally:Memprof.Record.disable (fun () ->
       ignore
-        (Sim.Functional.run ~jobs ~strategy:Sim.Functional.Round_scheduled
-           ~system ~proc:r.Cfd_core.Compile.proc
+        (Sim.Functional.run ~jobs ~strategy ~system
+           ~proc:r.Cfd_core.Compile.proc
            ~inputs:(Cfd_core.Costing.synthetic_inputs system)
            ~n ()));
   Memprof.Record.snapshot ()
@@ -627,26 +594,48 @@ let test_recorder_matches_oracle () =
       let osn = Oracle.snapshot () in
       Alcotest.(check bool) (what ^ ": accesses recorded") true
         (sn.Memprof.Record.sn_accesses > 0);
-      same_lines (what ^ " snapshot")
-        (snapshot_lines ~positions:true osn)
-        (snapshot_lines ~positions:true { sn with Memprof.Record.sn_dma = [] });
+      same_lines (what ^ " snapshot") (snapshot_lines osn)
+        (snapshot_lines { sn with Memprof.Record.sn_dma = [] });
       same_lines (what ^ " metrics")
         (metric_lines "memprof_oracle" osn)
         (metric_lines "memprof" sn))
     (Lazy.force recorder_cases)
 
+(* Whatever the strategy and job count, a run records what the
+   round-scheduled jobs:1 run does: snapshot and DMA ledger, pressure
+   histograms and every [memprof.*] counter. *)
 let test_recorder_jobs_invariant () =
   List.iter
     (fun (what, r, system, n) ->
-      let lines jobs =
-        let sn = recorded_run ~jobs r system n in
-        snapshot_lines ~positions:false sn @ metric_lines "memprof" sn
+      let lines strategy jobs =
+        let sn = recorded_run ~strategy ~jobs r system n in
+        snapshot_lines sn
+        @ metric_lines
+            ~counters:
+              [
+                "accesses.read";
+                "accesses.write";
+                "instances";
+                "dma.words_in";
+                "dma.words_out";
+              ]
+            "memprof" sn
       in
-      let seq = lines 1 in
+      let reference = lines Sim.Functional.Round_scheduled 1 in
       List.iter
-        (fun jobs ->
-          same_lines (Printf.sprintf "%s jobs:%d" what jobs) seq (lines jobs))
-        [ 2; 4 ])
+        (fun (strategy, jobs) ->
+          same_lines
+            (Printf.sprintf "%s %s jobs:%d" what
+               (Sim.Functional.strategy_name strategy)
+               jobs)
+            reference (lines strategy jobs))
+        [
+          (Sim.Functional.Sharded, 1);
+          (Sim.Functional.Sharded, 2);
+          (Sim.Functional.Sharded, 4);
+          (Sim.Functional.Round_scheduled, 2);
+          (Sim.Functional.Round_scheduled, 4);
+        ])
     (Lazy.force recorder_cases)
 
 (* ------------------------------------------------------------------ *)

@@ -15,10 +15,9 @@
    subsequent one.
 
    Plus unit tests for the strategy-aware jobs default, the CLI
-   strategy spellings, the recorder guard (sharded + [Memprof.Record]
-   must be refused — the recorder's DMA ledger and instance order exist
-   only in round order), and
-   the [sim.shard] span / [sim.shards] counter telemetry.
+   strategy spellings, the [Memprof.Record] DMA ledger (keyed by each
+   element's PLM set under both strategies), and the [sim.shard] span /
+   [sim.shards] counter telemetry.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
 
@@ -360,30 +359,54 @@ let test_strategy_spellings () =
         (contains ~sub:"bogus" m)
 
 (* ------------------------------------------------------------------ *)
-(* Recorder guard: sharded + Memprof.Record must be refused            *)
+(* Recorder DMA ledger: one ledger whichever strategy stages the data  *)
 (* ------------------------------------------------------------------ *)
 
-let test_memprof_guard () =
+(* n = 10 on k = 2, m = 4: a padded final block, and three shards at
+   jobs:3 whose frame slots are not the elements' PLM sets. Both
+   strategies must file element e under set e mod m. *)
+let test_memprof_dma_ledger () =
   let sut = error_sut in
-  Memprof.Record.reset ();
-  Memprof.Record.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Memprof.Record.disable ();
-      Memprof.Record.reset ())
-    (fun () ->
-      let m =
-        error_message (fun () ->
-            run sut ~strategy:Sim.Functional.Sharded ~jobs:1 ~n:4)
-      in
-      Alcotest.(check bool) "diagnostic points at round-scheduled" true
-        (contains ~sub:"round-scheduled" m);
-      (* The faithful schedule still records: the snapshot sees the DMA
-         traffic of the run. *)
-      let _ = run sut ~strategy:Sim.Functional.Round_scheduled ~jobs:1 ~n:4 in
-      let snap = Memprof.Record.snapshot () in
-      Alcotest.(check bool) "round-scheduled run reached the recorder" true
-        (snap.Memprof.Record.sn_dma <> []))
+  let n = 10 and m = sut.system.Sysgen.System.solution.Sysgen.Replicate.m in
+  let words trs =
+    List.fold_left
+      (fun acc (tr : Sysgen.System.transfer) ->
+        acc + (tr.Sysgen.System.bytes / 8))
+      0 trs
+  in
+  let host = sut.system.Sysgen.System.host in
+  let w_in = words host.Sysgen.System.per_element_in
+  and w_out = words host.Sysgen.System.per_element_out in
+  let expected =
+    List.init m (fun set ->
+        let elements = (n - set + m - 1) / m in
+        (set, elements * w_in, elements * w_out))
+  in
+  let ledger strategy ~jobs =
+    Memprof.Record.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Memprof.Record.disable ();
+        Memprof.Record.reset ())
+      (fun () ->
+        let _ = run sut ~strategy ~jobs ~n in
+        List.map
+          (fun (d : Memprof.Record.dma_stats) ->
+            (d.Memprof.Record.d_set, d.Memprof.Record.d_words_in,
+             d.Memprof.Record.d_words_out))
+          (Memprof.Record.snapshot ()).Memprof.Record.sn_dma)
+  in
+  List.iter
+    (fun (strategy, jobs) ->
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "%s jobs:%d: (set, words in, words out)"
+           (Sim.Functional.strategy_name strategy) jobs)
+        expected (ledger strategy ~jobs))
+    [
+      (Sim.Functional.Round_scheduled, 1);
+      (Sim.Functional.Sharded, 1);
+      (Sim.Functional.Sharded, 3);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: sim.shard spans and the sim.shards counter               *)
@@ -445,7 +468,10 @@ let suite =
         case "strategy spellings" test_strategy_spellings;
       ] );
     ( "sim.par.memprof",
-      [ case "recorder refuses sharded, records round" test_memprof_guard ] );
+      [
+        case "both strategies feed the same DMA ledger"
+          test_memprof_dma_ledger;
+      ] );
     ( "sim.par.obs",
       [ case "shard spans and counter" test_shard_telemetry ] );
   ]

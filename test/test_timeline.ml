@@ -60,7 +60,9 @@ let test_every_kernel_phase_sums () =
   List.iter
     (fun file ->
       let r = compile_kernel file in
-      let report = Timeline.analyze ~n_elements:512 r in
+      let report =
+        Timeline.analyze ~audit:(Compile.audit r) ~n_elements:512 r
+      in
       Alcotest.(check bool) (file ^ ": passed") true (Timeline.passed report);
       (match Timeline.find_leg report "plain" with
       | None -> Alcotest.failf "%s: no plain leg" file
@@ -96,7 +98,7 @@ let test_derived_metrics_consistent () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   let report =
     Timeline.analyze ~force_k:8 ~force_m:16 ~overlap:Timeline.Require
-      ~n_elements:2048 r
+      ~audit:(Compile.audit r) ~n_elements:2048 r
   in
   Alcotest.(check bool) "passed" true (Timeline.passed report);
   let leg label =
@@ -216,7 +218,7 @@ let test_require_policy_diagnostic () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   let report =
     Timeline.analyze ~force_k:8 ~force_m:8 ~overlap:Timeline.Require
-      ~n_elements:64 r
+      ~audit:(Compile.audit r) ~n_elements:64 r
   in
   Alcotest.(check bool) "overlapped leg withheld" true
     (Timeline.find_leg report "overlapped" = None);
@@ -231,7 +233,10 @@ let test_require_policy_diagnostic () =
    k (largest divisor of m with 2k <= m). *)
 let test_auto_policy_reshapes () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
-  let report = Timeline.analyze ~force_k:8 ~force_m:8 ~n_elements:64 r in
+  let report =
+    Timeline.analyze ~force_k:8 ~force_m:8 ~audit:(Compile.audit r)
+      ~n_elements:64 r
+  in
   Alcotest.(check bool) "passed" true (Timeline.passed report);
   match Timeline.find_leg report "overlapped" with
   | None -> Alcotest.fail "Auto policy should reshape, not skip"
@@ -248,7 +253,9 @@ let test_auto_policy_reshapes () =
 let test_chrome_trace_deterministic () =
   let r = compile_kernel "mass.cfd" in
   let render () =
-    let report = Timeline.analyze ~n_elements:128 r in
+    let report =
+      Timeline.analyze ~audit:(Compile.audit r) ~n_elements:128 r
+    in
     ( Obs.Json.to_string (Timeline.chrome_trace report),
       Obs.Json.to_string (Timeline.to_json report) )
   in
