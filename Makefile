@@ -151,12 +151,16 @@ timeline: build
 	@echo "timeline: all kernels traced (plain and overlapped legs, JSON valid)"
 
 # Build everything, run the full suite, then smoke-test the exploration
-# engine at jobs=1 and jobs=4 (the sweep itself asserts the two agree in
-# test/test_differential.ml; this exercises the CLI path end to end) and
-# the compiled execution engine at a small polynomial order.
+# engine at jobs=1 and at jobs=4 with the static pre-filter (the sweep
+# itself asserts the two agree in test/test_differential.ml; this
+# exercises the CLI path end to end), after the compiled execution
+# engine at a small polynomial order (exec), and run the memprof
+# overhead benchmark into bench-out/, leaving the committed
+# BENCH_memprof.json alone.
 ci: build test lint profile memprof timeline exec cache history
 	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 1 --stats
-	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 4 --stats
+	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 4 --prefilter --stats
+	$(DUNE) exec bench/main.exe -- memprof --no-trace --out=bench-out
 
 clean:
 	$(DUNE) clean

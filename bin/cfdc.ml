@@ -356,8 +356,18 @@ let do_system file name factorize decoupled sharing elements k m oo =
       prerr_endline ("cfdc: infeasible: " ^ msg);
       fatal ("infeasible: " ^ msg)
 
+(* An element count: a run over fewer than one element has no meaning. *)
+let elements_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is below 1" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let elements_arg =
-  Arg.(value & opt int 50000 & info [ "elements" ] ~doc:"Number of CFD elements to simulate")
+  Arg.(value & opt elements_conv 50000 & info [ "elements" ]
+         ~doc:"Number of CFD elements to simulate")
 
 let k_arg = Arg.(value & opt (some int) None & info [ "k" ] ~doc:"Force k accelerators")
 let m_arg = Arg.(value & opt (some int) None & info [ "m" ] ~doc:"Force m PLM sets")
@@ -474,51 +484,25 @@ let explore_cmd =
       const do_explore $ file_arg $ elements_arg $ jobs_arg $ prefilter_arg
       $ stats_arg $ cache_dir_arg $ obs_opts_term)
 
-(* ---- functional-simulation strategy flag (profile) ---- *)
-
-let strategy_conv =
-  let parse s =
-    match Sim.Functional.strategy_of_string s with
-    | Ok v -> Ok v
-    | Error msg -> Error (`Msg msg)
-  in
-  let print fmt s = Format.pp_print_string fmt (Sim.Functional.strategy_name s) in
-  Arg.conv (parse, print)
-
-let strategy_arg =
-  Arg.(value & opt strategy_conv Sim.Functional.Sharded
-       & info [ "strategy" ] ~docv:"STRATEGY"
-           ~doc:"Functional-simulation scheduling strategy: $(b,shard) \
-                 (element-sharded, one long-lived task per domain — the \
-                 multi-core fast path, and the default) or $(b,round) \
-                 (controller-round-faithful). Results and the PLM access \
-                 recorder's profile are the same under either")
-
 (* ---- memprof command ---- *)
 
-(* Run the functional simulator with the PLM access recorder on and
-   return (elements, snapshot); [None] when no feasible system exists
-   (the audits do not need one). *)
+let simulation_failed msg =
+  prerr_endline ("cfdc: functional simulation failed: " ^ msg);
+  fatal ("functional simulation failed: " ^ msg)
+
+(* The recorded simulation leg as (elements, snapshot); [None] when no
+   feasible system exists (the audits do not need one). *)
 let recorded_sim_leg r ~elements ~sim_n =
   match Cfd_core.Compile.build_system ~n_elements:elements r with
   | exception Sysgen.Replicate.Infeasible msg ->
       Format.eprintf "cfdc: memprof: skipping simulation leg (infeasible: %s)@."
         msg;
       None
-  | sys ->
+  | sys -> (
       Sysgen.System.validate sys;
-      Memprof.Record.enable ();
-      Fun.protect
-        ~finally:(fun () -> Memprof.Record.disable ())
-        (fun () ->
-          match
-            Sim.Functional.run ~system:sys ~proc:r.Cfd_core.Compile.proc
-              ~inputs:(Cfd_core.Costing.synthetic_inputs sys) ~n:sim_n ()
-          with
-          | _ -> Some (sim_n, Memprof.Record.snapshot ())
-          | exception Sim.Functional.Error msg ->
-              prerr_endline ("cfdc: functional simulation failed: " ^ msg);
-              fatal ("functional simulation failed: " ^ msg))
+      match Cfd_core.Costing.recorded_sim ~system:sys ~n:sim_n r with
+      | snap -> Some (sim_n, snap)
+      | exception Sim.Functional.Error msg -> simulation_failed msg)
 
 (* Each memgen mode audited once under the compile options in force, as
    (mode, audit), no-sharing first. *)
@@ -641,7 +625,7 @@ let do_timeline file name factorize decoupled sharing elements k m overlap
   if not (Cfd_core.Timeline.passed report) then timeline_failed ()
 
 let timeline_elements_arg =
-  Arg.(value & opt int 2048 & info [ "elements" ] ~docv:"N"
+  Arg.(value & opt elements_conv 2048 & info [ "elements" ] ~docv:"N"
          ~doc:"Number of CFD elements the modeled run covers (bounds the \
                event count: every block contributes its phase instances)")
 
@@ -694,7 +678,7 @@ let timeline_cmd =
 (* ---- profile command ---- *)
 
 let do_profile file name factorize decoupled sharing elements sim_n jobs
-    strategy timeline_out oo =
+    timeline_out oo =
   (* Tracing is always on for a profile run; the human summary prints
      unless the caller asked only for file sinks. *)
   obs_setup ~force_summary:(oo.oo_trace = None && oo.oo_metrics = None) oo;
@@ -718,31 +702,18 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       Sysgen.System.validate sys;
       let board = Sysgen.Replicate.default_config.Sysgen.Replicate.board in
       let hw = Sim.Perf.run_hw ~system:sys ~board in
-      (* Functional simulation of a small batch with deterministic
-         synthetic inputs: enough to light up the engine, pool and DMA
-         counters without replaying the full element count. *)
-      let inputs = Cfd_core.Costing.synthetic_inputs sys in
+      (* Functional simulation of a small batch: enough to light up the
+         engine, pool and DMA counters without replaying the full element
+         count. It doubles as the memprof recorder run. *)
       let jobs = if jobs <= 0 then None else Some jobs in
-      (* The simulation leg doubles as the memprof recorder run: engines
-         compiled while the recorder is enabled report PLM accesses and
-         DMA volumes into the production-path store, under either
-         strategy. *)
-      Memprof.Record.enable ();
-      (match
-         Fun.protect
-           ~finally:(fun () -> Memprof.Record.disable ())
-           (fun () ->
-             Sim.Functional.run ?jobs ~strategy ~system:sys
-               ~proc:r.Cfd_core.Compile.proc ~inputs ~n:sim_n ())
-       with
-      | _ -> ()
-      | exception Sim.Functional.Error msg ->
-          prerr_endline ("cfdc: functional simulation failed: " ^ msg);
-          fatal ("functional simulation failed: " ^ msg));
+      let snap =
+        match Cfd_core.Costing.recorded_sim ?jobs ~system:sys ~n:sim_n r with
+        | snap -> snap
+        | exception Sim.Functional.Error msg -> simulation_failed msg
+      in
       let audits = run_audits r in
       let mreport =
-        Memprof.Report.make ~kernel:name
-          ~sim:(sim_n, Memprof.Record.snapshot ())
+        Memprof.Report.make ~kernel:name ~sim:(sim_n, snap)
           (List.map snd audits)
       in
       Format.printf "kernel: %s (%s)@." name file;
@@ -750,9 +721,7 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       (if diags = [] then Format.printf "check: OK@."
        else Format.printf "check: %s@." (Analysis.Diagnostic.summary diags));
       Format.printf "performance (%d elements): %a@." elements Sim.Perf.pp_hw hw;
-      Format.printf "functional simulation: %d elements OK (%s strategy)@."
-        sim_n
-        (Sim.Functional.strategy_name strategy);
+      Format.printf "functional simulation: %d elements OK@." sim_n;
       Format.printf "%a@?" Memprof.Report.pp mreport;
       if not (Memprof.Report.passed mreport) then fatal "memprof audit failed";
       (* Device-cycle timeline leg: its PLM tracks join the audit of the
@@ -789,7 +758,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const do_profile $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ elements_arg $ sim_elements_arg $ jobs_arg $ strategy_arg
+      $ sharing_arg $ elements_arg $ sim_elements_arg $ jobs_arg
       $ profile_timeline_arg $ obs_opts_term)
 
 (* ---- cost command ---- *)

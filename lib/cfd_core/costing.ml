@@ -65,22 +65,23 @@ let synthetic_inputs (sys : Sysgen.System.t) =
               float_of_int ((((e + 1) * 31) + i) mod 97) /. 97.) ))
       shapes
 
+(* The recorder's probe gate is at compile time, so the engine must be
+   compiled inside the enabled window — Functional.run does that. *)
+let recorded_sim ?jobs ~system ~n (r : Compile.result) =
+  Memprof.Record.enable ();
+  Fun.protect
+    ~finally:(fun () -> Memprof.Record.disable ())
+    (fun () ->
+      ignore
+        (Sim.Functional.run ?jobs ~system ~proc:r.Compile.proc
+           ~inputs:(synthetic_inputs system) ~n ());
+      Memprof.Record.snapshot ())
+
 let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
   let proc = r.Compile.proc in
   let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let in0 = v "sim.dma.bytes_in" and out0 = v "sim.dma.bytes_out" in
-  (* The recorder's probe gate is at compile time, so the engine must be
-     compiled inside the enabled window — Functional.run does that. *)
-  Memprof.Record.enable ();
-  let snap =
-    Fun.protect
-      ~finally:(fun () -> Memprof.Record.disable ())
-      (fun () ->
-        ignore
-          (Sim.Functional.run ~system ~proc ~inputs:(synthetic_inputs system)
-             ~n:sim_n ());
-        Memprof.Record.snapshot ())
-  in
+  let snap = recorded_sim ~system ~n:sim_n r in
   let hw = Sim.Perf.run_hw ~system ~board in
   {
     Cost.obs_elements = sim_n;

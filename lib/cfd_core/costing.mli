@@ -58,6 +58,20 @@ val synthetic_inputs : Sysgen.System.t -> int -> (string * float array) list
     ([cfdc cost --diff], [memprof], [profile]): element [e]'s word [i]
     of each input transfer is [(((e + 1) * 31) + i) mod 97 / 97]. *)
 
+val recorded_sim :
+  ?jobs:int ->
+  system:Sysgen.System.t ->
+  n:int ->
+  Compile.result ->
+  Memprof.Record.snapshot
+(** The recorded simulation leg of [cfdc cost --diff], [memprof] and
+    [profile]: one {!Sim.Functional.run} of [n] elements on
+    {!synthetic_inputs} under the default strategy ([jobs] as there),
+    with the PLM access recorder ([Memprof.Record]) enabled around it;
+    returns the recorder's snapshot. The recorder is disabled again on
+    return.
+    @raise Sim.Functional.Error when the simulation fails. *)
+
 val observe :
   ?sim_n:int ->
   system:Sysgen.System.t ->

@@ -31,7 +31,10 @@
      in range, see [Analysis.Verify.execution_mode]) — loads and stores
      are unchecked array accesses; [Checked] keeps Interp-style dynamic
      checks; [Debug] additionally replays every run through [Interp] on
-     a copy of the frame and insists on bit-identical parameter buffers.
+     a copy of the frame and insists on bit-identical parameter buffers;
+   - a memory probe is a layer of the same compiler, not a second one:
+     the same closures carry its events, and only the shape
+     specializations, which would bypass it, are left out.
 
    All mutable execution state lives in the frame, never in the
    compiled closures, so one compiled program can drive any number of
@@ -61,8 +64,7 @@ type frame = {
   cur : int array;  (* access cursor -> current linear index *)
   vars : int array;
       (* loop depth -> current iteration value of the enclosing loop at
-         that depth; written only by probe-instrumented loops, length 1
-         otherwise *)
+         that depth; written only by probed loops *)
 }
 
 (* --- memory probe ------------------------------------------------------ *)
@@ -123,7 +125,7 @@ type t = {
   ops : op array;
   stmts_per_run : int;  (* leaf statements executed by one run *)
   iters_per_run : int;  (* loop iterations executed by one run *)
-  n_vars : int;  (* loop nesting depth (probe-instrumented only) *)
+  n_vars : int;  (* loop nesting depth *)
   probed : bool;
 }
 
@@ -137,7 +139,7 @@ type state = {
   mutable st_nscal : int;
   mutable st_bases : int list;  (* reversed *)
   mutable st_ncur : int;
-  mutable st_nvars : int;  (* loop nesting depth, instrumented path only *)
+  mutable st_nvars : int;  (* loop nesting depth *)
   mutable st_nsites : int;  (* probe sites numbered so far (pre-order) *)
 }
 
@@ -176,53 +178,86 @@ let cursor st (env : loop_env) (ix : Ix.t) =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A probe is a layer of this one compiler. Every compile function takes
+   [?probe], and [site] numbers the enclosing leaf in pre-order whether
+   or not a probe is attached. Without a probe they build the plain
+   closures. With one they build the same closures plus its events: an
+   array access reports (site, slot, index, direction), a leaf reports
+   its instance before it runs, and a loop keeps its current iteration
+   value in the frame's [vars] at its nesting depth, so a leaf at depth
+   [d] hands the probe the frame's array itself: its first [d] entries
+   are exactly the enclosing loop values. *)
+
 let checked_get name arr i =
   if i < 0 || i >= Array.length arr then
     errf "load %s[%d] out of bounds (size %d)" name i (Array.length arr);
   Array.unsafe_get arr i
 
-let rec compile_expr st env ~check (e : Prog.fexpr) : frame -> float =
+let rec compile_expr st env ~check ?probe ~site (e : Prog.fexpr) :
+    frame -> float =
+  let operand = compile_expr st env ~check ?probe ~site in
+  let probed = Option.is_some probe in
   match e with
   | Prog.Const f -> fun _ -> f
   | Prog.Scalar s ->
       let i = scalar_slot st s in
       fun fr -> Array.unsafe_get fr.scal i
-  | Prog.Load (a, ix) ->
+  (* Probed loads report inline instead of wrapping the plain closure, as
+     stores do: loads are a probed run's hot access (two per MAC), where
+     the wrapper's extra call shows. A checked load out of range raises
+     before its event. *)
+  | Prog.Load (a, ix) -> (
       let s = array_slot st a in
       let c = cursor st env ix in
-      if check then fun fr ->
-        checked_get a fr.bufs.(s) (Array.unsafe_get fr.cur c)
-      else fun fr ->
-        Array.unsafe_get
-          (Array.unsafe_get fr.bufs s)
-          (Array.unsafe_get fr.cur c)
+      match probe with
+      | None when check ->
+          fun fr -> checked_get a fr.bufs.(s) (Array.unsafe_get fr.cur c)
+      | None ->
+          fun fr ->
+            Array.unsafe_get
+              (Array.unsafe_get fr.bufs s)
+              (Array.unsafe_get fr.cur c)
+      | Some p when check ->
+          fun fr ->
+            let i = Array.unsafe_get fr.cur c in
+            let v = checked_get a fr.bufs.(s) i in
+            p.on_access ~site ~slot:s ~index:i ~write:false;
+            v
+      | Some p ->
+          fun fr ->
+            let i = Array.unsafe_get fr.cur c in
+            p.on_access ~site ~slot:s ~index:i ~write:false;
+            Array.unsafe_get (Array.unsafe_get fr.bufs s) i)
+  (* A probe sees the reads left to right, so probed operands evaluate in
+     textual order; the plain closures leave the order to OCaml (right to
+     left, as [Interp]'s do). *)
   | Prog.Add (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
-      fun fr -> fx fr +. fy fr
+      let fx = operand x and fy = operand y in
+      if probed then fun fr -> let a = fx fr in a +. fy fr
+      else fun fr -> fx fr +. fy fr
   | Prog.Sub (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
-      fun fr -> fx fr -. fy fr
+      let fx = operand x and fy = operand y in
+      if probed then fun fr -> let a = fx fr in a -. fy fr
+      else fun fr -> fx fr -. fy fr
   | Prog.Mul (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
-      fun fr -> fx fr *. fy fr
+      let fx = operand x and fy = operand y in
+      if probed then fun fr -> let a = fx fr in a *. fy fr
+      else fun fr -> fx fr *. fy fr
   | Prog.Div (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
-      fun fr -> fx fr /. fy fr
+      let fx = operand x and fy = operand y in
+      if probed then fun fr -> let a = fx fr in a /. fy fr
+      else fun fr -> fx fr /. fy fr
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_write st env ~check ~accumulate a ix value : op =
+let compile_write st env ~check ?probe ~site ~accumulate a ix value : op =
   let s = array_slot st a in
   let c = cursor st env ix in
-  let value = compile_expr st env ~check value in
-  if check then
-    fun fr ->
+  let value = compile_expr st env ~check ?probe ~site value in
+  let store =
+    if check then fun fr ->
       let v = value fr in
       let arr = fr.bufs.(s) in
       let i = Array.unsafe_get fr.cur c in
@@ -230,29 +265,41 @@ let compile_write st env ~check ~accumulate a ix value : op =
         errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
       Array.unsafe_set arr i
         (if accumulate then Array.unsafe_get arr i +. v else v)
-  else if accumulate then fun fr ->
-    let arr = Array.unsafe_get fr.bufs s in
-    let i = Array.unsafe_get fr.cur c in
-    Array.unsafe_set arr i (Array.unsafe_get arr i +. value fr)
-  else fun fr ->
-    Array.unsafe_set
-      (Array.unsafe_get fr.bufs s)
-      (Array.unsafe_get fr.cur c) (value fr)
+    else if accumulate then fun fr ->
+      let arr = Array.unsafe_get fr.bufs s in
+      let i = Array.unsafe_get fr.cur c in
+      Array.unsafe_set arr i (Array.unsafe_get arr i +. value fr)
+    else fun fr ->
+      Array.unsafe_set
+        (Array.unsafe_get fr.bufs s)
+        (Array.unsafe_get fr.cur c) (value fr)
+  in
+  match probe with
+  | None -> store
+  | Some p ->
+      (* the value's reads run inside [store], so they reach the probe
+         before the write does; a store out of range raises first *)
+      fun fr ->
+        store fr;
+        p.on_access ~site ~slot:s ~index:(Array.unsafe_get fr.cur c)
+          ~write:true
 
-let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
+let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
+  (* Specialized shapes, for unchecked unprobed code only: the checked
+     path keeps the uniform closures so the dynamic checks stay in one
+     place, and the probed path so every access reaches the probe. These
+     are the statements scalarized tensor kernels spend their time in. *)
+  let fast = not check && Option.is_none probe in
   match stmt with
-  | Prog.For l -> compile_loop st env ~check l
-  (* Specialized shapes (unchecked mode only; the checked path keeps the
-     uniform closures so the dynamic checks stay in one place). These are
-     the statements scalarized tensor kernels spend their time in. *)
-  | Prog.Store { array; index; value = Prog.Const k } when not check ->
+  | Prog.For _ -> assert false (* loops go to [compile_loop] *)
+  | Prog.Store { array; index; value = Prog.Const k } when fast ->
       let s = array_slot st array in
       let c = cursor st env index in
       fun fr ->
         Array.unsafe_set
           (Array.unsafe_get fr.bufs s)
           (Array.unsafe_get fr.cur c) k
-  | Prog.Store { array; index; value = Prog.Load (b, ixb) } when not check ->
+  | Prog.Store { array; index; value = Prog.Load (b, ixb) } when fast ->
       let sd = array_slot st array in
       let cd = cursor st env index in
       let sb = array_slot st b in
@@ -264,7 +311,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
           (Array.unsafe_get
              (Array.unsafe_get fr.bufs sb)
              (Array.unsafe_get fr.cur cb))
-  | Prog.Store { array; index; value = Prog.Scalar x } when not check ->
+  | Prog.Store { array; index; value = Prog.Scalar x } when fast ->
       let s = array_slot st array in
       let c = cursor st env index in
       let i = scalar_slot st x in
@@ -275,7 +322,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
           (Array.unsafe_get fr.scal i)
   | Prog.Accum
       { array; index; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when not check ->
+    when fast ->
       (* contraction MAC: a[ia] += b[ib] * d[id] *)
       let sa = array_slot st array in
       let ca = cursor st env index in
@@ -297,7 +344,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
                   (Array.unsafe_get cur cd))
   | Prog.Acc_scalar
       { name; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when not check ->
+    when fast ->
       (* scalar MAC: acc += b[ib] * d[id] (scalarized reductions) *)
       let i = scalar_slot st name in
       let sb = array_slot st b in
@@ -314,23 +361,45 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
                   (Array.unsafe_get fr.bufs sd)
                   (Array.unsafe_get fr.cur cd))
   | Prog.Store { array; index; value } ->
-      compile_write st env ~check ~accumulate:false array index value
+      compile_write st env ~check ?probe ~site ~accumulate:false array index
+        value
   | Prog.Accum { array; index; value } ->
-      compile_write st env ~check ~accumulate:true array index value
+      compile_write st env ~check ?probe ~site ~accumulate:true array index
+        value
   | Prog.Set_scalar { name; value } ->
-      let value = compile_expr st env ~check value in
+      let value = compile_expr st env ~check ?probe ~site value in
       let i = scalar_slot st name in
       fun fr -> Array.unsafe_set fr.scal i (value fr)
   | Prog.Acc_scalar { name; value } ->
-      let value = compile_expr st env ~check value in
+      let value = compile_expr st env ~check ?probe ~site value in
       let i = scalar_slot st name in
       fun fr ->
         Array.unsafe_set fr.scal i (Array.unsafe_get fr.scal i +. value fr)
 
-and compile_loop st env ~check (l : Prog.loop) : op =
+(* [outer] names the enclosing loop variables, innermost first; its
+   length is the statement's loop depth. *)
+let rec compile_stmt st env ~check ?probe ~outer (stmt : Prog.stmt) : op =
+  match stmt with
+  | Prog.For l -> compile_loop st env ~check ?probe ~outer l
+  | leaf -> (
+      let site = st.st_nsites in
+      st.st_nsites <- site + 1;
+      match probe with
+      | None -> compile_leaf st env ~check ~site leaf
+      | Some p ->
+          p.on_site ~site ~vars:(Array.of_list (List.rev outer)) ~stmt:leaf;
+          let body = compile_leaf st env ~check ~probe:p ~site leaf in
+          fun fr ->
+            p.on_instance ~site ~values:fr.vars;
+            body fr)
+
+and compile_loop st env ~check ?probe ~outer (l : Prog.loop) : op =
+  let depth = List.length outer in
+  st.st_nvars <- max st.st_nvars (depth + 1);
   let incs = ref [] in
   let body =
-    Array.of_list (List.map (compile_stmt st ((l.var, incs) :: env) ~check) l.body)
+    compile_body st ((l.var, incs) :: env) ~check ?probe
+      ~outer:(l.var :: outer) l.body
   in
   let curs = Array.of_list (List.map fst !incs) in
   let strides = Array.of_list (List.map snd !incs) in
@@ -365,181 +434,46 @@ and compile_loop st env ~check (l : Prog.loop) : op =
         (Array.unsafe_get cur c + Array.unsafe_get strides j)
     done
   in
-  if nb = 1 then begin
-    let op0 = body.(0) in
-    fun fr ->
-      enter fr;
-      for _ = lo to hi - 1 do
-        op0 fr;
-        step fr
-      done;
-      leave fr
-  end
-  else fun fr ->
-    enter fr;
-    for _ = lo to hi - 1 do
-      for i = 0 to nb - 1 do
-        (Array.unsafe_get body i) fr
-      done;
-      step fr
-    done;
-    leave fr
-
-(* ------------------------------------------------------------------ *)
-(* Probe-instrumented compilation                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A separate generic path used only when a probe is installed: every
-   array access additionally reports (site, slot, index, direction),
-   every leaf reports its instance vector, and loops keep their current
-   iteration value in the frame's [vars] at their nesting depth, so a
-   leaf at depth [d] hands the probe the frame's array itself: its first
-   [d] entries are exactly the enclosing loop values.
-   The hot-path specializations above are deliberately not duplicated
-   here — profiled runs pay for observation, unprofiled runs pay one
-   atomic load at compile time. *)
-
-let rec pcompile_expr st env ~check ~(probe : probe) ~site (e : Prog.fexpr) :
-    frame -> float =
-  match e with
-  | Prog.Const f -> fun _ -> f
-  | Prog.Scalar s ->
-      let i = scalar_slot st s in
-      fun fr -> Array.unsafe_get fr.scal i
-  | Prog.Load (a, ix) ->
-      let s = array_slot st a in
-      let c = cursor st env ix in
-      if check then fun fr ->
-        let i = Array.unsafe_get fr.cur c in
-        let v = checked_get a fr.bufs.(s) i in
-        probe.on_access ~site ~slot:s ~index:i ~write:false;
-        v
-      else fun fr ->
-        let i = Array.unsafe_get fr.cur c in
-        probe.on_access ~site ~slot:s ~index:i ~write:false;
-        Array.unsafe_get (Array.unsafe_get fr.bufs s) i
-  (* operands in textual order, so reads reach the probe left to right *)
-  | Prog.Add (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
+  match probe with
+  | Some _ ->
       fun fr ->
-        let a = fx fr in
-        a +. fy fr
-  | Prog.Sub (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
+        enter fr;
+        for it = lo to hi - 1 do
+          fr.vars.(depth) <- it;
+          for i = 0 to nb - 1 do
+            (Array.unsafe_get body i) fr
+          done;
+          step fr
+        done;
+        leave fr
+  | None when nb = 1 ->
+      let op0 = body.(0) in
       fun fr ->
-        let a = fx fr in
-        a -. fy fr
-  | Prog.Mul (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
+        enter fr;
+        for _ = lo to hi - 1 do
+          op0 fr;
+          step fr
+        done;
+        leave fr
+  | None ->
       fun fr ->
-        let a = fx fr in
-        a *. fy fr
-  | Prog.Div (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr ->
-        let a = fx fr in
-        a /. fy fr
+        enter fr;
+        for _ = lo to hi - 1 do
+          for i = 0 to nb - 1 do
+            (Array.unsafe_get body i) fr
+          done;
+          step fr
+        done;
+        leave fr
 
-let pcompile_write st env ~check ~probe ~site ~accumulate a ix value : op =
-  let s = array_slot st a in
-  let c = cursor st env ix in
-  let value = pcompile_expr st env ~check ~probe ~site value in
-  fun fr ->
-    (* reads (inside [value]) first, then the write event, matching the
-       evaluation order of the unprobed closures *)
-    let v = value fr in
-    let arr = fr.bufs.(s) in
-    let i = Array.unsafe_get fr.cur c in
-    if check && (i < 0 || i >= Array.length arr) then
-      errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
-    probe.on_access ~site ~slot:s ~index:i ~write:true;
-    Array.unsafe_set arr i
-      (if accumulate then Array.unsafe_get arr i +. v else v)
-
-(* [outer] names the enclosing loop variables, innermost first; its
-   length is the statement's loop depth. *)
-let rec pcompile_stmt st env ~check ~probe ~outer (stmt : Prog.stmt) : op =
-  match stmt with
-  | Prog.For l -> pcompile_loop st env ~check ~probe ~outer l
-  | leaf ->
-      let site = st.st_nsites in
-      st.st_nsites <- site + 1;
-      probe.on_site ~site ~vars:(Array.of_list (List.rev outer)) ~stmt:leaf;
-      let body =
-        match leaf with
-        | Prog.For _ -> assert false
-        | Prog.Store { array; index; value } ->
-            pcompile_write st env ~check ~probe ~site ~accumulate:false array
-              index value
-        | Prog.Accum { array; index; value } ->
-            pcompile_write st env ~check ~probe ~site ~accumulate:true array
-              index value
-        | Prog.Set_scalar { name; value } ->
-            let value = pcompile_expr st env ~check ~probe ~site value in
-            let i = scalar_slot st name in
-            fun fr -> Array.unsafe_set fr.scal i (value fr)
-        | Prog.Acc_scalar { name; value } ->
-            let value = pcompile_expr st env ~check ~probe ~site value in
-            let i = scalar_slot st name in
-            fun fr ->
-              Array.unsafe_set fr.scal i
-                (Array.unsafe_get fr.scal i +. value fr)
-      in
-      fun fr ->
-        probe.on_instance ~site ~values:fr.vars;
-        body fr
-
-and pcompile_loop st env ~check ~probe ~outer (l : Prog.loop) : op =
-  let depth = List.length outer in
-  st.st_nvars <- max st.st_nvars (depth + 1);
-  let incs = ref [] in
-  let body =
-    (* left-to-right explicitly: site numbering must follow textual
-       order, and [List.map]'s evaluation order is unspecified *)
-    Array.of_list
-      (List.rev
-         (List.fold_left
-            (fun acc s ->
-              pcompile_stmt st
-                ((l.var, incs) :: env)
-                ~check ~probe ~outer:(l.var :: outer) s
-              :: acc)
-            [] l.body))
-  in
-  let curs = Array.of_list (List.map fst !incs) in
-  let strides = Array.of_list (List.map snd !incs) in
-  let nb = Array.length body and nc = Array.length curs in
-  let lo = l.Prog.lo and hi = l.Prog.hi in
-  let exit_mult = if hi > lo then hi else lo in
-  fun fr ->
-    let cur = fr.cur in
-    if lo <> 0 then
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c + (Array.unsafe_get strides j * lo))
-      done;
-    for it = lo to hi - 1 do
-      fr.vars.(depth) <- it;
-      for i = 0 to nb - 1 do
-        (Array.unsafe_get body i) fr
-      done;
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c + Array.unsafe_get strides j)
-      done
-    done;
-    if exit_mult <> 0 then
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c - (Array.unsafe_get strides j * exit_mult))
-      done
+(* Left to right, so that sites are numbered in textual order:
+   [List.map]'s evaluation order is unspecified. *)
+and compile_body st env ~check ?probe ~outer stmts : op array =
+  Array.of_list
+    (List.rev
+       (List.fold_left
+          (fun acc s -> compile_stmt st env ~check ?probe ~outer s :: acc)
+          [] stmts))
 
 (* ------------------------------------------------------------------ *)
 (* Program compilation                                                 *)
@@ -550,7 +484,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
     match probe with
     | Some _ -> probe
     | None -> (
-        (* the disabled gate: one atomic load, then the plain path *)
+        (* the disabled gate: one atomic load, then the plain closures *)
         match Atomic.get probe_provider with
         | None -> None
         | Some provider -> provider proc)
@@ -575,17 +509,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
     }
   in
   let check = mode <> Unchecked in
-  let ops =
-    match probe with
-    | None -> Array.of_list (List.map (compile_stmt st [] ~check) proc.Prog.body)
-    | Some probe ->
-        Array.of_list
-          (List.rev
-             (List.fold_left
-                (fun acc s ->
-                  pcompile_stmt st [] ~check ~probe ~outer:[] s :: acc)
-                [] proc.Prog.body))
-  in
+  let ops = compile_body st [] ~check ?probe ~outer:[] proc.Prog.body in
   (match mode with
   | Checked -> Obs.Metrics.incr c_mode_checked
   | Unchecked -> Obs.Metrics.incr c_mode_unchecked

@@ -91,9 +91,10 @@ val set_probe_provider : (Prog.proc -> probe option) option -> unit
 val compile : ?mode:mode -> ?probe:probe -> Prog.proc -> t
 (** One-time slot resolution, stride decomposition and closure
     generation. Default mode is [Checked]. When [probe] is given — or a
-    {!set_probe_provider} provider returns one — compilation takes the
-    instrumented path: generic (non-specialized) closures that report
-    every access to the probe; numeric results are unchanged.
+    {!set_probe_provider} provider returns one — the same compiler adds
+    the probe's events to the closures it builds; only the unchecked
+    shape specializations, which would bypass the probe, are left out.
+    Numeric results are unchanged.
     @raise Error on duplicate or undeclared arrays, or an index using a
     loop variable not bound by an enclosing loop. *)
 

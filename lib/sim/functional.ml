@@ -8,15 +8,6 @@ let strategy_name = function
   | Sharded -> "sharded"
   | Round_scheduled -> "round-scheduled"
 
-let strategy_of_string s : (strategy, string) result =
-  match s with
-  | "shard" | "sharded" -> Ok Sharded
-  | "round" | "round-scheduled" -> Ok Round_scheduled
-  | _ ->
-      Result.Error
-        (Printf.sprintf "unknown strategy %S (expected \"shard\" or \"round\")"
-           s)
-
 let default_jobs ~strategy ~n ~k =
   match strategy with
   (* Round-scheduled parallelism is bounded by the k accelerators of a

@@ -45,10 +45,6 @@ type strategy =
 val strategy_name : strategy -> string
 (** ["sharded"] / ["round-scheduled"]. *)
 
-val strategy_of_string : string -> (strategy, string) result
-(** Accepts ["shard"]/["sharded"] and ["round"]/["round-scheduled"]
-    (the CLI spellings). *)
-
 val default_jobs : strategy:strategy -> n:int -> k:int -> int
 (** The job count {!run} uses when [?jobs] is not given: the recommended
     domain count, capped by the available parallelism of the strategy —

@@ -48,6 +48,12 @@ let feasible config ~kernel ~plm_brams ~k ~m =
     ~within:(available config)
 
 let solve ?(config = default_config) ~kernel ~plm_brams ?force_k ?force_m () =
+  let at_least_one what = function
+    | Some v when v < 1 -> infeasible "forced %s = %d is below 1" what v
+    | _ -> ()
+  in
+  at_least_one "k" force_k;
+  at_least_one "m" force_m;
   let avail = available config in
   let mk k m =
     if m < k then infeasible "m = %d < k = %d" m k;

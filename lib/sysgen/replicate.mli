@@ -38,8 +38,9 @@ val solve :
   unit ->
   solution
 (** Maximizes [m = k] as a power of two unless [force_k]/[force_m] pin the
-    shape. @raise Infeasible when even k = m = 1 does not fit or the
-    forced shape violates Equation (3) or the power-of-two constraint. *)
+    shape. @raise Infeasible when even k = m = 1 does not fit, a forced
+    [k] or [m] is below 1, or the forced shape violates Equation (3) or
+    the power-of-two constraint. *)
 
 val max_m : ?config:config -> kernel:Fpga_platform.Resource.t -> plm_brams:int -> unit -> int
 (** Largest feasible power-of-two [m = k]; 0 when infeasible. *)

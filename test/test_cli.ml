@@ -107,10 +107,10 @@ let test_profile_ok () =
   Sys.remove metrics;
   Sys.remove trace
 
-(* Both strategies on the profile pipeline, in every spelling and at
-   any jobs: the run succeeds, records the PLM profile and DMA ledger,
-   and the timeline leg joins the audit's port-pressure tracks. *)
-let test_profile_strategy_flags () =
+(* The profile pipeline at any jobs: the run succeeds, records the PLM
+   profile and DMA ledger, and the timeline leg joins the audit's
+   port-pressure tracks. *)
+let test_profile_jobs () =
   List.iter
     (fun args ->
       let what = "profile " ^ String.concat " " args in
@@ -134,11 +134,7 @@ let test_profile_strategy_flags () =
         [ "plm0"; "plm1"; "plm2" ];
       Alcotest.(check bool) (what ^ " joins port-pressure samples") false
         (contains ~sub:"samples 0" text))
-    [
-      [ "--strategy"; "shard"; "--jobs"; "3" ];
-      [ "--strategy"; "sharded" ];
-      [ "--strategy"; "round"; "--jobs"; "2" ];
-    ]
+    [ [ "--jobs"; "3" ]; [ "--jobs"; "2" ] ]
 
 (* Each memgen mode is audited once per profile run, whichever mode the
    kernel compiles in: one memprof.audit span per mode, and every
@@ -485,8 +481,8 @@ let test_bad_flags_rejected () =
       ("missing source", [ "memprof"; "/nonexistent/kernel.cfd" ]);
       ("no source argument", [ "memprof" ]);
       ("profile unknown flag", [ "profile"; kernel "mass.cfd"; "--bogus" ]);
-      ( "profile unknown strategy",
-        [ "profile"; kernel "mass.cfd"; "--strategy"; "bogus" ] );
+      ( "profile has no strategy",
+        [ "profile"; kernel "mass.cfd"; "--strategy"; "round" ] );
       ( "memprof has no strategy",
         [ "memprof"; kernel "mass.cfd"; "--strategy"; "round" ] );
       ( "profile missing source",
@@ -494,6 +490,34 @@ let test_bad_flags_rejected () =
       ("unknown subcommand", [ "memprofile" ]);
       ("unknown cache action", [ "cache"; "bogus" ]);
       ("cache without action", [ "cache" ]);
+    ]
+
+(* A forced shape or an element count below 1 ends in a message that
+   names it, never in an uncaught exception. *)
+let test_bad_shape_rejected () =
+  let out_dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "cfdc_cli_emit"
+  in
+  List.iter
+    (fun (args, names) ->
+      let what = String.concat " " args in
+      let code, text =
+        run_capture (List.hd args :: kernel "mass.cfd" :: List.tl args)
+      in
+      Alcotest.(check bool) (what ^ " exits non-zero") true (code <> 0);
+      Alcotest.(check bool) (what ^ " names " ^ names) true
+        (contains ~sub:names text);
+      Alcotest.(check bool) (what ^ " raises nothing") false
+        (contains ~sub:"Fatal error: exception" text))
+    [
+      ([ "system"; "-k"; "0" ], "forced k = 0 is below 1");
+      ([ "system"; "-m"; "0" ], "forced m = 0 is below 1");
+      ([ "system"; "-k-2" ], "forced k = -2 is below 1");
+      ([ "emit"; "-o"; out_dir; "-k"; "0" ], "forced k = 0 is below 1");
+      ([ "timeline"; "-m"; "0" ], "forced m = 0 is below 1");
+      ([ "system"; "--elements"; "0" ], "--elements");
+      ([ "system"; "--elements=-4" ], "--elements");
+      ([ "timeline"; "--elements"; "0" ], "--elements");
     ]
 
 let () =
@@ -507,8 +531,8 @@ let () =
             test_memprof_reproduces_paper;
           Alcotest.test_case "profile writes well-formed artifacts" `Quick
             test_profile_ok;
-          Alcotest.test_case "profile accepts both strategies" `Quick
-            test_profile_strategy_flags;
+          Alcotest.test_case "profile records at any job count" `Quick
+            test_profile_jobs;
           Alcotest.test_case "profile audits each mode once" `Quick
             test_profile_audits_once;
           Alcotest.test_case "timeline --json is well-formed" `Quick
@@ -517,6 +541,8 @@ let () =
             `Quick test_timeline_overlap_required;
           Alcotest.test_case "bad flags and missing files exit non-zero"
             `Quick test_bad_flags_rejected;
+          Alcotest.test_case "k, m or elements below 1 end in a message"
+            `Quick test_bad_shape_rejected;
         ] );
       ( "cache",
         [

@@ -16,7 +16,8 @@
    proc must be refused the unchecked fast path), the CFD_EXEC_DEBUG
    escape hatch, the persistent work pool, the [~jobs] plumbing of the
    functional simulator, and the memory probe's event stream against a
-   tree walk of the proc.
+   tree walk of the proc, with the probed run's buffers against an
+   unprobed run's.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
 
@@ -563,10 +564,11 @@ let walk_events (proc : Prog.proc) =
   List.iter (exec []) tree;
   List.rev !events
 
-(* The events a recording probe sees over one run: the array comes from
-   the slot map, and the loop values are the first [depth] entries of
-   the frame's array. *)
-let probe_events ~mode (proc : Prog.proc) =
+(* The events a recording probe sees over one run on [inputs], and the
+   parameter buffers the run leaves: the array comes from the slot map,
+   and the loop values are the first [depth] entries of the frame's
+   array. *)
+let probe_run ~mode ~inputs (proc : Prog.proc) =
   let names = Array.map fst (Compiled.array_slots proc) in
   let depth = Hashtbl.create 16 and events = ref [] in
   let emit e = events := e :: !events in
@@ -587,14 +589,34 @@ let probe_events ~mode (proc : Prog.proc) =
     }
   in
   let t = Compiled.compile ~mode ~probe proc in
-  Compiled.run t (Compiled.make_frame t);
-  List.rev !events
+  let fr = Compiled.make_frame t in
+  List.iter
+    (fun (name, src) ->
+      Array.blit src 0 (Compiled.buffer t fr name) 0 (Array.length src))
+    inputs;
+  Compiled.run t fr;
+  ( List.rev !events,
+    List.map
+      (fun (p : Prog.param) -> (p.Prog.name, Compiled.buffer t fr p.Prog.name))
+      proc.Prog.params )
 
+(* The probe contract: in each mode the probe sees the tree walk's
+   events, and the probed run leaves the same parameter bits as an
+   unprobed engine in that mode. Every parameter starts from non-zero
+   data, so a probed store that lost its accumulate shows. *)
 let check_probe_contract ~what proc =
   let expected = walk_events proc in
+  let inputs =
+    List.map
+      (fun (p : Prog.param) ->
+        ( p.Prog.name,
+          Array.init p.Prog.size (fun i ->
+              float_of_int ((i * 7 mod 23) + 1) /. 8.) ))
+      proc.Prog.params
+  in
   List.iter
-    (fun mode ->
-      let got = probe_events ~mode proc in
+    (fun (mode, mode_name) ->
+      let got, buffers = probe_run ~mode ~inputs proc in
       let rec first_diff i = function
         | e :: es, g :: gs ->
             if e = g then first_diff (i + 1) (es, gs)
@@ -609,8 +631,12 @@ let check_probe_contract ~what proc =
             Alcotest.failf "%s: probe saw extra event %d: %s" what i
               (event_string g)
       in
-      first_diff 0 (expected, got))
-    [ Compiled.Checked; Compiled.Unchecked ]
+      first_diff 0 (expected, got);
+      if not (buffers_identical buffers (Compiled.run_fresh ~mode proc ~inputs))
+      then
+        Alcotest.failf "%s: %s probed run differs from the unprobed engine"
+          what mode_name)
+    [ (Compiled.Checked, "checked"); (Compiled.Unchecked, "unchecked") ]
 
 let test_probe_operators () =
   List.iter

@@ -268,6 +268,25 @@ let test_replicate_rejects_bad_shapes () =
   expect_infeasible (fun () ->
       Sysgen.Replicate.solve ~kernel:kernel_resources ~plm_brams:31 ~force_k:16 ())
 
+(* A forced count below 1 is no shape at all: it must end in Infeasible,
+   not in a division by zero or a negative allocation further down. *)
+let test_replicate_rejects_nonpositive () =
+  List.iter
+    (fun (force_k, force_m, expect) ->
+      match
+        Sysgen.Replicate.solve ~kernel:kernel_resources ~plm_brams:18 ?force_k
+          ?force_m ()
+      with
+      | _ -> Alcotest.failf "expected Infeasible (%s)" expect
+      | exception Sysgen.Replicate.Infeasible msg ->
+          Alcotest.(check string) "message" expect msg)
+    [
+      (Some 0, None, "forced k = 0 is below 1");
+      (None, Some 0, "forced m = 0 is below 1");
+      (Some (-2), None, "forced k = -2 is below 1");
+      (Some 4, Some (-8), "forced m = -8 is below 1");
+    ]
+
 let test_replicate_dsp_bound () =
   (* a DSP-hungry kernel is limited by DSPs, not BRAM *)
   let fat = Resource.make ~lut:100 ~ff:100 ~dsp:1000 ~bram18:0 in
@@ -652,6 +671,8 @@ let suite =
         case "no sharing caps at 8" test_replicate_no_sharing_caps_at_8;
         case "forced batch" test_replicate_forced_batch;
         case "bad shapes rejected" test_replicate_rejects_bad_shapes;
+        case "forced k or m below 1 rejected"
+          test_replicate_rejects_nonpositive;
         case "dsp bound" test_replicate_dsp_bound;
         case "infeasible board" test_replicate_infeasible_board;
         case "table-I LUT model" test_table1_lut_model;

@@ -14,10 +14,10 @@
    the worker's backtrace preserved; a failed run never poisons a
    subsequent one.
 
-   Plus unit tests for the strategy-aware jobs default, the CLI
-   strategy spellings, the [Memprof.Record] DMA ledger (keyed by each
-   element's PLM set under both strategies), and the [sim.shard] span /
-   [sim.shards] counter telemetry.
+   Plus unit tests for the strategy-aware jobs default, the
+   [Memprof.Record] DMA ledger (keyed by each element's PLM set under
+   both strategies), and the [sim.shard] span / [sim.shards] counter
+   telemetry.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
 
@@ -339,25 +339,6 @@ let test_jobs_rejected_both_strategies () =
         Alcotest.failf "jobs:0 error %S does not mention jobs" m)
     [ Sim.Functional.Sharded; Sim.Functional.Round_scheduled ]
 
-let test_strategy_spellings () =
-  let check_ok s expect =
-    match Sim.Functional.strategy_of_string s with
-    | Ok got ->
-        Alcotest.(check string) ("spelling " ^ s)
-          (Sim.Functional.strategy_name expect)
-          (Sim.Functional.strategy_name got)
-    | Error m -> Alcotest.failf "spelling %s rejected: %s" s m
-  in
-  check_ok "shard" Sim.Functional.Sharded;
-  check_ok "sharded" Sim.Functional.Sharded;
-  check_ok "round" Sim.Functional.Round_scheduled;
-  check_ok "round-scheduled" Sim.Functional.Round_scheduled;
-  match Sim.Functional.strategy_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus strategy accepted"
-  | Error m ->
-      Alcotest.(check bool) "error names the bad spelling" true
-        (contains ~sub:"bogus" m)
-
 (* ------------------------------------------------------------------ *)
 (* Recorder DMA ledger: one ledger whichever strategy stages the data  *)
 (* ------------------------------------------------------------------ *)
@@ -465,7 +446,6 @@ let suite =
         case "default jobs formula per strategy" test_default_jobs_formula;
         case "jobs:0 rejected by both strategies"
           test_jobs_rejected_both_strategies;
-        case "strategy spellings" test_strategy_spellings;
       ] );
     ( "sim.par.memprof",
       [
