@@ -21,10 +21,12 @@
      iteration (strength reduction) instead of re-evaluating the affine
      form, entering with [+ ci * lo] and restoring on exit so sibling
      and outer statements always observe consistent cursors;
-   - the dominant statement shapes of scalarized tensor kernels
-     (contraction MAC, constant init, copy, scalar accumulate/spill)
-     compile to dedicated closures rather than a generic expression
-     walk;
+   - in unchecked unprobed code, each reduction of the scalarized
+     kernel runs as one closure, the unit the HLS kernel pipelines: a
+     MAC loop [for k { s += x[..] * y[..] }], or a whole reduction nest
+     [for i { s = c; <MAC loop on s>; a[..] = s }], walks its cursors
+     and its accumulator in locals, adding the products in program
+     order (see "Fused reductions" below);
    - bounds checks are a compile-time mode, not a per-access cost: in
      [Unchecked] mode — which callers may select only on the license of
      the static verifier ([Analysis.Verify.bounds] proving every access
@@ -33,8 +35,8 @@
      checks; [Debug] additionally replays every run through [Interp] on
      a copy of the frame and insists on bit-identical parameter buffers;
    - a memory probe is a layer of the same compiler, not a second one:
-     the same closures carry its events, and only the shape
-     specializations, which would bypass it, are left out.
+     the same closures carry its events, and only the fused reductions
+     and the spill's closure, which would bypass it, are left out.
 
    All mutable execution state lives in the frame, never in the
    compiled closures, so one compiled program can drive any number of
@@ -57,6 +59,7 @@ let c_iters_unchecked = Obs.Metrics.counter "exec.iterations.unchecked"
 let c_mode_checked = Obs.Metrics.counter "exec.mode.checked"
 let c_mode_unchecked = Obs.Metrics.counter "exec.mode.unchecked"
 let c_mode_debug = Obs.Metrics.counter "exec.mode.debug"
+let c_fused_loops = Obs.Metrics.counter "exec.fused_loops"
 
 type frame = {
   bufs : float array array;  (* array slot -> buffer *)
@@ -141,6 +144,7 @@ type state = {
   mutable st_ncur : int;
   mutable st_nvars : int;  (* loop nesting depth *)
   mutable st_nsites : int;  (* probe sites numbered so far (pre-order) *)
+  mutable st_fused : int;  (* loops compiled into fused reductions *)
 }
 
 (* Loop environment: innermost-first list of (variable, cursors touched
@@ -285,33 +289,11 @@ let compile_write st env ~check ?probe ~site ~accumulate a ix value : op =
           ~write:true
 
 let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
-  (* Specialized shapes, for unchecked unprobed code only: the checked
-     path keeps the uniform closures so the dynamic checks stay in one
-     place, and the probed path so every access reaches the probe. These
-     are the statements scalarized tensor kernels spend their time in. *)
-  let fast = not check && Option.is_none probe in
   match stmt with
   | Prog.For _ -> assert false (* loops go to [compile_loop] *)
-  | Prog.Store { array; index; value = Prog.Const k } when fast ->
-      let s = array_slot st array in
-      let c = cursor st env index in
-      fun fr ->
-        Array.unsafe_set
-          (Array.unsafe_get fr.bufs s)
-          (Array.unsafe_get fr.cur c) k
-  | Prog.Store { array; index; value = Prog.Load (b, ixb) } when fast ->
-      let sd = array_slot st array in
-      let cd = cursor st env index in
-      let sb = array_slot st b in
-      let cb = cursor st env ixb in
-      fun fr ->
-        Array.unsafe_set
-          (Array.unsafe_get fr.bufs sd)
-          (Array.unsafe_get fr.cur cd)
-          (Array.unsafe_get
-             (Array.unsafe_get fr.bufs sb)
-             (Array.unsafe_get fr.cur cb))
-  | Prog.Store { array; index; value = Prog.Scalar x } when fast ->
+  | Prog.Store { array; index; value = Prog.Scalar x }
+    when (not check) && Option.is_none probe ->
+      (* the spill of a reduction that is not a whole fused nest *)
       let s = array_slot st array in
       let c = cursor st env index in
       let i = scalar_slot st x in
@@ -320,46 +302,6 @@ let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
           (Array.unsafe_get fr.bufs s)
           (Array.unsafe_get fr.cur c)
           (Array.unsafe_get fr.scal i)
-  | Prog.Accum
-      { array; index; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when fast ->
-      (* contraction MAC: a[ia] += b[ib] * d[id] *)
-      let sa = array_slot st array in
-      let ca = cursor st env index in
-      let sb = array_slot st b in
-      let cb = cursor st env ixb in
-      let sd = array_slot st d in
-      let cd = cursor st env ixd in
-      fun fr ->
-        let cur = fr.cur in
-        let arr = Array.unsafe_get fr.bufs sa in
-        let i = Array.unsafe_get cur ca in
-        Array.unsafe_set arr i
-          (Array.unsafe_get arr i
-          +. Array.unsafe_get
-               (Array.unsafe_get fr.bufs sb)
-               (Array.unsafe_get cur cb)
-             *. Array.unsafe_get
-                  (Array.unsafe_get fr.bufs sd)
-                  (Array.unsafe_get cur cd))
-  | Prog.Acc_scalar
-      { name; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when fast ->
-      (* scalar MAC: acc += b[ib] * d[id] (scalarized reductions) *)
-      let i = scalar_slot st name in
-      let sb = array_slot st b in
-      let cb = cursor st env ixb in
-      let sd = array_slot st d in
-      let cd = cursor st env ixd in
-      fun fr ->
-        Array.unsafe_set fr.scal i
-          (Array.unsafe_get fr.scal i
-          +. Array.unsafe_get
-               (Array.unsafe_get fr.bufs sb)
-               (Array.unsafe_get fr.cur cb)
-             *. Array.unsafe_get
-                  (Array.unsafe_get fr.bufs sd)
-                  (Array.unsafe_get fr.cur cd))
   | Prog.Store { array; index; value } ->
       compile_write st env ~check ?probe ~site ~accumulate:false array index
         value
@@ -376,11 +318,115 @@ let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
       fun fr ->
         Array.unsafe_set fr.scal i (Array.unsafe_get fr.scal i +. value fr)
 
+(* ------------------------------------------------------------------ *)
+(* Fused reductions                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Unchecked unprobed code runs each reduction as one closure, the unit
+   the HLS kernel pipelines, with its cursors and accumulator in locals:
+
+   (A) a MAC loop: a [For] whose body is the single leaf
+       [s += x[ix] * y[iy]];
+   (B) a reduction nest: a [For] whose body is exactly
+       [s = c; <an (A) loop on s>; a[ia] = s].
+
+   Their bodies touch no other cursor, so they neither step nor restore
+   [fr.cur]: each access enters at its cursor plus [stride * lo] and walks
+   a local. [s] is written back after the last iteration. The products
+   are added in program order, as the generic closures add them, so
+   results are bit-identical. *)
+
+(* Cursor [c]'s step per iteration of the loop that collected [incs]. *)
+let stride incs c =
+  List.fold_left (fun s (c', k) -> if c' = c then s + k else s) 0 !incs
+
+let mac_body = function
+  | [
+      Prog.Acc_scalar
+        { name; value = Prog.Mul (Prog.Load (x, ix), Prog.Load (y, iy)) };
+    ] ->
+      Some (name, (x, ix), (y, iy))
+  | _ -> None
+
+let mac_loop st env (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
+  let incs = ref [] in
+  let env = (l.var, incs) :: env in
+  let i = scalar_slot st s in
+  let sx = array_slot st x and cx = cursor st env ix in
+  let sy = array_slot st y and cy = cursor st env iy in
+  let dx = stride incs cx and dy = stride incs cy in
+  let lo = l.lo and hi = l.hi in
+  st.st_nsites <- st.st_nsites + 1;
+  st.st_fused <- st.st_fused + 1;
+  fun fr ->
+    let bx = Array.unsafe_get fr.bufs sx and by = Array.unsafe_get fr.bufs sy in
+    let jx = ref (Array.unsafe_get fr.cur cx + (dx * lo))
+    and jy = ref (Array.unsafe_get fr.cur cy + (dy * lo))
+    and acc = ref (Array.unsafe_get fr.scal i) in
+    for _ = lo to hi - 1 do
+      acc := !acc +. (Array.unsafe_get bx !jx *. Array.unsafe_get by !jy);
+      jx := !jx + dx;
+      jy := !jy + dy
+    done;
+    Array.unsafe_set fr.scal i !acc
+
+let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
+    (s, (x, ix), (y, iy)) (a, ia) : op =
+  let oincs = ref [] and incs = ref [] in
+  let oenv = (l.var, oincs) :: env in
+  let env = (m.var, incs) :: oenv in
+  let i = scalar_slot st s in
+  let sx = array_slot st x and cx = cursor st env ix in
+  let sy = array_slot st y and cy = cursor st env iy in
+  let sa = array_slot st a and ca = cursor st oenv ia in
+  let ox = stride oincs cx and oy = stride oincs cy and oa = stride oincs ca in
+  let dx = stride incs cx and dy = stride incs cy in
+  let lo = l.lo and hi = l.hi and mlo = m.lo and mhi = m.hi in
+  st.st_nsites <- st.st_nsites + 3;
+  st.st_fused <- st.st_fused + 2;
+  fun fr ->
+    let bx = Array.unsafe_get fr.bufs sx and by = Array.unsafe_get fr.bufs sy in
+    let out = Array.unsafe_get fr.bufs sa and cur = fr.cur in
+    let kx = ref (Array.unsafe_get cur cx + (ox * lo) + (dx * mlo))
+    and ky = ref (Array.unsafe_get cur cy + (oy * lo) + (dy * mlo))
+    and ja = ref (Array.unsafe_get cur ca + (oa * lo))
+    and acc = ref (Array.unsafe_get fr.scal i) in
+    for _ = lo to hi - 1 do
+      acc := c;
+      let jx = ref !kx and jy = ref !ky in
+      for _ = mlo to mhi - 1 do
+        acc := !acc +. (Array.unsafe_get bx !jx *. Array.unsafe_get by !jy);
+        jx := !jx + dx;
+        jy := !jy + dy
+      done;
+      Array.unsafe_set out !ja !acc;
+      ja := !ja + oa;
+      kx := !kx + ox;
+      ky := !ky + oy
+    done;
+    Array.unsafe_set fr.scal i !acc
+
+let fused st env (l : Prog.loop) : op option =
+  match l.body with
+  | [
+   Prog.Set_scalar { name; value = Prog.Const c };
+   Prog.For m;
+   Prog.Store { array; index; value = Prog.Scalar spill };
+  ] -> (
+      match mac_body m.body with
+      | Some ((s, _, _) as mac) when s = name && spill = name ->
+          Some (reduction_nest st env l c m mac (array, index))
+      | _ -> None)
+  | body -> Option.map (mac_loop st env l) (mac_body body)
+
 (* [outer] names the enclosing loop variables, innermost first; its
    length is the statement's loop depth. *)
 let rec compile_stmt st env ~check ?probe ~outer (stmt : Prog.stmt) : op =
   match stmt with
-  | Prog.For l -> compile_loop st env ~check ?probe ~outer l
+  | Prog.For l -> (
+      match if check || Option.is_some probe then None else fused st env l with
+      | Some op -> op
+      | None -> compile_loop st env ~check ?probe ~outer l)
   | leaf -> (
       let site = st.st_nsites in
       st.st_nsites <- site + 1;
@@ -506,6 +552,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
       st_ncur = 0;
       st_nvars = 0;
       st_nsites = 0;
+      st_fused = 0;
     }
   in
   let check = mode <> Unchecked in
@@ -514,6 +561,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
   | Checked -> Obs.Metrics.incr c_mode_checked
   | Unchecked -> Obs.Metrics.incr c_mode_unchecked
   | Debug -> Obs.Metrics.incr c_mode_debug);
+  Obs.Metrics.add c_fused_loops st.st_fused;
   let stmts_per_run, iters_per_run = Prog.run_totals proc in
   {
     proc;

@@ -9,9 +9,10 @@
     is decomposed into a loop-invariant base plus one stride per
     enclosing loop, so inner loops update indices incrementally
     (strength reduction) instead of re-evaluating affine expressions.
-    The dominant statement shapes of scalarized tensor kernels
-    (contraction MAC, constant init, copy, scalar accumulate/spill) get
-    specialized closures.
+    In [Unchecked] code without a probe, each reduction of a scalarized
+    tensor kernel, the loop the HLS kernel pipelines, runs as one
+    closure with its cursors and accumulator in locals (see
+    {!compile}).
 
     On every observable outcome the engine is bit-identical to
     {!Interp.run} (property-tested in [test/test_compiled.ml]); a proc
@@ -90,11 +91,23 @@ val set_probe_provider : (Prog.proc -> probe option) option -> unit
 
 val compile : ?mode:mode -> ?probe:probe -> Prog.proc -> t
 (** One-time slot resolution, stride decomposition and closure
-    generation. Default mode is [Checked]. When [probe] is given — or a
-    {!set_probe_provider} provider returns one — the same compiler adds
-    the probe's events to the closures it builds; only the unchecked
-    shape specializations, which would bypass the probe, are left out.
-    Numeric results are unchanged.
+    generation. Default mode is [Checked].
+
+    In [Unchecked] mode without a probe, two loop shapes compile to one
+    closure each, and add to the [exec.fused_loops] counter the loops
+    they absorb:
+    - a MAC loop, a [For] whose body is the single leaf
+      [s += x[..] * y[..]] (one loop);
+    - a reduction nest, a [For] whose body is exactly
+      [s = c; <a MAC loop on s>; a[..] = s] (two loops).
+    They add each accumulator's products in program order, so results
+    are bit-identical to the generic closures'. [Checked] and [Debug]
+    code keep the generic closures.
+
+    When [probe] is given — or a {!set_probe_provider} provider returns
+    one — the same compiler adds the probe's events to the closures it
+    builds; the fused shapes, which would bypass the probe, are left
+    out. Numeric results are unchanged.
     @raise Error on duplicate or undeclared arrays, or an index using a
     loop variable not bound by an enclosing loop. *)
 

@@ -74,20 +74,6 @@ let arrays_written proc =
     [] proc
   |> List.sort_uniq compare
 
-let count_stores proc =
-  proc_fold
-    (fun acc stmt ->
-      match stmt with Store _ | Accum _ -> acc + 1 | _ -> acc)
-    0 proc
-
-let loop_nest_depth proc =
-  let rec depth stmt =
-    match stmt with
-    | For { body; _ } -> 1 + List.fold_left (fun m s -> max m (depth s)) 0 body
-    | _ -> 0
-  in
-  List.fold_left (fun m s -> max m (depth s)) 0 proc.body
-
 let run_totals proc =
   let rec totals (stmts, iters) = function
     | For l ->

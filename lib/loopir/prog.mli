@@ -59,9 +59,6 @@ val validate : proc -> unit
     parameter is written at least once syntactically.
     @raise Ill_formed otherwise. *)
 
-val loop_nest_depth : proc -> int
-val count_stores : proc -> int
-
 val run_totals : proc -> int * int
 (** [(statements, iterations)] executed by one run: every leaf counts
     once per pass of its enclosing loops, and a loop running

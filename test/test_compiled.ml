@@ -12,6 +12,8 @@
      kernel;
    - every kernel under [kernels/], on representative option sets.
 
+   Plus the fused reductions of unchecked code: a count that every MAC
+   loop the flow emits is fused, and their edges against the interpreter.
    Plus unit tests for the verifier license itself (an out-of-bounds
    proc must be refused the unchecked fast path), the CFD_EXEC_DEBUG
    escape hatch, the persistent work pool, the [~jobs] plumbing of the
@@ -132,6 +134,20 @@ let gen_spec =
           in
           Ix.of_terms terms const
     in
+    let gen_unit_ix bound =
+      list_size
+        (return (List.length bound))
+        (frequency [ (1, return 0); (2, return 1) ])
+      >>= fun coeffs ->
+      int_range 0 1 >|= fun const ->
+      Ix.of_terms (List.map2 (fun c (v, _, _) -> (c, v)) coeffs bound) const
+    in
+    let gen_bound v =
+      int_range 0 1 >>= fun lo ->
+      int_range 1 3 >|= fun extent -> (v, lo, lo + extent)
+    in
+    (* Tenths round, so a reduction summed in another order shows. *)
+    let gen_data = int_range (-64) 64 >|= fun n -> float_of_int n /. 10. in
     let arrays = [ "a"; "b"; "c"; "t" ] in
     let rec gen_expr depth scalars bound =
       let leaf =
@@ -176,13 +192,14 @@ let gen_spec =
     in
     (* Threads the set of initialized scalars through a statement
        sequence, mirroring [Prog.validate]'s own fold. *)
-    let rec gen_stmts ~depth ~fuel bound scalars =
+    let rec gen_stmts ~nests ~depth ~fuel bound scalars =
       if fuel = 0 then return ([], scalars)
       else
-        gen_stmt ~depth bound scalars >>= fun (s, scalars') ->
-        gen_stmts ~depth ~fuel:(fuel - 1) bound scalars' >|= fun (rest, out) ->
+        gen_stmt ~nests ~depth bound scalars >>= fun (s, scalars') ->
+        gen_stmts ~nests ~depth ~fuel:(fuel - 1) bound scalars'
+        >|= fun (rest, out) ->
         (s :: rest, out)
-    and gen_stmt ~depth bound scalars =
+    and gen_stmt ~nests ~depth bound scalars =
       let free =
         List.filter
           (fun v -> not (List.exists (fun (v', _, _) -> v = v') bound))
@@ -201,25 +218,69 @@ let gen_spec =
       in
       let forloop =
         oneofl free >>= fun v ->
-        int_range 0 1 >>= fun lo ->
-        int_range 1 3 >>= fun extent ->
-        gen_stmts ~depth:(depth + 1) ~fuel:2 ((v, lo, lo + extent) :: bound)
-          scalars
+        gen_bound v >>= fun ((_, lo, hi) as b) ->
+        gen_stmts ~nests ~depth:(depth + 1) ~fuel:2 (b :: bound) scalars
         >|= fun (body, _) ->
-        (Prog.For { var = v; lo; hi = lo + extent; pragmas = []; body }, scalars)
+        (Prog.For { var = v; lo; hi; pragmas = []; body }, scalars)
+      in
+      (* The reduction nest the engine fuses, [s = c; for { s += x * y };
+         out = s], as a whole loop body or followed by a pointwise store.
+         Operands may be the output array; coefficients of 0 or 1 give
+         stride-0 operands and keep most of these accesses in range. *)
+      let nest =
+        shuffle_l free >>= fun vs ->
+        gen_bound (List.nth vs 0) >>= fun ((vo, olo, ohi) as ob) ->
+        gen_bound (List.nth vs 1) >>= fun ((vi, ilo, ihi) as ib) ->
+        pair (oneofl [ "s0"; "s1" ]) gen_value >>= fun (s, c) ->
+        pair (oneofl arrays) (gen_unit_ix (ib :: ob :: bound)) >>= fun (x, ix) ->
+        pair (oneofl arrays) (gen_unit_ix (ib :: ob :: bound)) >>= fun (y, iy) ->
+        pair (oneofl [ "c"; "t" ]) (gen_unit_ix (ob :: bound))
+        >>= fun (out, iout) ->
+        let pointwise =
+          triple (oneofl [ "c"; "t" ]) (gen_unit_ix (ob :: bound))
+            (pair (oneofl arrays) (gen_unit_ix (ob :: bound)))
+          >|= fun (p, ip, (q, iq)) ->
+          [
+            Prog.Store
+              {
+                array = p;
+                index = ip;
+                value = Prog.Mul (Prog.Load (q, iq), Prog.Scalar s);
+              };
+          ]
+        in
+        frequency [ (2, return []); (1, pointwise) ] >|= fun tail ->
+        let mac =
+          Prog.Acc_scalar
+            { name = s; value = Prog.Mul (Prog.Load (x, ix), Prog.Load (y, iy)) }
+        in
+        let body =
+          Prog.Set_scalar { name = s; value = Prog.Const c }
+          :: Prog.For { var = vi; lo = ilo; hi = ihi; pragmas = []; body = [ mac ] }
+          :: Prog.Store { array = out; index = iout; value = Prog.Scalar s }
+          :: tail
+        in
+        ( Prog.For { var = vo; lo = olo; hi = ohi; pragmas = []; body },
+          if List.mem s scalars then scalars else s :: scalars )
       in
       frequency
         ([ (4, write); (2, set) ]
         @ (if scalars = [] then [] else [ (2, acc) ])
-        @ if free = [] || depth >= 3 then [] else [ (4, forloop) ])
+        @ (if free = [] || depth >= 3 then [] else [ (4, forloop) ])
+        @ if nests && List.length free >= 2 then [ (3, nest) ] else [])
     in
-    int_range 6 12 >>= fun sa ->
-    int_range 6 12 >>= fun sb ->
-    int_range 6 12 >>= fun sc ->
-    int_range 6 12 >>= fun st ->
-    gen_stmts ~depth:0 ~fuel:4 [] [] >>= fun (body, _) ->
-    array_size (return sa) gen_value >>= fun da ->
-    array_size (return sb) gen_value >|= fun db ->
+    (* Half the procs draw reduction nests, with arrays that hold every
+       nest access (at most 3 + 3 + 3 + 1); the other half keep arrays
+       small enough that a third of them run out of range. *)
+    bool >>= fun nests ->
+    let size = if nests then int_range 11 16 else int_range 6 12 in
+    size >>= fun sa ->
+    size >>= fun sb ->
+    size >>= fun sc ->
+    size >>= fun st ->
+    gen_stmts ~nests ~depth:0 ~fuel:4 [] [] >>= fun (body, _) ->
+    array_size (return sa) gen_data >>= fun da ->
+    array_size (return sb) gen_data >|= fun db ->
     let proc =
       {
         Prog.name = "rand";
@@ -252,7 +313,7 @@ let arb_spec =
     gen_spec
 
 let qcheck_random_procs =
-  QCheck.Test.make ~name:"compiled = interpreter on random procs" ~count:300
+  QCheck.Test.make ~name:"compiled = interpreter on random procs" ~count:600
     arb_spec
     (fun spec ->
       Prog.validate spec.proc;
@@ -342,6 +403,208 @@ let test_kernel file () =
             ~what:(Printf.sprintf "%s options=%02x" file bits)
             rand r)
     kernel_option_bits
+
+(* ------------------------------------------------------------------ *)
+(* Fused reductions                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* What a walk of the proc finds of the reductions an unchecked compile
+   fuses: [macs] leaves [s += x[..] * y[..]]; [mac_loops] loops whose
+   whole body is one of them; [nests] loops whose body is exactly
+   [s = c; <a MAC loop on s>; a[..] = s]. *)
+type reductions = { macs : int; mac_loops : int; nests : int }
+
+let is_mac = function
+  | Prog.Acc_scalar { value = Prog.Mul (Prog.Load _, Prog.Load _); _ } -> true
+  | _ -> false
+
+let reductions (proc : Prog.proc) =
+  let rec walk r = function
+    | Prog.For { body; _ } ->
+        let r =
+          match body with
+          | [ m ] when is_mac m -> { r with mac_loops = r.mac_loops + 1 }
+          | [
+           Prog.Set_scalar { name; value = Prog.Const _ };
+           Prog.For { body = [ (Prog.Acc_scalar { name = s; _ } as m) ]; _ };
+           Prog.Store { value = Prog.Scalar s'; _ };
+          ]
+            when is_mac m && s = name && s' = name ->
+              { r with nests = r.nests + 1 }
+          | _ -> r
+        in
+        List.fold_left walk r body
+    | leaf -> if is_mac leaf then { r with macs = r.macs + 1 } else r
+  in
+  List.fold_left walk { macs = 0; mac_loops = 0; nests = 0 } proc.Prog.body
+
+(* A MAC loop runs as one fused loop, a nest as two. *)
+let expected_fused r = r.mac_loops + r.nests
+let c_fused = Obs.Metrics.counter "exec.fused_loops"
+
+let fused_loops ?probe mode proc =
+  let before = Obs.Metrics.counter_value c_fused in
+  ignore (Compiled.compile ~mode ?probe proc);
+  Obs.Metrics.counter_value c_fused - before
+
+let silent_probe =
+  {
+    Compiled.on_site = (fun ~site:_ ~vars:_ ~stmt:_ -> ());
+    on_instance = (fun ~site:_ ~values:_ -> ());
+    on_access = (fun ~site:_ ~slot:_ ~index:_ ~write:_ -> ());
+  }
+
+(* The fast path has a count: a change in the shape the flow emits that
+   put [sim] back on the generic closures fails here, not silently. *)
+let test_fused_operators () =
+  List.iter
+    (fun (name, ast) ->
+      let default = reductions (Cfd_core.Compile.compile ast).Cfd_core.Compile.proc in
+      Alcotest.(check int)
+        (name ^ ": every MAC loop is a reduction nest at default options")
+        default.mac_loops default.nests;
+      for bits = 0 to 63 do
+        let proc =
+          (Cfd_core.Compile.compile ~options:(options_of_bits bits) ast)
+            .Cfd_core.Compile.proc
+        in
+        let what = Printf.sprintf "%s p=4 options=%02x" name bits in
+        let r = reductions proc in
+        Alcotest.(check int) (what ^ ": every MAC is a loop's whole body") r.macs
+          r.mac_loops;
+        if bits land 0x01 = 1 then
+          Alcotest.(check bool) (what ^ ": MAC loops iff a contraction")
+            (name <> "mass") (r.mac_loops > 0);
+        Alcotest.(check int) (what ^ ": unchecked fuses them all")
+          (expected_fused r) (fused_loops Compiled.Unchecked proc);
+        List.iter
+          (fun (mode, probe, leg) ->
+            Alcotest.(check int) (what ^ ": " ^ leg ^ " fuses none") 0
+              (fused_loops ?probe mode proc))
+          [
+            (Compiled.Checked, None, "checked");
+            (Compiled.Debug, None, "debug");
+            (Compiled.Unchecked, Some silent_probe, "probed");
+          ]
+      done)
+    (Cfdlang.Operators.all ~p:4 ())
+
+(* The random procs reach both fused shapes, and enough of them are
+   licensed for the differential property to run them unchecked. *)
+let test_random_procs_reach_fused () =
+  let specs = QCheck.Gen.generate ~rand:(Test_seed.rand ()) ~n:300 gen_spec in
+  let with_macs, licensed, nests, tails =
+    List.fold_left
+      (fun (m, l, n, t) spec ->
+        let r = reductions spec.proc in
+        Alcotest.(check int) "unchecked fuses every MAC loop" (expected_fused r)
+          (fused_loops Compiled.Unchecked spec.proc);
+        if r.mac_loops = 0 then (m, l, n, t)
+        else
+          let lic = Analysis.Verify.execution_mode spec.proc = Compiled.Unchecked in
+          (m + 1, (if lic then l + 1 else l), n + r.nests, t + r.mac_loops - r.nests))
+      (0, 0, 0, 0) specs
+  in
+  let share = float_of_int licensed /. float_of_int (max 1 with_macs) in
+  if with_macs < 75 || nests < 50 || tails < 20 || share < 0.8 then
+    Alcotest.failf
+      "random procs: %d of 300 with a MAC loop (floor 75), %d nests (floor \
+       50), %d MAC loops outside a nest (floor 20), %.0f%% licensed \
+       unchecked (floor 80%%)"
+      with_macs nests tails (100. *. share)
+
+(* The edges of both shapes, each licensed and run unchecked:
+     for i in [olo, olo + on) {
+       s = 0.7;
+       for k in [ilo, ilo + in) { s += a[4i + k] * c[k + 1]; }
+       c[i] = s;
+       (c[8 + i] = a[i] * s;)      -- the pointwise tail: only k is fused
+     }
+     c[15] = s;                     -- reads the accumulator written back
+   [c] is both the output and a MAC operand, so a read sees the earlier
+   iterations' stores; one variant drops [k] from [a]'s index, a stride
+   of 0. Tenths round, so a sum in another order shows. *)
+let test_fused_edges () =
+  let ix terms c = Ix.of_terms terms c in
+  let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body } in
+  let store array index value = Prog.Store { array; index; value } in
+  let inputs =
+    List.map
+      (fun (n, k) -> (n, Array.init 16 (fun i -> float_of_int ((i * k) + 3) /. 10.)))
+      [ ("a", 7); ("c", 5) ]
+  in
+  List.iter
+    (fun (olo, on, ilo, inn, stride, tail) ->
+      let mac =
+        Prog.Acc_scalar
+          {
+            name = "s";
+            value =
+              Prog.Mul
+                ( Prog.Load ("a", ix ((4, "i") :: (if stride then [ (1, "k") ] else [])) 0),
+                  Prog.Load ("c", ix [ (1, "k") ] 1) );
+          }
+      in
+      let body =
+        [
+          Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
+          loop "k" ilo (ilo + inn) [ mac ];
+          store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
+        ]
+        @
+        if tail then
+          [
+            store "c" (ix [ (1, "i") ] 8)
+              (Prog.Mul (Prog.Load ("a", ix [ (1, "i") ] 0), Prog.Scalar "s"));
+          ]
+        else []
+      in
+      let proc =
+        {
+          Prog.name = "edges";
+          params =
+            [
+              { Prog.name = "a"; size = 16; dir = Prog.In };
+              { Prog.name = "c"; size = 16; dir = Prog.Out };
+            ];
+          locals = [];
+          body =
+            [
+              loop "i" olo (olo + on) body;
+              store "c" (Ix.const 15) (Prog.Scalar "s");
+            ];
+        }
+      in
+      let what =
+        Printf.sprintf "i from %d x%d, k from %d x%d, stride %d%s" olo on ilo inn
+          (if stride then 1 else 0)
+          (if tail then ", pointwise tail" else "")
+      in
+      Prog.validate proc;
+      Alcotest.(check bool) (what ^ ": licensed") true
+        (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
+      Alcotest.(check int) (what ^ ": fused loops")
+        (if tail then 1 else 2)
+        (fused_loops Compiled.Unchecked proc);
+      check_differential ~what proc inputs)
+    (List.concat_map
+       (fun olo ->
+         List.concat_map
+           (fun on ->
+             List.concat_map
+               (fun ilo ->
+                 List.concat_map
+                   (fun inn ->
+                     List.concat_map
+                       (fun stride ->
+                         List.map
+                           (fun tail -> (olo, on, ilo, inn, stride, tail))
+                           [ false; true ])
+                       [ true; false ])
+                   [ 1; 2; 3 ])
+               [ 0; 1 ])
+           [ 1; 2; 3 ])
+       [ 0; 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* The verifier license                                                *)
@@ -732,6 +995,14 @@ let suite =
       :: List.map
            (fun f -> case ("kernel " ^ f) (test_kernel f))
            (kernel_files ()) );
+    ( "compiled.fused",
+      [
+        case "unchecked fuses every MAC loop: Operators.all x 64"
+          test_fused_operators;
+        case "random procs reach both fused shapes"
+          test_random_procs_reach_fused;
+        case "edges: bounds, stride 0, output read, tail" test_fused_edges;
+      ] );
     ( "compiled.license",
       [
         case "bounds diagnostic refuses the unchecked fast path"
