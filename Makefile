@@ -3,7 +3,7 @@
 DUNE ?= dune
 KERNEL = kernels/inverse_helmholtz.cfd
 
-.PHONY: all build test bench exec cache history lint profile memprof timeline ci clean
+.PHONY: all build test bench exec cache lint profile memprof timeline ci clean
 
 all: build
 
@@ -16,51 +16,29 @@ test:
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Execution-engine benchmark + regression gate: run the exec benchmark
-# at a small polynomial order (its functional-simulation leg sweeps the
-# jobs x elements matrix) followed by the cost experiment (static cycle
-# prediction vs Sim.Perf, prefiltered vs unfiltered sweep), and fail if
-# the element-sharded simulator regresses -- jobs:1 overhead beyond 5%
-# of the sequential baseline anywhere, a parallel headline below 1.0x on
-# a multi-core host, a non-zero cycle prediction error, any cost drift,
-# or a pre-filter that prunes nothing / changes the Pareto frontier
+# Execution-engine benchmark + timed floors: run the exec benchmark at
+# a small polynomial order (its functional-simulation leg sweeps the
+# jobs x elements matrix) and fail if the element-sharded simulator
+# regresses -- jobs:1 overhead beyond 5% of the sequential baseline, or
+# a parallel headline below 1.0x on a multi-core host
 # (scripts/check_bench_exec.py documents the exact floors).
 exec: build
 	python3 scripts/check_bench_exec_test.py
 	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out
+	$(DUNE) exec --no-build bench/main.exe -- exec --exec-p=4 --jobs=4 \
+	  --no-trace --out=bench-out
 	python3 scripts/check_bench_exec.py bench-out/BENCH_exec.json
 
-# Run history + regression sentinel (docs/OBSERVABILITY.md): record two
-# exec+cost runs under distinct run ids into bench-out/history/ (each
-# record carries the run-provenance manifest) and gate the newest
-# against the min-of-N floor of the earlier comparable runs -- a timing
-# regression past the 30% noise band, a silent execution-mode
-# downgrade, or a moved static cycle prediction fails the build
-# (scripts/check_bench_history.py documents the exact rules).
-history: build
-	python3 scripts/check_bench_history_test.py
-	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out --run-id=ci-a
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out --run-id=ci-b
-	python3 scripts/check_bench_history.py bench-out/history
-
-# Artifact-cache benchmark + regression gate (docs/CACHING.md): run the
-# cache experiment (cold vs warm compile+check, cold vs warm design
-# sweep over one store) and fail if the warm compile is under 5x, the
-# hit is not bit-identical to the miss, or the warm sweep re-runs any
-# compile/verifier pass or changes an outcome. Then exercise the CLI
-# path end to end: two cached `cfdc check` runs through CFDC_CACHE_DIR
-# must agree byte for byte, and `cfdc cache stat` reports the store.
+# Artifact-cache benchmark + timed floor (docs/CACHING.md): time cold vs
+# warm compile+check and fail if the warm run is under 5x. Then
+# exercise the CLI path end to end: two cached `cfdc check` runs through
+# CFDC_CACHE_DIR must agree byte for byte, and `cfdc cache stat`
+# reports the store.
 cache: build
 	python3 scripts/check_bench_exec_test.py
 	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- cache --jobs=4 \
-	  --no-trace --out=bench-out
-	python3 scripts/check_bench_exec.py bench-out/BENCH_exec.json
+	$(DUNE) exec --no-build bench/main.exe -- cache --no-trace --out=bench-out
+	python3 scripts/check_bench_exec.py bench-out/BENCH_cache.json
 	@rm -rf bench-out/cache-demo
 	CFDC_CACHE_DIR=bench-out/cache-demo \
 	  $(DUNE) exec --no-build bin/cfdc.exe -- check $(KERNEL) \
@@ -150,17 +128,14 @@ timeline: build
 	done
 	@echo "timeline: all kernels traced (plain and overlapped legs, JSON valid)"
 
-# Build everything, run the full suite, then smoke-test the exploration
-# engine at jobs=1 and at jobs=4 with the static pre-filter (the sweep
-# itself asserts the two agree in test/test_differential.ml; this
-# exercises the CLI path end to end), after the compiled execution
-# engine at a small polynomial order (exec), and run the memprof
-# overhead benchmark into bench-out/, leaving the committed
-# BENCH_memprof.json alone.
-ci: build test lint profile memprof timeline exec cache history
+# Build everything, run the full suite, the static and dynamic audits
+# and the two timed benchmarks, then smoke-test the exploration engine
+# at jobs=1 and at jobs=4 with the static pre-filter (the sweep itself
+# asserts the two agree in test/test_differential.ml; this exercises
+# the CLI path end to end).
+ci: build test lint profile memprof timeline exec cache
 	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 1 --stats
 	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 4 --prefilter --stats
-	$(DUNE) exec bench/main.exe -- memprof --no-trace --out=bench-out
 
 clean:
 	$(DUNE) clean

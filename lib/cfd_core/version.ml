@@ -1,8 +1,8 @@
 (* Build identity and run provenance. One place answers "which tool,
    which schema dialects, on which host, invoked how" — embedded in
-   crash bundles (via Obs.Flight.set_provenance), bench history records
-   and `cfdc version` so any recorded artifact can be traced back to
-   the build that wrote it. *)
+   crash bundles (via Obs.Flight.set_provenance), bench records and
+   `cfdc version` so any recorded artifact can be traced back to the
+   build that wrote it. *)
 
 let tool = "1.1.0"
 
@@ -25,16 +25,15 @@ let pp ppf () =
   Format.fprintf ppf "options fingerprint: %d@." options_fingerprint_version;
   Format.fprintf ppf "ocaml: %s@." Sys.ocaml_version
 
-let manifest ?(argv = Array.to_list Sys.argv) ?run_id () =
+let manifest () =
   let host = try Unix.gethostname () with _ -> "unknown" in
   Obs.Json.Obj
-    ((match run_id with
-     | Some id -> [ ("run_id", Obs.Json.String id) ]
-     | None -> [])
-    @ [
-        ("build", build_info ());
-        ("argv", Obs.Json.List (List.map (fun a -> Obs.Json.String a) argv));
-        ("host", Obs.Json.String host);
-        ("platform", Obs.Json.String Compile.platform_fingerprint);
-        ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
-      ])
+    [
+      ("build", build_info ());
+      ( "argv",
+        Obs.Json.List
+          (List.map (fun a -> Obs.Json.String a) (Array.to_list Sys.argv)) );
+      ("host", Obs.Json.String host);
+      ("platform", Obs.Json.String Compile.platform_fingerprint);
+      ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
+    ]

@@ -1,8 +1,8 @@
 (** Build identity and run provenance.
 
     Every durable artifact this tool writes — crash bundles, bench
-    history records — embeds {!build_info} so a recorded run names the
-    tool version and the schema dialects (cache key framing, options
+    records — embeds {!build_info} so a recorded run names the tool
+    version and the schema dialects (cache key framing, options
     fingerprint) it was produced with; a reader can refuse to compare
     records across incompatible dialects. *)
 
@@ -23,7 +23,7 @@ val pp : Format.formatter -> unit -> unit
 (** Human rendering of {!build_info}, one field per line — the body of
     [cfdc version]. *)
 
-val manifest : ?argv:string list -> ?run_id:string -> unit -> Obs.Json.t
-(** The run-provenance manifest: optional [run_id], {!build_info},
-    [argv] (default [Sys.argv]), host name, the platform-constant
-    fingerprint shared with the cache key, and the wall-clock time. *)
+val manifest : unit -> Obs.Json.t
+(** The run-provenance manifest: {!build_info}, [Sys.argv], host name,
+    the platform-constant fingerprint shared with the cache key, and
+    the wall-clock time. *)

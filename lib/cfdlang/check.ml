@@ -10,6 +10,22 @@ let shape_str dims =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+(* Every declared tensor becomes a buffer of its extent product, so a
+   declaration past the budget is refused before any TIR is built. 2^24
+   words is about 100x the ~160k f64 words of the ZCU106's BRAM.
+   Contracted intermediates such as [S # S # S # u] are never
+   materialized and are not counted. *)
+let max_tensor_words = 1 lsl 24
+
+(* Overflow-safe: extents are >= 1, so [acc * e <= budget] iff
+   [acc <= budget / e]. *)
+let within_budget dims =
+  let rec go acc = function
+    | [] -> true
+    | e :: rest -> acc <= max_tensor_words / e && go (acc * e) rest
+  in
+  go 1 dims
+
 let rec infer ~env expr =
   let elementwise op a b =
     let* sa = infer ~env a in
@@ -70,7 +86,7 @@ type checked = {
 }
 
 let check (program : Ast.program) =
-  (* Declarations: unique names, positive extents. *)
+  (* Declarations: unique names, positive extents within the budget. *)
   let decl_tbl = Hashtbl.create 16 in
   let rec check_decls = function
     | [] -> Ok ()
@@ -79,6 +95,9 @@ let check (program : Ast.program) =
           errf "tensor %s declared twice" d.name
         else if List.exists (fun e -> e < 1) d.dims then
           errf "tensor %s has a non-positive extent" d.name
+        else if not (within_budget d.dims) then
+          errf "tensor %s : %s exceeds the size budget of %d words" d.name
+            (shape_str d.dims) max_tensor_words
         else begin
           Hashtbl.add decl_tbl d.name d;
           check_decls rest

@@ -12,12 +12,9 @@ exception Type_error of string
 
 val pp_error : Format.formatter -> error -> unit
 
-val infer :
-  env:(string -> int list option) -> Ast.expr -> (int list, error) result
-(** Shape of an expression given declared variable shapes. Scalars
-    broadcast over element-wise operators; tensors of equal shape combine
-    element-wise; [#] concatenates shapes; contraction removes paired
-    dimensions (validated for range, disjointness and equal extents). *)
+val max_tensor_words : int
+(** The size budget: the largest extent product a declared tensor may
+    have (2^24 words). *)
 
 type checked = {
   program : Ast.program;
@@ -26,6 +23,12 @@ type checked = {
 }
 
 val check : Ast.program -> (checked, error) result
+(** Declarations first (unique names, extents >= 1, each within
+    {!max_tensor_words}), then statements. Expression shapes are
+    inferred with scalar broadcast over element-wise operators, equal
+    shapes combining element-wise, [#] concatenating shapes, and
+    contraction removing paired dimensions (validated for range,
+    disjointness and equal extents). *)
 
 val warnings : checked -> string list
 (** Non-fatal diagnostics: inputs that are never read, and local tensors

@@ -32,20 +32,6 @@ let name c = c.name
 let hits c = Obs.Metrics.counter_value c.h
 let misses c = Obs.Metrics.counter_value c.m
 
-let hit_rate c =
-  let h = hits c and m = misses c in
-  if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
-
 let all () = Mutex.protect registry_lock (fun () -> List.rev !registry)
 
-let total_hits () = List.fold_left (fun acc c -> acc + hits c) 0 (all ())
-let total_misses () = List.fold_left (fun acc c -> acc + misses c) 0 (all ())
-
 let reset () = Obs.Metrics.reset ()
-
-let pp ppf () =
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "%-20s %9d hits %9d misses  %5.1f%%@." (name c)
-        (hits c) (misses c) (100. *. hit_rate c))
-    (all ())

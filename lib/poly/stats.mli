@@ -3,9 +3,9 @@
     A thin paired view over the {!Obs.Metrics} registry: [counter n]
     is the pair of registry counters [n ^ ".hits"] / [n ^ ".misses"],
     so the caches report through the same substrate as every other
-    subsystem and show up in [Obs.Export.pp_metrics]'s cache section,
-    the metrics JSON, and this module's {!pp}. Counters are atomic and
-    safe to bump from multiple domains. *)
+    subsystem and show up in [Obs.Export.pp_metrics]'s cache section
+    and the metrics JSON. Counters are atomic and safe to bump from
+    multiple domains. *)
 
 type counter
 
@@ -21,19 +21,10 @@ val name : counter -> string
 val hits : counter -> int
 val misses : counter -> int
 
-val hit_rate : counter -> float
-(** [hits / (hits + misses)]; [0.] when the counter never fired. *)
-
 val all : unit -> counter list
 (** Every registered counter, in registration order. *)
-
-val total_hits : unit -> int
-val total_misses : unit -> int
 
 val reset : unit -> unit
 (** Zero the whole {!Obs.Metrics} registry — every counter, gauge and
     histogram, not just the cache pairs (the caches themselves are
     cleared separately, via {!Memo.clear_all}). *)
-
-val pp : Format.formatter -> unit -> unit
-(** One line per counter: name, hits, misses, hit rate. *)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Unit invocation of check_bench_exec.py (run by `make lint` and CI).
+"""Unit invocation of check_bench_exec.py (run by `make exec`, `make
+cache` and CI).
 
-Feeds crafted BENCH_exec.json records to the checker in a subprocess
-and asserts the exit status and the message: a record with a missing
-field must fail with a clear `missing ... field` line naming the field
--- never a KeyError traceback -- and the cost-section floors must
-actually gate.
+Feeds crafted BENCH_exec.json and BENCH_cache.json records to the
+checker in a subprocess and asserts the exit status and the message: a
+record with a missing field must fail with a clear `missing ... field`
+line naming the field -- never a KeyError traceback -- and each timed
+floor must actually gate.
 """
 
 import json
@@ -17,7 +18,7 @@ import tempfile
 CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "check_bench_exec.py")
 
-GOOD = {
+EXEC = {
     "host_cores": 4,
     "functional_sim_jobs": 4,
     "functional_sim_par_speedup": 2.5,
@@ -28,33 +29,14 @@ GOOD = {
         {"elements": 512, "strategy": "sharded", "jobs": 4,
          "seconds": 0.04, "speedup_vs_seq": 2.5},
     ],
-    "cost": {
-        "prediction_error": 0,
-        "drift_diagnostics": 0,
-        "sweep_pruned": 3,
-        "sweep_simulations_unfiltered": 5,
-        "sweep_simulations_prefiltered": 2,
-        "frontier_identical": True,
-    },
+}
+
+CACHE = {
     "cache": {
+        "p": 11,
+        "cold_compile_seconds": 0.25,
+        "warm_compile_seconds": 0.02,
         "compile_speedup": 12.5,
-        "hit_identical": True,
-        "cold_sweep_compile_runs": 5,
-        "warm_sweep_compile_runs": 0,
-        "cold_sweep_verify_runs": 5,
-        "warm_sweep_verify_runs": 0,
-        "sweep_outcomes_identical": True,
-        "hits": 11,
-    },
-    "timeline": {
-        "p": 4,
-        "elements": 2048,
-        "plain_total_cycles": 2054016,
-        "plain_compute_share": 0.825,
-        "plain_transfer_share": 0.175,
-        "overlap_total_cycles": 1697527,
-        "overlap_efficiency": 0.992,
-        "overlap_saved_cycles": 356489,
     },
 }
 
@@ -98,70 +80,33 @@ def expect(name, record, code, *needles):
 
 
 def main():
-    expect("complete record passes", GOOD, 0, "check_bench_exec: OK")
+    expect("exec record passes", EXEC, 0, "check_bench_exec: OK")
     expect("missing top-level field",
-           drop(GOOD, "functional_sim_jobs"), 1,
+           drop(EXEC, "functional_sim_jobs"), 1,
            "missing field 'functional_sim_jobs'")
     expect("missing matrix leg field",
-           drop(GOOD, "functional_sim_matrix", 1, "speedup_vs_seq"), 1,
+           drop(EXEC, "functional_sim_matrix", 1, "speedup_vs_seq"), 1,
            "missing functional_sim_matrix[1] field 'speedup_vs_seq'")
-    expect("missing cost field",
-           drop(GOOD, "cost", "sweep_pruned"), 1,
-           "missing cost field 'sweep_pruned'")
-    expect("cost: nothing pruned fails",
-           {**GOOD, "cost": {**GOOD["cost"], "sweep_pruned": 0}}, 1,
-           "pruned no configuration")
-    expect("cost: drift fails",
-           {**GOOD, "cost": {**GOOD["cost"], "drift_diagnostics": 2}}, 1,
-           "cost-drift diagnostics")
-    expect("cost: changed frontier fails",
-           {**GOOD, "cost": {**GOOD["cost"], "frontier_identical": False}}, 1,
-           "changed the Pareto frontier")
-    expect("cost section optional",
-           drop(GOOD, "cost"), 0, "check_bench_exec: OK")
+    expect("exec: sharded jobs:1 over 5% fails",
+           {**EXEC, "functional_sim_shard1_overhead": 0.06}, 1,
+           "exceeds 5% of the sequential baseline")
+    expect("exec: parallel headline below 1x fails on a multi-core host",
+           {**EXEC, "functional_sim_par_speedup": 0.97}, 1,
+           "parallel headline 0.97x < 1.00x")
+    expect("exec: parallel floor waived on a single-core host",
+           {**EXEC, "host_cores": 1, "functional_sim_par_speedup": 0.5}, 0,
+           "parallel floor waived", "check_bench_exec: OK")
+    expect("exec: jobs:1 headline below 0.90x fails",
+           {**EXEC, "functional_sim_jobs": 1,
+            "functional_sim_par_speedup": 0.85}, 1,
+           "gross-regression floor at jobs=1")
+    expect("cache record passes", CACHE, 0, "check_bench_exec: OK")
     expect("missing cache field",
-           drop(GOOD, "cache", "hits"), 1,
-           "missing cache field 'hits'")
+           drop(CACHE, "cache", "compile_speedup"), 1,
+           "missing cache field 'compile_speedup'")
     expect("cache: slow warm compile fails",
-           {**GOOD, "cache": {**GOOD["cache"], "compile_speedup": 3.0}}, 1,
+           {"cache": {**CACHE["cache"], "compile_speedup": 3.0}}, 1,
            "warm compile speedup 3.0x < 5x floor")
-    expect("cache: non-identical hit fails",
-           {**GOOD, "cache": {**GOOD["cache"], "hit_identical": False}}, 1,
-           "not bit-identical")
-    expect("cache: warm sweep recompiling fails",
-           {**GOOD, "cache": {**GOOD["cache"], "warm_sweep_compile_runs": 5}},
-           1, "not strictly fewer")
-    expect("cache: warm sweep reverifying fails",
-           {**GOOD, "cache": {**GOOD["cache"], "warm_sweep_verify_runs": 5}},
-           1, "not strictly fewer")
-    expect("cache: changed outcomes fail",
-           {**GOOD,
-            "cache": {**GOOD["cache"], "sweep_outcomes_identical": False}},
-           1, "changed the outcome list")
-    expect("cache: no hit served fails",
-           {**GOOD, "cache": {**GOOD["cache"], "hits": 0}}, 1,
-           "served no hit")
-    expect("cache section optional",
-           drop(GOOD, "cache"), 0, "check_bench_exec: OK")
-    expect("cache-only record passes",
-           {"cache": GOOD["cache"]}, 0, "check_bench_exec: OK")
-    expect("timeline: share outside [0,1] fails",
-           {**GOOD,
-            "timeline": {**GOOD["timeline"], "overlap_efficiency": 1.5}},
-           1, "outside [0, 1]")
-    expect("timeline: plain shares must sum to 1",
-           {**GOOD,
-            "timeline": {**GOOD["timeline"], "plain_transfer_share": 0.3}},
-           1, "not 1.0")
-    expect("timeline: slower overlapped run fails",
-           {**GOOD,
-            "timeline": {**GOOD["timeline"],
-                         "overlap_total_cycles": 9999999999}},
-           1, "more than the plain")
-    expect("timeline section optional",
-           drop(GOOD, "timeline"), 0, "check_bench_exec: OK")
-    expect("timeline-only record passes",
-           {"timeline": GOOD["timeline"]}, 0, "check_bench_exec: OK")
     expect("empty record fails",
            {}, 1, "no known benchmark section")
     print("check_bench_exec_test: OK")

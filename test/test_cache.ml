@@ -308,6 +308,45 @@ let test_check_verdict_cached () =
   Alcotest.(check bool) "hit verdict = fresh" true
     (Stdlib.compare fresh hit = 0)
 
+(* A cache directory that is a regular file: every disk write fails, so
+   each store warns and keeps its entry in memory only, a repeat lookup
+   is a tier-one hit, and the results are an uncached run's. *)
+let test_dir_is_file () =
+  let file = Filename.temp_file "cfdc-test-cache" ".notadir" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let ast = Cfdlang.Ast.inverse_helmholtz ~p:3 () in
+  let cold = Compile.compile ast in
+  let fresh = Compile.check cold in
+  let store = Cache.Store.create ~dir:file () in
+  let compile_and_check () =
+    Obs.Log.set_mirror None;
+    Fun.protect
+      ~finally:(fun () -> Obs.Log.set_mirror (Some Obs.Log.Warn))
+      (fun () ->
+        let r = Compile.compile ~cache:store ast in
+        (r, Compile.check ~cache:store r))
+  in
+  let warns0 = counter "log.events.warn" in
+  let miss, miss_verdict = compile_and_check () in
+  Alcotest.(check int) "products and verdict writes each warn" 2
+    (counter "log.events.warn" - warns0);
+  let hits0 = counter "cache.hits" in
+  let hit, hit_verdict = compile_and_check () in
+  Alcotest.(check int) "repeat lookups hit the memory tier" 2
+    (counter "cache.hits" - hits0);
+  Alcotest.(check int) "hits write nothing" 2
+    (counter "log.events.warn" - warns0);
+  let st = Cache.Store.stats store in
+  Alcotest.(check (pair int int)) "memory entries, no disk entries" (2, 0)
+    (st.Cache.Store.st_memory_entries, st.Cache.Store.st_disk_entries);
+  Alcotest.(check bool) "the file is left alone" true
+    (Sys.file_exists file && not (Sys.is_directory file));
+  Alcotest.(check bool) "miss = uncached" true (same_result cold miss);
+  Alcotest.(check bool) "hit = uncached" true (same_result cold hit);
+  Alcotest.(check bool) "verdicts = uncached" true
+    (Stdlib.compare fresh miss_verdict = 0
+    && Stdlib.compare fresh hit_verdict = 0)
+
 let test_costing_warm () =
   with_dir @@ fun dir ->
   let ast = Cfdlang.Ast.inverse_helmholtz ~p:3 () in
@@ -488,6 +527,7 @@ let suite =
         case "sweep warm-start" test_sweep_warm_start;
         case "sweep jobs share one store" test_sweep_jobs_shared_cache;
         case "sweep prefilter composes" test_sweep_prefilter_composes;
+        case "cache dir that is a file: memory only" test_dir_is_file;
       ] );
     ( "cache.qcheck",
       [

@@ -246,6 +246,52 @@ let test_check_no_warnings_figure1 () =
   let c = ok_or_fail (Check.parse_and_check figure1_source) in
   Alcotest.(check (list string)) "clean" [] (Check.warnings c)
 
+(* Declared tensors are held to the size budget before anything is
+   built; a contracted intermediate is never materialized, so figure 1's
+   11^9-word [S # S # S # u] still checks. *)
+let test_check_size_budget () =
+  Alcotest.(check int) "budget is 2^24 words" (1 lsl 24) Check.max_tensor_words;
+  let copy dims =
+    let shape = "[" ^ String.concat " " dims ^ "]" in
+    Printf.sprintf "var input u : [2]\nvar output big : %s\nbig = u # u # u"
+      shape
+  in
+  (match Check.parse_and_check (copy [ "4097"; "4096" ]) with
+  | Error e ->
+      Alcotest.(check string) "names the tensor and the budget"
+        "tensor big : [4097 4096] exceeds the size budget of 16777216 words"
+        e.Check.message
+  | Ok _ -> Alcotest.fail "2^24 + 2^12 words accepted");
+  (* 2^16 to the fourth wraps a plain product to 0; 2^62 - 1 is one
+     extent past any allocation *)
+  List.iter
+    (fun dims ->
+      match Check.parse_and_check (copy dims) with
+      | Error e ->
+          Alcotest.(check bool)
+            (String.concat " " dims ^ ": names the tensor")
+            true
+            (String.starts_with ~prefix:"tensor big " e.Check.message)
+      | Ok _ -> Alcotest.failf "[%s] accepted" (String.concat " " dims))
+    [ [ "65536"; "65536"; "65536"; "65536" ]; [ "4611686018427387903" ] ];
+  (* exactly at the budget: only the shape mismatch is left to report *)
+  (match Check.parse_and_check (copy [ "4096"; "4096" ]) with
+  | Error e ->
+      Alcotest.(check bool) "2^24 words within the budget" true
+        (String.starts_with ~prefix:"assignment to big" e.Check.message)
+  | Ok _ -> Alcotest.fail "shape mismatch accepted");
+  ignore (ok_or_fail (Check.parse_and_check figure1_source));
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (name, program) ->
+          match Check.check program with
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "%s at p = %d: %a" name p Check.pp_error e)
+        (Operators.all ~p ()))
+    (List.init 22 (fun i -> i + 2))
+
 (* ---------- Eval ---------- *)
 
 open Tensor
@@ -377,6 +423,7 @@ let suite =
         case "local used without def" test_check_local_used_without_def;
         case "warnings" test_check_warnings;
         case "no warnings on figure 1" test_check_no_warnings_figure1;
+        case "size budget" test_check_size_budget;
       ] );
     ( "cfdlang.eval",
       [

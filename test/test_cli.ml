@@ -279,6 +279,28 @@ let test_cache_corrupt_recovers () =
   Alcotest.(check int) "re-warmed run exits 0" 0 c3;
   Alcotest.(check string) "re-warmed output identical" clean t3
 
+(* A --cache-dir that is a regular file cannot hold entries: each write
+   warns and the entry stays in memory, and the run's results are an
+   uncached run's. *)
+let test_cache_dir_is_file () =
+  let file = tmp ".notadir" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let uncached_code, uncached = run_capture [ "check"; kernel "mass.cfd" ] in
+  let code, text =
+    run_capture [ "check"; kernel "mass.cfd"; "--cache-dir"; file ]
+  in
+  Alcotest.(check int) "uncached check exits 0" 0 uncached_code;
+  Alcotest.(check int) "file as cache dir still exits 0" 0 code;
+  let warnings =
+    List.filter
+      (fun line -> contains ~sub:"entry kept in memory only" line)
+      (String.split_on_char '\n' text)
+  in
+  (* one write for the compile products, one for the verdict *)
+  Alcotest.(check int) "each write warns" 2 (List.length warnings);
+  Alcotest.(check string) "output = uncached run" uncached
+    (strip_cache_warnings text)
+
 let test_cache_env_dir () =
   with_cache_dir @@ fun dir ->
   let env = "CFDC_CACHE_DIR=" ^ Filename.quote dir in
@@ -492,6 +514,44 @@ let test_bad_flags_rejected () =
       ("cache without action", [ "cache" ]);
     ]
 
+(* Three-line sources whose declared tensors no allocator can hold
+   (10^18 words, an extent of 2^62 - 1, and a 10^12-word outer
+   product) end in the size-budget message naming the tensor, not in
+   an uncaught exception. The address-space limit keeps a regression
+   from taking the host's memory. *)
+let test_oversized_tensor_rejected () =
+  List.iter
+    (fun (what, source, tensor) ->
+      let path = tmp ".cfd" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc source);
+      let code, text = run_capture_env "ulimit -v 4000000;" [ "check"; path ] in
+      Alcotest.(check bool) (what ^ " exits non-zero") true (code <> 0);
+      Alcotest.(check bool)
+        (what ^ " names tensor " ^ tensor)
+        true
+        (contains ~sub:("tensor " ^ tensor ^ " : [") text
+        && contains ~sub:"exceeds the size budget" text);
+      Alcotest.(check bool) (what ^ " raises nothing") false
+        (contains ~sub:"Fatal error" text))
+    [
+      ( "10^18-word copy",
+        "var input u : [1000000000 1000000000]\n\
+         var output v : [1000000000 1000000000]\n\
+         v = u\n",
+        "u" );
+      ( "extent 2^62 - 1",
+        "var input u : [4611686018427387903]\n\
+         var output v : [4611686018427387903]\n\
+         v = u\n",
+        "u" );
+      ( "6-D outer product",
+        "var input u : [100 100]\n\
+         var output v : [100 100 100 100 100 100]\n\
+         v = u # u # u\n",
+        "v" );
+    ]
+
 (* A forced shape or an element count below 1 ends in a message that
    names it, never in an uncaught exception. *)
 let test_bad_shape_rejected () =
@@ -543,6 +603,8 @@ let () =
             `Quick test_bad_flags_rejected;
           Alcotest.test_case "k, m or elements below 1 end in a message"
             `Quick test_bad_shape_rejected;
+          Alcotest.test_case "oversized tensors end in a message" `Quick
+            test_oversized_tensor_rejected;
         ] );
       ( "cache",
         [
@@ -554,6 +616,8 @@ let () =
             test_cache_env_dir;
           Alcotest.test_case "cache stat, gc and clear" `Quick
             test_cache_stat_gc_clear;
+          Alcotest.test_case "cache dir that is a file warns per write"
+            `Quick test_cache_dir_is_file;
         ] );
       ( "flight",
         [

@@ -676,6 +676,23 @@ let test_debug_env_forces_debug () =
   Alcotest.(check bool) "CFD_EXEC_DEBUG=0 restores the license" true
     (Analysis.Verify.execution_mode clean_proc = Compiled.Unchecked)
 
+(* The license the shipped kernels earn, pinned: every operator of the
+   suite, compiled with default options at p = 4 and p = 11, verifies
+   clean enough to run unchecked. *)
+let test_license_operators () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (name, program) ->
+          let r = Cfd_core.Compile.compile program in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at p = %d runs unchecked" name p)
+            true
+            (Analysis.Verify.execution_mode r.Cfd_core.Compile.proc
+            = Compiled.Unchecked))
+        (Cfdlang.Operators.all ~p ()))
+    [ 4; 11 ]
+
 (* ------------------------------------------------------------------ *)
 (* Persistent work pool                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1009,6 +1026,8 @@ let suite =
           test_license_refused_on_bounds;
         case "CFD_EXEC_DEBUG forces debug cross-checking"
           test_debug_env_forces_debug;
+        case "Operators.all at p = 4 and 11 run unchecked"
+          test_license_operators;
       ] );
     ( "compiled.pool",
       [ case "persistent pool = sequential map" test_pool_persistent_matches_map ] );

@@ -127,6 +127,17 @@ let test_cycle_model_matches_sim () =
       (Some 2, Some 4, 1000);
     ]
 
+(* The exact cycle total of the default design, pinned: inverse
+   Helmholtz at p = 4 over 50,000 elements on the replication solver's
+   own k and m. *)
+let test_pinned_cycles () =
+  let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:4 ()) in
+  let sys = Compile.build_system ~n_elements:50_000 r in
+  let est = Costing.estimate ~board ~system:sys r (Costing.static r) in
+  let hw = Sim.Perf.run_hw ~system:sys ~board in
+  Alcotest.(check int) "static estimate" 19_120_179 est.Cost.ce_total_cycles;
+  Alcotest.(check int) "Sim.Perf" 19_120_179 hw.Sim.Perf.total_cycles
+
 (* ------------------------------------------------------------------ *)
 (* DMA words per PLM set under the round-scheduled host loop           *)
 (* ------------------------------------------------------------------ *)
@@ -478,6 +489,7 @@ let suite =
           test_cycle_model_matches_sim;
         case "DMA words per PLM set" test_dma_words_per_set;
         case "port overcommit at unroll 8" test_port_overcommit;
+        case "pinned cycles: p = 4, 50,000 elements" test_pinned_cycles;
       ] );
     ("cost.drift", [ case "every mutation fires its rule" test_drift_mutations ]);
     ( "cost.explore",

@@ -135,8 +135,7 @@ let member_exn k j =
 let test_crash_bundle_from_trapped_worker () =
   with_flight (fun () ->
       with_quiet_log (fun () ->
-          Obs.Flight.set_provenance
-            (Some (Cfd_core.Version.manifest ~run_id:"test-run" ()));
+          Obs.Flight.set_provenance (Some (Cfd_core.Version.manifest ()));
           let results =
             Parallel.Pool.map ~jobs:4
               (fun i -> if i = 5 then failwith "induced trap" else ())
@@ -174,10 +173,12 @@ let test_crash_bundle_from_trapped_worker () =
                 (member_exn "reason" bundle
                 = Obs.Json.String "test: trapped worker");
               (match
-                 Obs.Json.member "run_id" (member_exn "provenance" bundle)
+                 Obs.Json.member "build" (member_exn "provenance" bundle)
                with
-              | Some (Obs.Json.String "test-run") -> ()
-              | _ -> Alcotest.fail "provenance lost the run id");
+              | Some build
+                when Obs.Json.member "tool" build
+                     = Some (Obs.Json.String Cfd_core.Version.tool) -> ()
+              | _ -> Alcotest.fail "provenance lost the build identity");
               (match member_exn "metrics" bundle with
               | Obs.Json.Obj _ -> ()
               | _ -> Alcotest.fail "metrics snapshot missing");

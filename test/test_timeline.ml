@@ -156,6 +156,27 @@ let test_overlap_law () =
     (io + plain.Sim.Perf.exec_cycles)
     ov.Sim.Perf.total_cycles
 
+(* The exact device-cycle totals of one shape, pinned: inverse
+   Helmholtz at p = 4 with k = 8 accelerators over m = 16 PLM sets
+   (m = 2k, so both legs run on it) and 2,048 elements. *)
+let test_pinned_cycles () =
+  let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:4 ()) in
+  let report =
+    Timeline.analyze ~force_k:8 ~force_m:16 ~overlap:Timeline.Require
+      ~audit:(Compile.audit r) ~n_elements:2048 r
+  in
+  Alcotest.(check bool) "passed" true (Timeline.passed report);
+  List.iter
+    (fun (label, cycles) ->
+      match Timeline.find_leg report label with
+      | None -> Alcotest.failf "missing leg %s" label
+      | Some leg ->
+          Alcotest.(check int) (label ^ " total cycles") cycles
+            leg.Timeline.leg_derived.Timeline.d_total_cycles;
+          Alcotest.(check int) (label ^ " = Sim.Perf") cycles
+            leg.Timeline.leg_hw.Sim.Perf.total_cycles)
+    [ ("plain", 2_054_016); ("overlapped", 1_697_527) ]
+
 (* Randomized: for any feasible shape the overlapped run obeys the
    pipeline law and never loses to the plain run on the same shape. *)
 let qcheck_overlap_law =
@@ -359,6 +380,7 @@ let suite =
         case "Require policy: diagnostic not exception"
           test_require_policy_diagnostic;
         case "Auto policy: reshapes k under m" test_auto_policy_reshapes;
+        case "pinned cycles: p = 4, k = 8, m = 16" test_pinned_cycles;
       ] );
     ( "timeline.export",
       [ case "Chrome trace byte-deterministic" test_chrome_trace_deterministic ]
