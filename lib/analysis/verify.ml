@@ -200,63 +200,104 @@ let stamp ~tuple_arity (s1 : Schedule.sched1) =
   fixed.(2 * d) <- s1.Schedule.betas.(d);
   { src; fixed }
 
-let stamp_at st x p =
+let[@inline] stamp_at st (x : int array) p =
   let s = st.src.(p) in
   if s >= 0 then x.(s) else st.fixed.(p)
 
 (* Lexicographic comparison of instance [x]'s timestamp with the one
    stored in [tbl] from [base] on. *)
-let compare_stored st x tbl base =
+let compare_stored st x (tbl : int array) base =
   let n = Array.length st.src in
-  let rec go p =
-    if p = n then 0
-    else
-      let a = stamp_at st x p and b = tbl.(base + p) in
-      if a < b then -1 else if a > b then 1 else go (p + 1)
+  let p = ref 0 in
+  while !p < n && stamp_at st x !p = tbl.(base + !p) do
+    incr p
+  done;
+  if !p = n then 0 else compare (stamp_at st x !p) tbl.(base + !p)
+
+let store st x tbl base =
+  for p = 0 to Array.length st.src - 1 do
+    tbl.(base + p) <- stamp_at st x p
+  done
+
+(* Visit every instance [x] of [stmt] with the flat offset [access]
+   touches there; returns the number of instances. *)
+let walk_access program (stmt : Flow.statement) access visit =
+  let off = (Poly.Aff_map.exprs (Flow.array_access program access)).(0) in
+  BS.walk stmt.Flow.domain [| off |] (fun x v -> visit x v.(0))
+
+type element_stamps = {
+  first_write : int array;
+  last_access : int array;
+  written : Bytes.t;
+}
+
+(* The per-element liveness table: one walk per statement access. The
+   write's walk keeps each element's lexicographically first write; with
+   [~last], every walk also keeps its last access. Offsets outside an
+   array are skipped (the bounds check reports them). Returns the table,
+   which gives an all-unwritten entry for an array no statement writes,
+   and the number of points walked. *)
+let element_table ~last (program : Flow.program) (schedule : Schedule.t) =
+  let tuple_arity = Schedule.tuple_arity schedule in
+  let arrays : (string, element_stamps) Hashtbl.t = Hashtbl.create 16 in
+  let table name =
+    match Hashtbl.find_opt arrays name with
+    | Some t -> t
+    | None ->
+        let size = max (Flow.array_info program name).Flow.size 0 in
+        let t =
+          {
+            first_write = Array.make (size * tuple_arity) 0;
+            last_access =
+              (if last then Array.make (size * tuple_arity) min_int else [||]);
+            written = Bytes.make size '\000';
+          }
+        in
+        Hashtbl.replace arrays name t;
+        t
   in
-  go 0
+  let points = ref 0 in
+  List.iter
+    (fun (stmt : Flow.statement) ->
+      let st = stamp ~tuple_arity (Schedule.find schedule stmt.Flow.stmt_name) in
+      List.iter
+        (fun (access, write) ->
+          let t = table access.Flow.array in
+          points :=
+            !points
+            + walk_access program stmt access (fun x off ->
+                  if off >= 0 && off < Bytes.length t.written then begin
+                    let base = off * tuple_arity in
+                    if
+                      write
+                      && (Bytes.get t.written off = '\000'
+                         || compare_stored st x t.first_write base < 0)
+                    then begin
+                      Bytes.set t.written off '\001';
+                      store st x t.first_write base
+                    end;
+                    if last && compare_stored st x t.last_access base > 0 then
+                      store st x t.last_access base
+                  end))
+        ((stmt.Flow.write, true)
+        :: (if last then List.map (fun r -> (r, false)) (Flow.reads stmt) else [])))
+    program.Flow.stmts;
+  (table, !points)
+
+let element_liveness (program : Flow.program) (schedule : Schedule.t) =
+  let table, _ = element_table ~last:true program schedule in
+  List.map
+    (fun (a : Flow.array_info) -> (a.Flow.array_name, table a.Flow.array_name))
+    program.Flow.arrays
 
 let c_ubd_points = Obs.Metrics.counter "verify.ubd.points"
 
 let use_before_def (program : Flow.program) (schedule : Schedule.t) =
   let tuple_arity = Schedule.tuple_arity schedule in
   let diags = ref [] in
-  let points = ref 0 in
-  let walk dom access visit =
-    let n = BS.walk dom [| access |] (fun x v -> visit x v.(0)) in
-    Obs.Metrics.add c_ubd_points n;
-    points := !points + n
-  in
-  (* Per array: the first-write timestamps, [tuple_arity] slots per
-     element, and which elements are written at all. *)
-  let first_write : (string, int array * Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  let table name =
-    match Hashtbl.find_opt first_write name with
-    | Some t -> t
-    | None ->
-        let size = max (Flow.array_info program name).Flow.size 0 in
-        let t = (Array.make (size * tuple_arity) 0, Bytes.make size '\000') in
-        Hashtbl.replace first_write name t;
-        t
-  in
-  let offset (a : Flow.access) = (Poly.Aff_map.exprs (Flow.array_access program a)).(0) in
   (* pass 1: lexicographically first write per element *)
-  List.iter
-    (fun (stmt : Flow.statement) ->
-      let st = stamp ~tuple_arity (Schedule.find schedule stmt.Flow.stmt_name) in
-      let tbl, written = table stmt.Flow.write.Flow.array in
-      walk stmt.Flow.domain (offset stmt.Flow.write) (fun x off ->
-          if off >= 0 && off < Bytes.length written then begin
-            let base = off * tuple_arity in
-            if Bytes.get written off = '\000' || compare_stored st x tbl base < 0
-            then begin
-              Bytes.set written off '\001';
-              for p = 0 to tuple_arity - 1 do
-                tbl.(base + p) <- stamp_at st x p
-              done
-            end
-          end))
-    program.Flow.stmts;
+  let table, points = element_table ~last:false program schedule in
+  let points = ref points in
   (* pass 2: every read must land strictly after its element's first
      write. A Mac's += is a read-modify-write of its accumulator, so the
      write access joins the read list: a missing initialization makes the
@@ -276,18 +317,21 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           let info = Flow.array_info program r.Flow.array in
           if info.Flow.kind <> Flow.Input && not (List.mem r.Flow.array !flagged)
           then begin
-            let tbl, written = table r.Flow.array in
+            let t = table r.Flow.array in
             let witness = ref None in
-            walk stmt.Flow.domain (offset r) (fun x off ->
-                if off >= 0 && off < Bytes.length written then
-                  let bad why =
-                    witness := Some (Array.copy x, off, why);
-                    raise Exit
-                  in
-                  if Bytes.get written off = '\000' then
-                    bad "the element is never written"
-                  else if compare_stored st x tbl (off * tuple_arity) <= 0 then
-                    bad "the read is scheduled at or before its first write");
+            points :=
+              !points
+              + walk_access program stmt r (fun x off ->
+                    if off >= 0 && off < Bytes.length t.written then
+                      let bad why =
+                        witness := Some (Array.copy x, off, why);
+                        raise Exit
+                      in
+                      if Bytes.get t.written off = '\000' then
+                        bad "the element is never written"
+                      else if
+                        compare_stored st x t.first_write (off * tuple_arity) <= 0
+                      then bad "the read is scheduled at or before its first write");
             match !witness with
             | None -> ()
             | Some (x, off, why) ->
@@ -301,6 +345,7 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           end)
         reads)
     program.Flow.stmts;
+  Obs.Metrics.add c_ubd_points !points;
   Obs.Trace.span_attr "points" (string_of_int !points);
   List.rev !diags
 

@@ -1,8 +1,8 @@
 (** The independent static verifier behind [cfdc check].
 
     The compiler pipeline already carries its own legality arguments: the
-    rescheduler checks dependences by exact enumeration
-    ([Lower.Schedule.legal]), codegen bounds accesses by interval
+    rescheduler only builds dependence-preserving schedules
+    ([Lower.Reschedule]), codegen bounds accesses by interval
     arithmetic, and Mnemosyne's substitute shares memory only between
     compatible arrays. This module re-derives each of those claims {e from
     first principles} with {!Poly} — dependence relations straight from
@@ -21,37 +21,20 @@
     symbolic lexmin or exact enumeration. See [docs/ANALYSIS.md] for the
     rule catalogue. *)
 
-val schedule_deps :
-  Lower.Flow.program -> Lower.Schedule.t -> Diagnostic.t list
-(** Dependence preservation (rules [dep-raw], [dep-war], [dep-waw]).
-
-    Recomputes the RAW/WAR/WAW relations of the reference execution order
-    (statements in program order, instances in domain-lexicographic order)
-    and proves, pair by pair, that the schedule maps every dependence
-    source strictly before its sink. Each statement pair is decided
-    symbolically: the conflict set (both domains plus tensor-element
-    equality between the two access maps) is intersected with the
-    lexicographic-violation sets of the schedule, one per schedule level,
-    with constant beta components pruned statically. Accumulations are
-    reassociable, so write-write pairs between two [Mac] statements on the
-    same array are exempt; the init-before-accumulate ordering is still
-    enforced (an [Init]/[Mac] pair is an ordinary WAW).
-
-    The schedule must pass [Lower.Schedule.validate]. *)
-
 val use_before_def :
   Lower.Flow.program -> Lower.Schedule.t -> Diagnostic.t list
 (** Use-before-def (rule [use-before-def]).
 
     By exact enumeration of statement instances, computes the
-    lexicographically first write timestamp of every array element and
-    flags any read scheduled at-or-before it (reads of [Input] arrays are
-    exempt: the virtual first statement writes them). A [Mac] statement's
-    read-modify-write of its own accumulator counts as a read, so a
-    missing or late initialization is caught here even though
-    accumulation reordering is otherwise permitted. Elements read but
-    never written at all are also flagged. One diagnostic per
-    (statement, array) pair, carrying the first offending instance.
+    lexicographically first write timestamp of every array element (the
+    first-write half of {!element_liveness}) and flags any read scheduled
+    at-or-before it (reads of [Input] arrays are exempt: the virtual
+    first statement writes them). A [Mac] statement's read-modify-write
+    of its own accumulator counts as a read, so a missing or late
+    initialization is caught here even though accumulation reordering is
+    otherwise permitted. Elements read but never written at all are also
+    flagged. One diagnostic per (statement, array) pair, carrying the
+    first offending instance.
 
     The enumeration is one odometer per statement and access over the
     domain's bounding box, with the flat offset kept incrementally and
@@ -59,6 +42,37 @@ val use_before_def :
     enumerated instances are counted in [verify.ubd.points] and in the
     [points] attribute of the [verify.use-before-def] span.
     @raise Invalid_argument on a statement with an unbounded domain. *)
+
+type stamp
+(** A statement's Kelly timestamp (the 2d+1 tuple of
+    [Lower.Schedule.timestamp]) read off an instance point without
+    building it. *)
+
+val stamp : tuple_arity:int -> Lower.Schedule.sched1 -> stamp
+
+val store : stamp -> int array -> int array -> int -> unit
+(** [store st x tbl base] writes instance [x]'s timestamp into
+    [tbl.(base ..)]. *)
+
+type element_stamps = {
+  first_write : int array;
+      (** element [e]'s lexicographically first write, [tuple_arity]
+          ints from [e * tuple_arity] on, where [written] is set *)
+  last_access : int array;
+      (** its last read or write, laid out likewise; [min_int]s when no
+          statement touches it *)
+  written : Bytes.t;  (** ['\001'] where some statement writes element [e] *)
+}
+
+val element_liveness :
+  Lower.Flow.program -> Lower.Schedule.t -> (string * element_stamps) list
+(** Exact per-element liveness (the L mapping of Section IV-F), one
+    entry per declared array in declaration order: from each element's
+    first write to its last access, in schedule time. It is the table
+    {!use_before_def} reads, filled by the same walks plus one per read
+    access, and is not counted in [verify.ubd.points]. Interface arrays
+    carry no virtual bracket here; a reader adds it. Offsets an access
+    takes outside its array are skipped. *)
 
 val bounds : Loopir.Prog.proc -> Diagnostic.t list
 (** Affine bounds checking (rules [bounds-load], [bounds-store],

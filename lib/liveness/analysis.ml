@@ -137,56 +137,6 @@ let compatibility_graph t =
       else None)
     (pairs names)
 
-let element_intervals (program : Lower.Flow.program) schedule array =
-  Lower.Schedule.validate program schedule;
-  let info = Lower.Flow.array_info program array in
-  let firsts : (int, Poly.Lex.timestamp) Hashtbl.t = Hashtbl.create 64 in
-  let lasts : (int, Poly.Lex.timestamp) Hashtbl.t = Hashtbl.create 64 in
-  let update tbl pick off ts =
-    match Hashtbl.find_opt tbl off with
-    | None -> Hashtbl.replace tbl off ts
-    | Some cur -> Hashtbl.replace tbl off (pick cur ts)
-  in
-  List.iter
-    (fun (stmt : Lower.Flow.statement) ->
-      let sched = Lower.Schedule.find schedule stmt.Lower.Flow.stmt_name in
-      let touch kind (acc : Lower.Flow.access) =
-        if acc.Lower.Flow.array = array then begin
-          let m = Lower.Flow.array_access program acc in
-          List.iter
-            (fun x ->
-              let ts = Lower.Schedule.timestamp schedule sched x in
-              let off = (Poly.Aff_map.apply m x).(0) in
-              match kind with
-              | `Write ->
-                  update firsts Poly.Lex.min off ts;
-                  update lasts Poly.Lex.max off ts
-              | `Read -> update lasts Poly.Lex.max off ts)
-            (Poly.Basic_set.enumerate stmt.Lower.Flow.domain)
-        end
-      in
-      touch `Write stmt.Lower.Flow.write;
-      List.iter (touch `Read) (Lower.Flow.reads stmt))
-    program.Lower.Flow.stmts;
-  (* virtual bracket for interface arrays *)
-  (match info.Lower.Flow.kind with
-  | Lower.Flow.Input ->
-      for off = 0 to info.Lower.Flow.size - 1 do
-        Hashtbl.replace firsts off virtual_first;
-        if not (Hashtbl.mem lasts off) then Hashtbl.replace lasts off virtual_first
-      done
-  | Lower.Flow.Output ->
-      Hashtbl.iter (fun off _ -> Hashtbl.replace lasts off virtual_last) firsts
-  | Lower.Flow.Temp -> ());
-  Hashtbl.fold
-    (fun off first acc ->
-      let last =
-        match Hashtbl.find_opt lasts off with Some l -> l | None -> first
-      in
-      (off, Poly.Lex.interval first (Poly.Lex.max first last)) :: acc)
-    firsts []
-  |> List.sort compare
-
 let pp_ts ppf ts =
   if ts == virtual_first || ts = [| min_int |] then Format.pp_print_string ppf "first"
   else if ts == virtual_last || ts = [| max_int |] then Format.pp_print_string ppf "last"

@@ -65,16 +65,5 @@ val compatibility_graph : t -> edge list
 (** One entry per unordered array pair with at least one compatibility;
     pairs are normalized [a < b]. *)
 
-val element_intervals :
-  Lower.Flow.program -> Lower.Schedule.t -> string -> (int * Poly.Lex.interval) list
-(** Exact per-element liveness (the L mapping of Section IV-F): for every
-    array element (by flat layout offset), the interval from its first
-    write to its last read, computed by enumerating statement instances.
-    Interface arrays get the virtual first/last bracket. Elements that
-    are never written are omitted. Array-level analysis ({!analyze}) is
-    the lexicographic hull of these intervals — conservative but, for the
-    paper's kernel, equally powerful (test-verified). Intended for small
-    domains (cost is proportional to statement instances). *)
-
 val pp : Format.formatter -> t -> unit
 val pp_graph : Format.formatter -> edge list -> unit

@@ -32,5 +32,6 @@ val default : options
 val compute : ?options:options -> Flow.program -> Schedule.t
 (** Always returns a schedule accepted by {!Schedule.validate}. Legality
     with respect to element dependences is guaranteed by construction for
-    programs built by {!Flow.of_kernel} and double-checked in the test
-    suite via {!Schedule.legal}. *)
+    programs built by {!Flow.of_kernel}; the static verifier
+    ([Analysis.Verify], rules [dep-*]) re-proves it, and the test suite
+    checks it by exact enumeration. *)

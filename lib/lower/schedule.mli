@@ -54,11 +54,4 @@ val validate : Flow.program -> t -> unit
     loop structure ambiguously (distinct statements in one fused body must
     have distinct trailing betas). @raise Error otherwise. *)
 
-val legal : Flow.program -> t -> bool
-(** Exact legality by enumeration: for every read of an array element, the
-    producing write is scheduled strictly earlier; initializations precede
-    their accumulations; accumulation order changes are permitted
-    (reductions are reassociable). Intended for tests and small domains —
-    cost is proportional to the number of statement instances. *)
-
 val pp : Format.formatter -> t -> unit

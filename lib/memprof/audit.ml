@@ -5,11 +5,14 @@
    The audit regenerates the (unscalarized) loop nest from the
    polyhedral program with [Lower.Codegen.generate_with_provenance], so
    every probe site maps back to a Flow statement and its loop variables.
-   At run time each leaf instance reconstructs its exact schedule-space
-   timestamp (Kelly tuple via [Lower.Schedule.timestamp]); every array
-   access is then attributed to the storage residents whose static
-   per-element live interval ([Liveness.Analysis.element_intervals])
-   contains that timestamp. Three rules fall out:
+   At run time each leaf instance rebuilds its exact schedule-space
+   timestamp (Kelly tuple) in one reused array; every array access is
+   then attributed to the storage residents whose static per-element
+   live interval ([Analysis.Verify.element_liveness], bracketed by the
+   virtual first/last statements for interface arrays) contains that
+   timestamp. Timestamps stay flat, [tuple_arity] ints per element,
+   compared in place; they become [Poly.Lex] intervals only in
+   diagnostics and the report. Three rules fall out:
 
    - [memprof-live-escape]: an access touched a word of the buffer at a
      timestamp where no resident's static element interval was live —
@@ -29,6 +32,7 @@
 
 module D = Analysis.Diagnostic
 module L = Liveness.Analysis
+module V = Analysis.Verify
 module Memgen = Mnemosyne.Memgen
 
 exception Error of string
@@ -39,13 +43,18 @@ let errf fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
    per rule, then a summary count. *)
 let max_reported = 4
 
+(* One array in its storage buffer: its static element liveness and,
+   per element, the first and last timestamps the run attributed to it
+   ([tuple_arity] ints each; [max_int]s and [min_int]s until the first). *)
 type resident = {
   res_array : string;
   res_kind : Lower.Flow.array_kind;
+  res_buffer : string;
   res_offset : int;
   res_size : int;
-  res_static : (int, Poly.Lex.interval) Hashtbl.t;  (* element offset *)
-  res_obs : Poly.Lex.interval option array;  (* observed hull per element *)
+  res_static : V.element_stamps;
+  res_first : int array;
+  res_last : int array;
 }
 
 type unit_stat = {
@@ -87,124 +96,183 @@ type result = {
 let resolve storage a =
   match List.assoc_opt a storage with Some x -> x | None -> (a, 0)
 
+(* (instance sequence number, value) samples, interleaved in one
+   growing int array until the run ends. *)
+type samples = { mutable buf : int array; mutable len : int }
+
+let push s at value =
+  if s.len = Array.length s.buf then
+    s.buf <- Array.append s.buf (Array.make (s.len + 2) 0);
+  s.buf.(s.len) <- at;
+  s.buf.(s.len + 1) <- value;
+  s.len <- s.len + 2
+
+let to_series s : series =
+  Array.init (s.len / 2) (fun i -> (s.buf.(2 * i), s.buf.((2 * i) + 1)))
+
 (* Mutable per-unit accumulator while the instrumented run executes. *)
 type u_acc = {
   ua_unit : Memgen.plm_unit;
-  ua_hist : Obs.Metrics.histogram option;
+  ua_hist : Obs.Metrics.histogram;
   mutable ua_reads : int;
   mutable ua_writes : int;
   mutable ua_tally_r : int;  (* current instance *)
   mutable ua_tally_w : int;
-  ua_touched : (int, unit) Hashtbl.t;
+  ua_touched : Bytes.t;  (* per word of the unit's buffer *)
+  mutable ua_words_touched : int;
   mutable ua_max : int;
   mutable ua_max_at : (string * int array) option;
-  mutable ua_pressure : (int * int) list;  (* reversed series *)
-  mutable ua_occupancy : (int * int) list;  (* reversed series *)
+  ua_pressure : samples;
+  ua_occupancy : samples;
 }
 
-type site_meta = {
-  sm_stmt : string;
-  sm_sched : Lower.Schedule.sched1;
-  sm_perm : int array;  (* domain dim -> position among enclosing vars *)
+(* A probe site's statement, its timestamp, the enclosing-loop position
+   of each domain dimension, and its instance point, rebuilt in place at
+   each instance. *)
+type site = {
+  s_stmt : string;
+  s_stamp : V.stamp;
+  s_perm : int array;
+  s_x : int array;
 }
 
-let bracket kind (iv : Poly.Lex.interval) =
-  let first =
-    match kind with Lower.Flow.Input -> L.virtual_first | _ -> iv.Poly.Lex.first
-  in
-  let last =
-    match kind with Lower.Flow.Output -> L.virtual_last | _ -> iv.Poly.Lex.last
-  in
-  Poly.Lex.interval first last
+(* Lexicographic comparison of the [n]-int timestamps at [a.(i)] and
+   [b.(j)]. *)
+let compare_at n (a : int array) i (b : int array) j =
+  let p = ref 0 in
+  while !p < n && a.(i + !p) = b.(j + !p) do
+    incr p
+  done;
+  if !p = n then 0 else compare a.(i + !p) b.(j + !p)
 
-let observed_at r off =
-  match r.res_obs.(off) with
-  | None -> None
-  | Some iv -> Some (bracket r.res_kind iv)
+(* Whether [ts] lies in resident [r]'s static live interval on element
+   [e]: from its first write (the virtual first for an input) to its last
+   access (the virtual last for an output). *)
+let statically_live n r e ts =
+  let s = r.res_static and base = e * n in
+  (r.res_kind = Lower.Flow.Input
+  || (Bytes.get s.V.written e = '\001' && compare_at n ts 0 s.V.first_write base >= 0))
+  && (r.res_kind = Lower.Flow.Output || compare_at n ts 0 s.V.last_access base <= 0)
+
+let set_at n (a : int array) base (ts : int array) =
+  for p = 0 to n - 1 do
+    a.(base + p) <- ts.(p)
+  done
+
+let observe n r e ts =
+  let base = e * n in
+  if compare_at n ts 0 r.res_first base < 0 then set_at n r.res_first base ts;
+  if compare_at n ts 0 r.res_last base > 0 then set_at n r.res_last base ts
+
+let seen n r e = r.res_first.(e * n) <> max_int
+
+(* Whether [a]'s observed interval on element [ea] starts no later than
+   [b]'s ends on [eb], the virtual bracket included. *)
+let starts_by n a ea b eb =
+  a.res_kind = Lower.Flow.Input
+  || b.res_kind = Lower.Flow.Output
+  || compare_at n a.res_first (ea * n) b.res_last (eb * n) <= 0
+
+(* The observed interval from element [first]'s first to element
+   [last]'s last timestamp, bracketed for interface arrays. *)
+let observed_interval n r ~first ~last =
+  Poly.Lex.interval
+    (if r.res_kind = Lower.Flow.Input then L.virtual_first
+     else Array.sub r.res_first (first * n) n)
+    (if r.res_kind = Lower.Flow.Output then L.virtual_last
+     else Array.sub r.res_last (last * n) n)
 
 let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
     (program : Lower.Flow.program) schedule =
+  let n = Lower.Schedule.tuple_arity schedule in
   let live = L.analyze program schedule in
-  (* residents per storage buffer, with exact static element liveness *)
-  let residents : (string, resident list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Lower.Flow.array_info) ->
-      let buffer, offset = resolve storage a.Lower.Flow.array_name in
-      let elem = Hashtbl.create (max 16 a.Lower.Flow.size) in
-      List.iter
-        (fun (off, iv) -> Hashtbl.replace elem off iv)
-        (L.element_intervals program schedule a.Lower.Flow.array_name);
-      let r =
+  let residents =
+    List.map
+      (fun (name, stamps) ->
+        let a = Lower.Flow.array_info program name in
+        let buffer, offset = resolve storage name in
+        let size = a.Lower.Flow.size in
         {
-          res_array = a.Lower.Flow.array_name;
+          res_array = name;
           res_kind = a.Lower.Flow.kind;
+          res_buffer = buffer;
           res_offset = offset;
-          res_size = a.Lower.Flow.size;
-          res_static = elem;
-          res_obs = Array.make a.Lower.Flow.size None;
-        }
-      in
-      Hashtbl.replace residents buffer
-        (r :: Option.value ~default:[] (Hashtbl.find_opt residents buffer)))
-    program.Lower.Flow.arrays;
+          res_size = size;
+          res_static = stamps;
+          res_first = Array.make (size * n) max_int;
+          res_last = Array.make (size * n) min_int;
+        })
+      (V.element_liveness program schedule)
+  in
   let proc, leaves =
     Lower.Codegen.generate_with_provenance ~options ~storage program schedule
   in
   let leaves = Array.of_list leaves in
-  let stmt_by_name = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Lower.Flow.statement) ->
-      Hashtbl.replace stmt_by_name s.Lower.Flow.stmt_name s)
-    program.Lower.Flow.stmts;
-  (* per-unit accumulators keyed by buffer name *)
-  let uaccs : (string, u_acc) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (u : Memgen.plm_unit) ->
-      Hashtbl.replace uaccs u.Memgen.unit_name
+  (* per array slot: its residents, latest-declared first, and its PLM
+     unit's accumulator *)
+  let slots = Loopir.Compiled.array_slots proc in
+  let slot_residents =
+    Array.map
+      (fun (buffer, _) ->
+        Array.of_list
+          (List.rev (List.filter (fun r -> r.res_buffer = buffer) residents)))
+      slots
+  in
+  let uaccs =
+    Array.map
+      (fun (u : Memgen.plm_unit) ->
+        let words =
+          Array.fold_left
+            (fun acc (b, size) -> if b = u.Memgen.unit_name then size else acc)
+            0 slots
+        in
         {
           ua_unit = u;
           ua_hist =
-            Some
-              (Obs.Metrics.histogram
-                 (Printf.sprintf "memprof.%s.pressure.%s" label
-                    u.Memgen.unit_name));
+            Obs.Metrics.histogram
+              (Printf.sprintf "memprof.%s.pressure.%s" label u.Memgen.unit_name);
           ua_reads = 0;
           ua_writes = 0;
           ua_tally_r = 0;
           ua_tally_w = 0;
-          ua_touched = Hashtbl.create 64;
+          ua_touched = Bytes.make words '\000';
+          ua_words_touched = 0;
           ua_max = 0;
           ua_max_at = None;
-          ua_pressure = [];
-          ua_occupancy = [];
+          ua_pressure = { buf = [||]; len = 0 };
+          ua_occupancy = { buf = [||]; len = 0 };
         })
-    units;
+      (Array.of_list units)
+  in
+  let slot_unit =
+    Array.map
+      (fun (buffer, _) ->
+        Array.find_opt (fun ua -> ua.ua_unit.Memgen.unit_name = buffer) uaccs)
+      slots
+  in
   (* probe state: the current instance *)
-  let site_meta : site_meta option array = Array.make (Array.length leaves) None in
+  let sites : site option array = Array.make (Array.length leaves) None in
   let seq = ref 0 in
-  let cur_ts = ref [||] in
+  let ts = Array.make n 0 in
   let cur_stmt = ref "" in
   let cur_x = ref [||] in
   let accesses = ref 0 in
   let escapes = ref 0 in
   let escape_diags = ref [] in
   let flush_tally () =
-    Hashtbl.iter
-      (fun _ ua ->
-        if ua.ua_tally_r > 0 || ua.ua_tally_w > 0 then begin
-          let pressure = (ua.ua_tally_r * unroll) + ua.ua_tally_w in
-          (match ua.ua_hist with
-          | Some h -> Obs.Metrics.observe h (float_of_int pressure)
-          | None -> ());
-          ua.ua_pressure <- (!seq, pressure) :: ua.ua_pressure;
-          if pressure > ua.ua_max then begin
-            ua.ua_max <- pressure;
-            ua.ua_max_at <- Some (!cur_stmt, Array.copy !cur_x)
-          end;
-          ua.ua_tally_r <- 0;
-          ua.ua_tally_w <- 0
-        end)
-      uaccs
+    for i = 0 to Array.length uaccs - 1 do
+      let ua = uaccs.(i) in
+      if ua.ua_tally_r > 0 || ua.ua_tally_w > 0 then begin
+        let pressure = (ua.ua_tally_r * unroll) + ua.ua_tally_w in
+        push ua.ua_pressure !seq pressure;
+        if pressure > ua.ua_max then begin
+          ua.ua_max <- pressure;
+          ua.ua_max_at <- Some (!cur_stmt, Array.copy !cur_x)
+        end;
+        ua.ua_tally_r <- 0;
+        ua.ua_tally_w <- 0
+      end
+    done
   in
   let on_site ~site ~vars ~stmt =
     ignore stmt;
@@ -212,89 +280,79 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
       errf "probe site %d beyond codegen provenance (%d leaves)" site
         (Array.length leaves);
     let leaf = leaves.(site) in
+    let name = leaf.Lower.Codegen.leaf_stmt in
     let rank = Array.length leaf.Lower.Codegen.leaf_vars in
     let perm =
       Array.init rank (fun d ->
-          let name = leaf.Lower.Codegen.leaf_vars.(d) in
+          let var = leaf.Lower.Codegen.leaf_vars.(d) in
           let found = ref (-1) in
-          Array.iteri (fun j v -> if v = name then found := j) vars;
+          Array.iteri (fun j v -> if v = var then found := j) vars;
           if !found < 0 then
             errf "provenance mismatch at site %d: loop %s of %s not enclosing"
-              site name leaf.Lower.Codegen.leaf_stmt;
+              site var name;
           !found)
     in
-    if not (Hashtbl.mem stmt_by_name leaf.Lower.Codegen.leaf_stmt) then
-      errf "provenance names unknown statement %s" leaf.Lower.Codegen.leaf_stmt;
-    site_meta.(site) <-
+    sites.(site) <-
       Some
         {
-          sm_stmt = leaf.Lower.Codegen.leaf_stmt;
-          sm_sched = Lower.Schedule.find schedule leaf.Lower.Codegen.leaf_stmt;
-          sm_perm = perm;
+          s_stmt = name;
+          s_stamp = V.stamp ~tuple_arity:n (Lower.Schedule.find schedule name);
+          s_perm = perm;
+          s_x = Array.make rank 0;
         }
   in
   let on_instance ~site ~values =
     flush_tally ();
     incr seq;
-    match site_meta.(site) with
+    match sites.(site) with
     | None -> errf "instance at unregistered probe site %d" site
-    | Some m ->
-        let x = Array.map (fun j -> values.(j)) m.sm_perm in
-        cur_ts := Lower.Schedule.timestamp schedule m.sm_sched x;
-        cur_stmt := m.sm_stmt;
-        cur_x := x
+    | Some s ->
+        for d = 0 to Array.length s.s_perm - 1 do
+          s.s_x.(d) <- values.(s.s_perm.(d))
+        done;
+        V.store s.s_stamp s.s_x ts 0;
+        cur_stmt := s.s_stmt;
+        cur_x := s.s_x
   in
-  let slot_names = Array.map fst (Loopir.Compiled.array_slots proc) in
+  let escape buffer index write rs =
+    incr escapes;
+    if !escapes <= max_reported then
+      let covering =
+        List.filter
+          (fun r -> index >= r.res_offset && index < r.res_offset + r.res_size)
+          (Array.to_list rs)
+      in
+      escape_diags :=
+        D.error ~rule:"memprof-live-escape" ~subject:buffer
+          ~witness:(D.Element (buffer, index))
+          (Format.asprintf
+             "%s of %s[%d] by %s%a at t=%a outside every resident's static \
+              live interval (residents: %s)"
+             (if write then "write" else "read")
+             buffer index !cur_stmt
+             (fun ppf x ->
+               Format.fprintf ppf "(%s)"
+                 (String.concat "," (Array.to_list (Array.map string_of_int x))))
+             !cur_x Poly.Lex.pp_timestamp ts
+             (match covering with
+             | [] -> "none cover this word"
+             | l -> String.concat ", " (List.map (fun r -> r.res_array) l)))
+        :: !escape_diags
+  in
   let on_access ~site:_ ~slot ~index ~write =
-    let buffer = slot_names.(slot) in
     incr accesses;
-    let ts = !cur_ts in
-    let rs = Option.value ~default:[] (Hashtbl.find_opt residents buffer) in
-    let covering =
-      List.filter
-        (fun r -> index >= r.res_offset && index < r.res_offset + r.res_size)
-        rs
-    in
-    let live_rs =
-      List.filter
-        (fun r ->
-          match Hashtbl.find_opt r.res_static (index - r.res_offset) with
-          | Some iv -> Poly.Lex.contains (bracket r.res_kind iv) ts
-          | None -> false)
-        covering
-    in
-    if live_rs = [] then begin
-      incr escapes;
-      if !escapes <= max_reported then
-        escape_diags :=
-          D.error ~rule:"memprof-live-escape" ~subject:buffer
-            ~witness:(D.Element (buffer, index))
-            (Format.asprintf
-               "%s of %s[%d] by %s%a at t=%a outside every resident's static \
-                live interval (residents: %s)"
-               (if write then "write" else "read")
-               buffer index !cur_stmt
-               (fun ppf x ->
-                 Format.fprintf ppf "(%s)"
-                   (String.concat ","
-                      (Array.to_list (Array.map string_of_int x))))
-               !cur_x Poly.Lex.pp_timestamp ts
-               (match covering with
-               | [] -> "none cover this word"
-               | l -> String.concat ", " (List.map (fun r -> r.res_array) l)))
-          :: !escape_diags
-    end
-    else
-      List.iter
-        (fun r ->
-          let off = index - r.res_offset in
-          let s = Poly.Lex.singleton ts in
-          r.res_obs.(off) <-
-            (match r.res_obs.(off) with
-            | None -> Some s
-            | Some iv -> Some (Poly.Lex.hull iv s)))
-        live_rs;
-    match Hashtbl.find_opt uaccs buffer with
+    let rs = slot_residents.(slot) in
+    let attributed = ref false in
+    for i = 0 to Array.length rs - 1 do
+      let r = rs.(i) in
+      let e = index - r.res_offset in
+      if e >= 0 && e < r.res_size && statically_live n r e ts then begin
+        attributed := true;
+        observe n r e ts
+      end
+    done;
+    if not !attributed then escape (fst slots.(slot)) index write rs;
+    match slot_unit.(slot) with
     | None -> ()
     | Some ua ->
         if write then begin
@@ -305,9 +363,10 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           ua.ua_reads <- ua.ua_reads + 1;
           ua.ua_tally_r <- ua.ua_tally_r + 1
         end;
-        if not (Hashtbl.mem ua.ua_touched index) then begin
-          Hashtbl.replace ua.ua_touched index ();
-          ua.ua_occupancy <- (!seq, Hashtbl.length ua.ua_touched) :: ua.ua_occupancy
+        if Bytes.get ua.ua_touched index = '\000' then begin
+          Bytes.set ua.ua_touched index '\001';
+          ua.ua_words_touched <- ua.ua_words_touched + 1;
+          push ua.ua_occupancy !seq ua.ua_words_touched
         end
   in
   let probe = { Loopir.Compiled.on_site; on_instance; on_access } in
@@ -326,10 +385,22 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
     proc.Loopir.Prog.params;
   Loopir.Compiled.run t fr;
   flush_tally ();
+  (* each unit's pressures into its histogram, one lock per value *)
+  Array.iter
+    (fun ua ->
+      let counts = Array.make (ua.ua_max + 1) 0 in
+      for i = 0 to (ua.ua_pressure.len / 2) - 1 do
+        let p = ua.ua_pressure.buf.((2 * i) + 1) in
+        counts.(p) <- counts.(p) + 1
+      done;
+      Array.iteri
+        (fun p c -> Obs.Metrics.observe_n ua.ua_hist (float_of_int p) c)
+        counts)
+    uaccs;
   (* every site must have fired on_site during compilation *)
   Array.iteri
-    (fun i m -> if m = None then errf "probe site %d never registered" i)
-    site_meta;
+    (fun i s -> if s = None then errf "probe site %d never registered" i)
+    sites;
   let diags = ref (List.rev !escape_diags) in
   if !escapes > max_reported then
     diags :=
@@ -342,27 +413,17 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
   (* observed array hulls vs the array-level static intervals *)
   let arrays_obs =
     List.map
-      (fun (a : Lower.Flow.array_info) ->
-        let name = a.Lower.Flow.array_name in
-        let buffer, _ = resolve storage name in
-        let r =
-          List.find
-            (fun r -> r.res_array = name)
-            (Hashtbl.find residents buffer)
-        in
+      (fun r ->
+        let first = ref 0 and last = ref 0 in
+        for e = 1 to r.res_size - 1 do
+          if compare_at n r.res_first (e * n) r.res_first (!first * n) < 0 then first := e;
+          if compare_at n r.res_last (e * n) r.res_last (!last * n) > 0 then last := e
+        done;
         let observed =
-          Array.fold_left
-            (fun acc obs ->
-              match obs with
-              | None -> acc
-              | Some iv -> (
-                  let iv = bracket r.res_kind iv in
-                  match acc with
-                  | None -> Some iv
-                  | Some h -> Some (Poly.Lex.hull h iv)))
-            None r.res_obs
+          if r.res_size = 0 || not (seen n r !first) then None
+          else Some (observed_interval n r ~first:!first ~last:!last)
         in
-        let static = (L.find live name).L.interval in
+        let static = (L.find live r.res_array).L.interval in
         let contained =
           match observed with
           | None -> true
@@ -374,60 +435,56 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           diags :=
             !diags
             @ [
-                D.error ~rule:"memprof-live-escape" ~subject:name
-                  ~witness:
-                    (D.Intervals (static, Option.get observed))
+                D.error ~rule:"memprof-live-escape" ~subject:r.res_array
+                  ~witness:(D.Intervals (static, Option.get observed))
                   (Printf.sprintf
                      "observed live interval of %s escapes its static interval"
-                     name);
+                     r.res_array);
               ];
-        { o_array = name; o_static = static; o_observed = observed;
+        { o_array = r.res_array; o_static = static; o_observed = observed;
           o_contained = contained })
-      program.Lower.Flow.arrays
+      residents
   in
   (* slot conflicts: two residents observed live on one physical word *)
   let conflicts = ref 0 in
-  Hashtbl.iter
-    (fun buffer rs ->
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-            List.iter
-              (fun b ->
-                let lo = max a.res_offset b.res_offset in
-                let hi =
-                  min (a.res_offset + a.res_size) (b.res_offset + b.res_size)
-                in
-                let found = ref false in
-                let w = ref lo in
-                while (not !found) && !w < hi do
-                  (match
-                     ( observed_at a (!w - a.res_offset),
-                       observed_at b (!w - b.res_offset) )
-                   with
-                  | Some ia, Some ib when Poly.Lex.overlap ia ib ->
-                      found := true;
-                      incr conflicts;
-                      if !conflicts <= max_reported then
-                        diags :=
-                          !diags
-                          @ [
-                              D.error ~rule:"memprof-slot-conflict"
-                                ~subject:buffer
-                                ~witness:(D.Intervals (ia, ib))
-                                (Printf.sprintf
-                                   "%s and %s observed simultaneously live \
-                                    on word %d of %s"
-                                   a.res_array b.res_array !w buffer);
-                            ]
-                  | _ -> ());
-                  incr w
-                done)
-              rest;
-            pairs rest
-      in
-      pairs rs)
-    residents;
+  Array.iteri
+    (fun slot rs ->
+      let buffer = fst slots.(slot) in
+      Array.iteri
+        (fun i a ->
+          for j = i + 1 to Array.length rs - 1 do
+            let b = rs.(j) in
+            let lo = max a.res_offset b.res_offset in
+            let hi = min (a.res_offset + a.res_size) (b.res_offset + b.res_size) in
+            let w = ref lo in
+            while !w < hi do
+              let ea = !w - a.res_offset and eb = !w - b.res_offset in
+              if
+                seen n a ea && seen n b eb
+                && starts_by n a ea b eb
+                && starts_by n b eb a ea
+              then begin
+                incr conflicts;
+                if !conflicts <= max_reported then
+                  diags :=
+                    !diags
+                    @ [
+                        D.error ~rule:"memprof-slot-conflict" ~subject:buffer
+                          ~witness:
+                            (D.Intervals
+                               ( observed_interval n a ~first:ea ~last:ea,
+                                 observed_interval n b ~first:eb ~last:eb ))
+                          (Printf.sprintf
+                             "%s and %s observed simultaneously live on word %d of %s"
+                             a.res_array b.res_array !w buffer);
+                      ];
+                w := hi
+              end
+              else incr w
+            done
+          done)
+        rs)
+    slot_residents;
   if !conflicts > max_reported then
     diags :=
       !diags
@@ -440,8 +497,8 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
   (* port pressure vs the physical budget *)
   let unit_stats =
     List.map
-      (fun (u : Memgen.plm_unit) ->
-        let ua = Hashtbl.find uaccs u.Memgen.unit_name in
+      (fun ua ->
+        let u = ua.ua_unit in
         let budget = Memgen.port_budget u in
         if ua.ua_max > budget then
           diags :=
@@ -466,7 +523,7 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           u_port_budget = budget;
           u_reads = ua.ua_reads;
           u_writes = ua.ua_writes;
-          u_words_touched = Hashtbl.length ua.ua_touched;
+          u_words_touched = ua.ua_words_touched;
           u_max_pressure = ua.ua_max;
           u_max_at = ua.ua_max_at;
           u_residents =
@@ -474,16 +531,14 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
               (fun (s : Memgen.slot) -> s.Memgen.residents)
               u.Memgen.slots;
         })
-      units
+      (Array.to_list uaccs)
   in
   (* sorted by unit name: the order the report's counter tracks and the
      device timeline's PLM tracks are emitted in *)
   let series sel =
     List.map
-      (fun (u : Memgen.plm_unit) ->
-        let ua = Hashtbl.find uaccs u.Memgen.unit_name in
-        (u.Memgen.unit_name, Array.of_list (List.rev (sel ua))))
-      units
+      (fun ua -> (ua.ua_unit.Memgen.unit_name, to_series (sel ua)))
+      (Array.to_list uaccs)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   (* One structured warning per failing audit (witness details stay in

@@ -21,8 +21,16 @@
 
     Affine kernels have data-independent access patterns, so a single
     run over synthetic inputs observes every access the schedule will
-    ever perform. Cost is proportional to statement instances — same
-    regime as [Lower.Schedule.legal]. *)
+    ever perform. The static side is [Analysis.Verify.element_liveness],
+    the table use-before-def reads: one walk per statement access. The
+    probe keeps its state in flat int arrays resolved per array slot
+    before the run (residents, PLM unit, each element's observed first
+    and last timestamp, the current instance's timestamp) and compares
+    timestamps in place, so an access costs a few array reads per
+    resident of its buffer and builds no timestamp. Cost is linear in
+    statement instances and accesses: at p = 11, one sharing-mode audit
+    of Inverse Helmholtz (97,163 instances, 275,517 accesses) takes
+    about 0.1 s on a 2-core host. *)
 
 exception Error of string
 (** Internal inconsistency (probe/provenance mismatch) — distinct from a

@@ -23,15 +23,8 @@ let interval first last =
   if lt last first then invalid_arg "Lex.interval: empty interval";
   { first; last }
 
-let singleton t = { first = t; last = t }
-
-let hull a b = { first = min a.first b.first; last = max a.last b.last }
 let overlap a b = le a.first b.last && le b.first a.last
-let contains i t = le i.first t && le t i.last
 
 let pp_timestamp ppf t =
   Format.fprintf ppf "[%s]"
     (String.concat ", " (Array.to_list (Array.map string_of_int t)))
-
-let pp_interval ppf i =
-  Format.fprintf ppf "[%a .. %a]" pp_timestamp i.first pp_timestamp i.last

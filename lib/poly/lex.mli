@@ -21,9 +21,5 @@ type interval = { first : timestamp; last : timestamp }
 val interval : timestamp -> timestamp -> interval
 (** @raise Invalid_argument if [first > last]. *)
 
-val singleton : timestamp -> interval
-val hull : interval -> interval -> interval
 val overlap : interval -> interval -> bool
-val contains : interval -> timestamp -> bool
 val pp_timestamp : Format.formatter -> timestamp -> unit
-val pp_interval : Format.formatter -> interval -> unit

@@ -11,7 +11,7 @@
      the suite asserts the verdict names exactly the expected rule ids,
      with a concrete witness;
    - properties: on random beta/dims schedules, verifier acceptance must
-     coincide with exact-enumeration legality ([Schedule.legal]) and
+     coincide with exact-enumeration legality ([Legality.legal]) and
      imply that the rescheduled kernel still computes the reference
      answer (interpreter differential).
 
@@ -311,7 +311,7 @@ let test_structure_unbounded_and_undeclared () =
        diags)
 
 (* ------------------------------------------------------------------ *)
-(* Use-before-def: the strength-reduced walk against plain enumeration *)
+(* Use-before-def and the per-element table: walks against enumeration *)
 (* ------------------------------------------------------------------ *)
 
 (* The straightforward algorithm: enumerate every instance, build its
@@ -385,12 +385,84 @@ let reference_use_before_def (program : Flow.program) (schedule : Schedule.t) =
         reads)
     program.Flow.stmts
 
+(* Both halves of the per-element table by enumeration: per element of
+   every declared array, the [Lex.lt]-first write and the [Lex.lt]-last
+   read or write, [None] where there is none. *)
+let reference_element_liveness (program : Flow.program) (schedule : Schedule.t) =
+  let tables =
+    List.map
+      (fun (a : Flow.array_info) ->
+        let size = max a.Flow.size 0 in
+        (a.Flow.array_name, (Array.make size None, Array.make size None)))
+      program.Flow.arrays
+  in
+  List.iter
+    (fun (stmt : Flow.statement) ->
+      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+      let touch ~write (a : Flow.access) =
+        let m = Flow.array_access program a in
+        let first, last = List.assoc a.Flow.array tables in
+        List.iter
+          (fun x ->
+            let off = (Poly.Aff_map.apply m x).(0) in
+            if off >= 0 && off < Array.length first then begin
+              let ts = Schedule.timestamp schedule s1 x in
+              (if write then
+                 match first.(off) with
+                 | Some cur when not (Poly.Lex.lt ts cur) -> ()
+                 | _ -> first.(off) <- Some ts);
+              match last.(off) with
+              | Some cur when not (Poly.Lex.lt cur ts) -> ()
+              | _ -> last.(off) <- Some ts
+            end)
+          (Poly.Basic_set.enumerate stmt.Flow.domain)
+      in
+      touch ~write:true stmt.Flow.write;
+      List.iter (touch ~write:false) (Flow.reads stmt))
+    program.Flow.stmts;
+  tables
+
+(* The table as the same [option] arrays: [written] selects the first
+   writes, and an all-[min_int] last access means none. *)
+let walked_element_liveness (program : Flow.program) (schedule : Schedule.t) =
+  let n = Schedule.tuple_arity schedule in
+  List.map
+    (fun (name, (s : V.element_stamps)) ->
+      let size = Bytes.length s.V.written in
+      let at a e = Array.sub a (e * n) n in
+      ( name,
+        ( Array.init size (fun e ->
+              if Bytes.get s.V.written e = '\001' then Some (at s.V.first_write e)
+              else None),
+          Array.init size (fun e ->
+              let ts = at s.V.last_access e in
+              if Array.for_all (( = ) min_int) ts then None else Some ts) ) ))
+    (V.element_liveness program schedule)
+
 let same_use_before_def what program schedule =
   let got = V.use_before_def program schedule in
   let want = reference_use_before_def program schedule in
   if got <> want then
     QCheck.Test.fail_reportf "%s:@.walk:@.%a@.reference:@.%a" what
       (Format.pp_print_list D.pp) got (Format.pp_print_list D.pp) want;
+  List.iter2
+    (fun (name, (first, last)) (_, (first', last')) ->
+      let differ half a b =
+        Array.iteri
+          (fun e ts ->
+            if ts <> b.(e) then
+              let pp ppf = function
+                | None -> Format.pp_print_string ppf "none"
+                | Some ts -> Poly.Lex.pp_timestamp ppf ts
+              in
+              QCheck.Test.fail_reportf "%s: %s of %s@@%d: walk %a, reference %a"
+                what half name e pp ts pp b.(e))
+          a
+      in
+      differ "first write" first first';
+      differ "last access" last last')
+    (walked_element_liveness program schedule)
+    (reference_element_liveness program schedule);
   true
 
 let kernels_dir () = if Sys.file_exists "../kernels" then "../kernels" else "kernels"
@@ -565,6 +637,39 @@ let qcheck_ubd_hand_built_match_reference =
     ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
       let program, schedule = hand_built_program (Random.State.make [| seed |]) in
       same_use_before_def "hand-built" program schedule)
+
+(* [verify.ubd.points] counts the verifier's walks: on a clean program,
+   every instance once for the write and once per checked read (reads of
+   inputs are exempt, a Mac's accumulator is read too). Filling the
+   table for the memory audit adds nothing to it. *)
+let test_ubd_points_are_the_verifiers () =
+  let points = Obs.Metrics.counter "verify.ubd.points" in
+  List.iter
+    (fun (name, (program : Flow.program), schedule) ->
+      let before = Obs.Metrics.counter_value points in
+      ignore (V.element_liveness program schedule);
+      Alcotest.(check int) (name ^ ": the table is not counted") before
+        (Obs.Metrics.counter_value points);
+      Alcotest.(check int) (name ^ ": clean") 0
+        (List.length (V.use_before_def program schedule));
+      let expected =
+        List.fold_left
+          (fun acc (stmt : Flow.statement) ->
+            let checked =
+              List.filter
+                (fun (r : Flow.access) ->
+                  (Flow.array_info program r.Flow.array).Flow.kind <> Flow.Input)
+                (Flow.reads stmt)
+            in
+            let mac = match stmt.Flow.compute with Flow.Mac _ -> 1 | _ -> 0 in
+            acc
+            + List.length (Poly.Basic_set.enumerate stmt.Flow.domain)
+              * (1 + List.length checked + mac))
+          0 program.Flow.stmts
+      in
+      Alcotest.(check int) (name ^ ": the verifier's points") expected
+        (Obs.Metrics.counter_value points - before))
+    (Lazy.force ubd_bases)
 
 (* ------------------------------------------------------------------ *)
 (* Bounds mutations                                                    *)
@@ -1018,7 +1123,7 @@ let qcheck_accepted_schedules_compute_reference =
       let rng = Random.State.make [| seed |] in
       let schedule' = random_schedule rng program in
       let accepted = D.errors (V.all ~program ~schedule:schedule' ()) = [] in
-      let legal = Schedule.legal program schedule' in
+      let legal = Legality.legal program schedule' in
       if accepted then legal && differential_ok r schedule'
       else not legal)
 
@@ -1050,6 +1155,8 @@ let suite =
       [
         Test_seed.to_alcotest qcheck_ubd_kernels_match_reference;
         Test_seed.to_alcotest qcheck_ubd_hand_built_match_reference;
+        case "verify.ubd.points counts the verifier's walks only"
+          test_ubd_points_are_the_verifiers;
       ] );
     ( "analysis.bounds",
       [

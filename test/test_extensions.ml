@@ -148,7 +148,7 @@ let test_autoschedule_operator_suite () =
       in
       let flow = Lower.Flow.of_kernel ~name kernel in
       let _, sched = Lower.Autoschedule.schedule flow in
-      Alcotest.(check bool) (name ^ " legal") true (Lower.Schedule.legal flow sched))
+      Alcotest.(check bool) (name ^ " legal") true (Legality.legal flow sched))
     (Cfdlang.Operators.all ~p:3 ())
 
 let qcheck_partition_always_verifies =
@@ -162,7 +162,7 @@ let qcheck_partition_always_verifies =
       in
       let program = Lower.Layout.block_partition program "t" ~dim ~banks in
       let schedule = Lower.Reschedule.compute program in
-      if not (Lower.Schedule.legal program schedule) then false
+      if not (Legality.legal program schedule) then false
       else begin
         let proc =
           Loopir.Scalarize.optimize (Lower.Codegen.generate program schedule)

@@ -72,7 +72,7 @@ let test_autoschedule_picks_min_cost () =
   let program = helm_program () in
   let options, sched = Lower.Autoschedule.schedule program in
   Lower.Schedule.validate program sched;
-  Alcotest.(check bool) "legal" true (Lower.Schedule.legal program sched);
+  Alcotest.(check bool) "legal" true (Legality.legal program sched);
   (* the cost-minimal candidate for Helmholtz fuses everything *)
   Alcotest.(check bool) "fuses init" true options.Lower.Reschedule.fuse_init;
   Alcotest.(check bool) "fuses pointwise" true options.Lower.Reschedule.fuse_pointwise;

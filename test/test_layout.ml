@@ -12,7 +12,7 @@ let helm_program ?(p = 4) () =
 (* Compile a transformed program and check v against the reference. *)
 let check_program ?(p = 4) ?(input_bindings = None) program =
   let schedule = Lower.Reschedule.compute program in
-  Alcotest.(check bool) "schedule legal" true (Lower.Schedule.legal program schedule);
+  Alcotest.(check bool) "schedule legal" true (Legality.legal program schedule);
   let proc = Loopir.Scalarize.optimize (Lower.Codegen.generate program schedule) in
   let inputs = Helmholtz.make_inputs ~seed:9 p in
   let bindings =

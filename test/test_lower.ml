@@ -179,7 +179,7 @@ let test_reference_schedule_valid_and_legal () =
   let _, program = helmholtz_program ~p:3 () in
   let sched = Lower.Schedule.reference program in
   Lower.Schedule.validate program sched;
-  Alcotest.(check bool) "legal" true (Lower.Schedule.legal program sched)
+  Alcotest.(check bool) "legal" true (Legality.legal program sched)
 
 let test_schedule_timestamp_shape () =
   let _, program = helmholtz_program ~p:3 () in
@@ -220,13 +220,13 @@ let test_illegal_schedule_detected () =
         (name, { s with Lower.Schedule.betas }))
       sched
   in
-  Alcotest.(check bool) "illegal" false (Lower.Schedule.legal program swapped)
+  Alcotest.(check bool) "illegal" false (Legality.legal program swapped)
 
 let test_reschedule_fused_valid_and_legal () =
   let _, program = helmholtz_program ~p:3 () in
   let sched = Lower.Reschedule.compute program in
   Lower.Schedule.validate program sched;
-  Alcotest.(check bool) "legal" true (Lower.Schedule.legal program sched);
+  Alcotest.(check bool) "legal" true (Legality.legal program sched);
   (* init and mac share the group beta *)
   let init = Lower.Schedule.find sched "t_init" in
   let mac = Lower.Schedule.find sched "t_mac" in
@@ -240,7 +240,7 @@ let test_reschedule_pointwise_fusion_legal () =
   let options = { Lower.Reschedule.default with Lower.Reschedule.fuse_pointwise = true } in
   let sched = Lower.Reschedule.compute ~options program in
   Lower.Schedule.validate program sched;
-  Alcotest.(check bool) "legal" true (Lower.Schedule.legal program sched);
+  Alcotest.(check bool) "legal" true (Legality.legal program sched);
   (* r_stmt joins t's group *)
   let t_mac = Lower.Schedule.find sched "t_mac" in
   let r_stmt = Lower.Schedule.find sched "r_stmt" in
@@ -255,7 +255,7 @@ let test_reschedule_reduction_outer_legal () =
   in
   let sched = Lower.Reschedule.compute ~options program in
   Lower.Schedule.validate program sched;
-  Alcotest.(check bool) "legal" true (Lower.Schedule.legal program sched)
+  Alcotest.(check bool) "legal" true (Legality.legal program sched)
 
 (* ---------- Codegen + end-to-end ---------- *)
 
@@ -444,7 +444,7 @@ let qcheck_codegen_option_matrix =
         }
       in
       let sched = Lower.Reschedule.compute ~options program in
-      if not (Lower.Schedule.legal program sched) then false
+      if not (Legality.legal program sched) then false
       else begin
         let proc = Lower.Codegen.generate program sched in
         let inputs = Helmholtz.make_inputs ~seed:p p in

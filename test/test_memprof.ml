@@ -120,30 +120,99 @@ let test_forced_merge_caught () =
   let storage =
     Liveness.Sharing.merge_storage ~force:true program schedule [ ("t", "r") ]
   in
+  (* one slot conflict on the first shared word, witnessed by the two
+     observed element intervals that overlap there *)
+  Alcotest.(check (list string))
+    "exactly one slot conflict, with its witness"
+    [
+      "error[memprof-slot-conflict] shared_r: r and t observed simultaneously \
+       live on word 0 of shared_r (witness: [[3,0,0,0,0,0,0,0,0], \
+       [4,10,0,0,0,0,1,0,0]] overlaps [[2,0,0,0,0,0,0,0,0], \
+       [3,0,0,0,0,0,0,0,0]])";
+    ]
+    (List.map
+       (Format.asprintf "%a" Analysis.Diagnostic.pp)
+       (Memprof.Audit.audit_storage ~storage program schedule))
+
+(* ------------------------------------------------------------------ *)
+(* Live escape: reads of elements no statement writes                  *)
+(* ------------------------------------------------------------------ *)
+
+(* S0: a[i] = u[i] for i < 2, then S1: c[i] = a[i] for i < 4. a@2 and
+   a@3 are read but never written, so they have no static live
+   interval: the audit sees each read escape, and the verifier flags the
+   first such read. Both read the per-element table's never-written
+   case. *)
+let escape_program () =
+  let module Flow = Lower.Flow in
+  let array name kind size =
+    {
+      Flow.array_name = name;
+      kind;
+      tensor_shape = [ size ];
+      layout = Flow.default_layout name [ size ];
+      size;
+    }
+  in
+  let stmt name ~n ~write ~read =
+    let space = Poly.Space.make name [ "i" ] in
+    let i = Poly.Aff.var 1 0 in
+    let access array =
+      { Flow.array; map = Poly.Aff_map.make space (Poly.Space.make array [ "d0" ]) [| i |] }
+    in
+    {
+      Flow.stmt_name = name;
+      domain =
+        Poly.Basic_set.of_constraints space
+          [
+            Poly.Basic_set.Ge i;
+            Poly.Basic_set.Ge (Poly.Aff.sub (Poly.Aff.const 1 (n - 1)) i);
+          ];
+      write = access write;
+      compute = Flow.Assign_copy (access read);
+    }
+  in
+  let program =
+    {
+      Flow.prog_name = "escape";
+      arrays = [ array "u" Flow.Input 2; array "a" Flow.Temp 4; array "c" Flow.Output 4 ];
+      stmts =
+        [ stmt "S0" ~n:2 ~write:"a" ~read:"u"; stmt "S1" ~n:4 ~write:"c" ~read:"a" ];
+    }
+  in
+  let schedule =
+    [
+      ("S0", { Lower.Schedule.betas = [| 0; 0 |]; dims = [| 0 |] });
+      ("S1", { Lower.Schedule.betas = [| 1; 0 |]; dims = [| 0 |] });
+    ]
+  in
+  (program, schedule)
+
+let test_live_escape () =
+  let program, schedule = escape_program () in
+  let storage = List.map (fun a -> (a, (a, 0))) [ "u"; "a"; "c" ] in
   let diags = Memprof.Audit.audit_storage ~storage program schedule in
-  Alcotest.(check bool) "audit reports the violation" true (diags <> []);
-  let conflict =
-    List.filter
-      (fun d -> d.Analysis.Diagnostic.rule = "memprof-slot-conflict")
-      diags
-  in
-  Alcotest.(check bool) "a slot-conflict diagnostic fired" true (conflict <> []);
-  let d = List.hd conflict in
-  Alcotest.(check bool) "diagnostic is an error" true
-    (d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error);
-  (* the witness names both residents and the overlapping intervals *)
-  let msg = Format.asprintf "%a" Analysis.Diagnostic.pp d in
-  let mentions s =
-    let re = Str.regexp_string s in
-    try
-      ignore (Str.search_forward re msg 0);
-      true
-    with Not_found -> false
-  in
-  Alcotest.(check bool) "witness mentions both arrays" true
-    (mentions "r" && mentions "t");
-  Alcotest.(check bool) "witness carries the interval overlap" true
-    (mentions "overlaps")
+  Alcotest.(check (list (pair string string)))
+    "two live escapes, one per never-written element read"
+    [ ("memprof-live-escape", "a@2"); ("memprof-live-escape", "a@3") ]
+    (List.map
+       (fun (d : Analysis.Diagnostic.t) ->
+         ( d.Analysis.Diagnostic.rule,
+           match d.Analysis.Diagnostic.witness with
+           | Some (Analysis.Diagnostic.Element (a, off)) -> Printf.sprintf "%s@%d" a off
+           | _ -> "no element witness" ))
+       diags);
+  Alcotest.(check bool) "both are errors" true
+    (List.for_all Analysis.Diagnostic.is_error diags);
+  Alcotest.(check (list string))
+    "the verifier flags the first never-written read"
+    [
+      "error[use-before-def] S1: reads a@2 before it is defined: the element \
+       is never written (witness: S1[2])";
+    ]
+    (List.map
+       (Format.asprintf "%a" Analysis.Diagnostic.pp)
+       (Analysis.Verify.use_before_def program schedule))
 
 (* A clean (unforced, legal) merge on compatible arrays passes. *)
 let test_legal_merge_clean () =
@@ -695,6 +764,8 @@ let suite =
         test_paper_brams
       :: Alcotest.test_case "forced illegal merge is caught with witness"
            `Quick test_forced_merge_caught
+      :: Alcotest.test_case "reads of never-written elements escape" `Quick
+           test_live_escape
       :: Alcotest.test_case "legal merge audits clean" `Quick
            test_legal_merge_clean
       :: Alcotest.test_case "disabled recorder is invisible" `Quick

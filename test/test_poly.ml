@@ -604,15 +604,9 @@ let test_lex_interval () =
   let i3 = Lex.interval [| 1; 5 |] [| 3; 0 |] in
   Alcotest.(check bool) "disjoint" false (Lex.overlap i1 i2);
   Alcotest.(check bool) "overlap at endpoint" true (Lex.overlap i1 i3);
-  Alcotest.(check bool) "contains" true (Lex.contains i1 [| 0; 99 |]);
   match Lex.interval [| 2 |] [| 1 |] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-let test_lex_hull () =
-  let h = Lex.hull (Lex.singleton [| 1; 1 |]) (Lex.singleton [| 0; 9 |]) in
-  Alcotest.(check bool) "hull first" true (Lex.equal h.Lex.first [| 0; 9 |]);
-  Alcotest.(check bool) "hull last" true (Lex.equal h.Lex.last [| 1; 1 |])
 
 let qcheck_lex_total_order =
   QCheck.Test.make ~name:"lex compare is a total order" ~count:200
@@ -693,7 +687,6 @@ let suite =
       [
         case "compare" test_lex_compare;
         case "intervals" test_lex_interval;
-        case "hull" test_lex_hull;
         Test_seed.to_alcotest qcheck_lex_total_order;
       ] );
   ]
