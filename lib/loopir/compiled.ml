@@ -35,8 +35,10 @@
      checks; [Debug] additionally replays every run through [Interp] on
      a copy of the frame and insists on bit-identical parameter buffers;
    - a memory probe is a layer of the same compiler, not a second one:
-     the same closures carry its events, and only the fused reductions
-     and the spill's closure, which would bypass it, are left out.
+     the same closures carry its events. In unchecked code a MAC loop
+     stays one fused closure under a probe and reports its whole run as
+     one [on_mac] event; only the fused reduction nests and the spill's
+     closure, which would bypass the probe, are left out.
 
    All mutable execution state lives in the frame, never in the
    compiled closures, so one compiled program can drive any number of
@@ -83,11 +85,26 @@ type frame = {
    ([array_slots]) — reads in textual order, then the write. An
    accumulate reports one write (its read-modify port is implicit),
    mirroring the static reads+writes port accounting in
-   [Mnemosyne.Memgen]. *)
+   [Mnemosyne.Memgen]. [on_mac] stands for the instance and access
+   events of one whole run of a fused MAC loop: [count] instances of the
+   leaf at [site] at loop values [lo + t], each reading slot [x] at
+   [ix + t * dx], then slot [y] at [iy + t * dy]. *)
 type probe = {
   on_site : site:int -> vars:string array -> stmt:Prog.stmt -> unit;
   on_instance : site:int -> values:int array -> unit;
   on_access : site:int -> slot:int -> index:int -> write:bool -> unit;
+  on_mac :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    x:int ->
+    ix:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    dy:int ->
+    unit;
 }
 
 (* The one-branch disabled gate, mirroring [Obs.Trace]: with no provider
@@ -334,7 +351,12 @@ let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
    [fr.cur]: each access enters at its cursor plus [stride * lo] and walks
    a local. [s] is written back after the last iteration. The products
    are added in program order, as the generic closures add them, so
-   results are bit-identical. *)
+   results are bit-identical.
+
+   Under a probe only (A) is fused: it fires one [on_mac] per run in
+   place of its iterations' instance and access events, and a nest runs
+   the generic probed loop around it, so its init and spill keep their
+   own events. *)
 
 (* Cursor [c]'s step per iteration of the loop that collected [incs]. *)
 let stride incs c =
@@ -348,7 +370,9 @@ let mac_body = function
       Some (name, (x, ix), (y, iy))
   | _ -> None
 
-let mac_loop st env (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
+(* [outer] names the enclosing loop variables, innermost first, as in
+   [compile_stmt]. *)
+let mac_loop st env ?probe ~outer (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
   let incs = ref [] in
   let env = (l.var, incs) :: env in
   let i = scalar_slot st s in
@@ -356,9 +380,10 @@ let mac_loop st env (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
   let sy = array_slot st y and cy = cursor st env iy in
   let dx = stride incs cx and dy = stride incs cy in
   let lo = l.lo and hi = l.hi in
-  st.st_nsites <- st.st_nsites + 1;
+  let site = st.st_nsites in
+  st.st_nsites <- site + 1;
   st.st_fused <- st.st_fused + 1;
-  fun fr ->
+  let run fr =
     let bx = Array.unsafe_get fr.bufs sx and by = Array.unsafe_get fr.bufs sy in
     let jx = ref (Array.unsafe_get fr.cur cx + (dx * lo))
     and jy = ref (Array.unsafe_get fr.cur cy + (dy * lo))
@@ -369,6 +394,24 @@ let mac_loop st env (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
       jy := !jy + dy
     done;
     Array.unsafe_set fr.scal i !acc
+  in
+  match probe with
+  | None -> run
+  | Some p ->
+      p.on_site ~site
+        ~vars:(Array.of_list (List.rev (l.var :: outer)))
+        ~stmt:(List.hd l.body);
+      (* a loop without iterations runs no instance: no event *)
+      if hi <= lo then run
+      else
+        let count = hi - lo in
+        fun fr ->
+          p.on_mac ~site ~values:fr.vars ~lo ~count ~x:sx
+            ~ix:(Array.unsafe_get fr.cur cx + (dx * lo))
+            ~dx ~y:sy
+            ~iy:(Array.unsafe_get fr.cur cy + (dy * lo))
+            ~dy;
+          run fr
 
 let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
     (s, (x, ix), (y, iy)) (a, ia) : op =
@@ -406,25 +449,26 @@ let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
     done;
     Array.unsafe_set fr.scal i !acc
 
-let fused st env (l : Prog.loop) : op option =
-  match l.body with
-  | [
-   Prog.Set_scalar { name; value = Prog.Const c };
-   Prog.For m;
-   Prog.Store { array; index; value = Prog.Scalar spill };
-  ] -> (
+let fused st env ?probe ~outer (l : Prog.loop) : op option =
+  match (probe, l.body) with
+  | ( None,
+      [
+        Prog.Set_scalar { name; value = Prog.Const c };
+        Prog.For m;
+        Prog.Store { array; index; value = Prog.Scalar spill };
+      ] ) -> (
       match mac_body m.body with
       | Some ((s, _, _) as mac) when s = name && spill = name ->
           Some (reduction_nest st env l c m mac (array, index))
       | _ -> None)
-  | body -> Option.map (mac_loop st env l) (mac_body body)
+  | _, body -> Option.map (mac_loop st env ?probe ~outer l) (mac_body body)
 
 (* [outer] names the enclosing loop variables, innermost first; its
    length is the statement's loop depth. *)
 let rec compile_stmt st env ~check ?probe ~outer (stmt : Prog.stmt) : op =
   match stmt with
   | Prog.For l -> (
-      match if check || Option.is_some probe then None else fused st env l with
+      match if check then None else fused st env ?probe ~outer l with
       | Some op -> op
       | None -> compile_loop st env ~check ?probe ~outer l)
   | leaf -> (
@@ -578,8 +622,6 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
     probed = Option.is_some probe;
   }
 
-let mode t = t.mode
-let proc t = t.proc
 let probed t = t.probed
 
 (* ------------------------------------------------------------------ *)

@@ -9,10 +9,9 @@
     is decomposed into a loop-invariant base plus one stride per
     enclosing loop, so inner loops update indices incrementally
     (strength reduction) instead of re-evaluating affine expressions.
-    In [Unchecked] code without a probe, each reduction of a scalarized
-    tensor kernel, the loop the HLS kernel pipelines, runs as one
-    closure with its cursors and accumulator in locals (see
-    {!compile}).
+    In [Unchecked] code, each reduction of a scalarized tensor kernel,
+    the loop the HLS kernel pipelines, runs as one closure with its
+    cursors and accumulator in locals (see {!compile}).
 
     On every observable outcome the engine is bit-identical to
     {!Interp.run} (property-tested in [test/test_compiled.ml]); a proc
@@ -70,6 +69,30 @@ type probe = {
           its read-modify port is implicit — mirroring Mnemosyne's
           static reads+writes port accounting. Under a checking mode an
           out-of-range access raises {!Error} before its event. *)
+  on_mac :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    x:int ->
+    ix:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    dy:int ->
+    unit;
+      (** Fired at run time once per run of a fused MAC loop
+          ([Unchecked] code only; see {!compile}) in place of the events
+          of its [count >= 1] iterations. Instance [t] ([0 <= t <
+          count]) of the MAC leaf at [site] runs with its enclosing
+          loops at the first [depth - 1] entries of [values] ([depth]
+          as for [on_instance]) and the MAC loop itself at [lo + t],
+          and reads slot [x] at [ix + t * dx], then slot [y] at
+          [iy + t * dy]. Expanding the event into those [on_instance]
+          and [on_access] calls gives exactly the stream an unfused run
+          reports. [values] is the frame's array, under
+          [on_instance]'s rules. A loop with no iteration fires
+          nothing. *)
 }
 (** A memory probe: observes every array access of a compiled program,
     for the dynamic PLM profiler ([Memprof]). Probe callbacks run in the
@@ -106,13 +129,13 @@ val compile : ?mode:mode -> ?probe:probe -> Prog.proc -> t
 
     When [probe] is given — or a {!set_probe_provider} provider returns
     one — the same compiler adds the probe's events to the closures it
-    builds; the fused shapes, which would bypass the probe, are left
-    out. Numeric results are unchanged.
+    builds. In [Unchecked] mode each MAC loop stays fused (and counts
+    one fused loop) and reports each run as one [on_mac] event; a
+    reduction nest runs as a probed generic loop around its fused MAC
+    loop, so its init and spill report their own instances. Numeric
+    results are unchanged.
     @raise Error on duplicate or undeclared arrays, or an index using a
     loop variable not bound by an enclosing loop. *)
-
-val mode : t -> mode
-val proc : t -> Prog.proc
 
 val probed : t -> bool
 (** Whether this program was compiled with a probe attached. *)

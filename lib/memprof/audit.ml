@@ -369,7 +369,11 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           push ua.ua_occupancy !seq ua.ua_words_touched
         end
   in
-  let probe = { Loopir.Compiled.on_site; on_instance; on_access } in
+  (* a Checked compile fuses no MAC loop *)
+  let on_mac ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_ ~dy:_ =
+    errf "fused MAC event at probe site %d in a checked audit run" site
+  in
+  let probe = { Loopir.Compiled.on_site; on_instance; on_access; on_mac } in
   let t = Loopir.Compiled.compile ~mode:Loopir.Compiled.Checked ~probe proc in
   let fr = Loopir.Compiled.make_frame t in
   (* deterministic synthetic inputs; access patterns are data-independent *)

@@ -8,9 +8,15 @@
    architecture-agnostic (it sees buffer names and word indices); the
    report layer joins its snapshot against a Mnemosyne architecture.
 
-   A probe event costs a few array increments and takes no lock. State
-   is kept per (engine, domain), where an engine is one probed compile,
-   in int arrays indexed by array slot, word and site. A domain reaches
+   A probe event costs a few array increments and takes no lock. The
+   hot one is [on_mac], one per run of a fused MAC loop: it adds the
+   run's instances and reads to its site in bulk, walks the two
+   operands' words with one strided loop, and counts the run's closed
+   instances per pressure value at once. A recorded engine so keeps the
+   unprobed engine's fused MAC loops, and records exactly what the
+   per-access events of their iterations would. State is kept per
+   (engine, domain), where an engine is one probed compile, in int
+   arrays indexed by array slot, word and site. A domain reaches
    its state through one [Domain.DLS] cell that caches the engine it
    last recorded for, so the lookup is a DLS read and a physical
    comparison; the lock is taken only when a domain first records for
@@ -105,12 +111,9 @@ let local e =
       c.c_last <- Some (e, l);
       l
 
-(* Fold the open instance's tallies into the pressure counts. *)
-let close_instance l =
-  for i = 0 to l.l_ntouched - 1 do
-    let slot = l.l_touched.(i) in
-    let n = l.l_tally.(slot) in
-    l.l_tally.(slot) <- 0;
+(* Count [k] closed instances with [n] accesses to [slot]. *)
+let add_closed l slot n k =
+  if k > 0 then begin
     if n > l.l_max_pressure.(slot) then l.l_max_pressure.(slot) <- n;
     let counts = l.l_pressure.(slot) in
     let counts =
@@ -122,9 +125,23 @@ let close_instance l =
         grown
       end
     in
-    counts.(n) <- counts.(n) + 1
+    counts.(n) <- counts.(n) + k
+  end
+
+(* Fold the open instance's tallies into the pressure counts. *)
+let close_instance l =
+  for i = 0 to l.l_ntouched - 1 do
+    let slot = l.l_touched.(i) in
+    add_closed l slot l.l_tally.(slot) 1;
+    l.l_tally.(slot) <- 0
   done;
   l.l_ntouched <- 0
+
+(* Open an instance's tally on [slot] at [n]; the slot's tally is 0. *)
+let open_tally l slot n =
+  l.l_touched.(l.l_ntouched) <- slot;
+  l.l_ntouched <- l.l_ntouched + 1;
+  l.l_tally.(slot) <- n
 
 let make_probe (proc : Loopir.Prog.proc) =
   let e =
@@ -153,13 +170,37 @@ let make_probe (proc : Loopir.Prog.proc) =
     words.(w) <- words.(w) + 1;
     l.l_sites.(s) <- l.l_sites.(s) + 1;
     let n = l.l_tally.(slot) in
-    if n = 0 then begin
-      l.l_touched.(l.l_ntouched) <- slot;
-      l.l_ntouched <- l.l_ntouched + 1
-    end;
-    l.l_tally.(slot) <- n + 1
+    if n = 0 then open_tally l slot 1 else l.l_tally.(slot) <- n + 1
   in
-  Some { Loopir.Compiled.on_site; on_instance; on_access }
+  (* [count] instances at once, as [on_instance] and [on_access] would
+     see them: all but the last closed, the last left open *)
+  let on_mac ~site ~values:_ ~lo:_ ~count ~x ~ix ~dx ~y ~iy ~dy =
+    let l = local e in
+    close_instance l;
+    let s = 3 * site in
+    l.l_sites.(s) <- l.l_sites.(s) + count;
+    l.l_sites.(s + 1) <- l.l_sites.(s + 1) + (2 * count);
+    let wx = l.l_words.(x) and wy = l.l_words.(y) in
+    let jx = ref (2 * ix) and jy = ref (2 * iy) in
+    for _ = 1 to count do
+      wx.(!jx) <- wx.(!jx) + 1;
+      wy.(!jy) <- wy.(!jy) + 1;
+      jx := !jx + (2 * dx);
+      jy := !jy + (2 * dy)
+    done;
+    (* each instance reads [x] and [y]: one buffer twice if they are one *)
+    if x = y then begin
+      add_closed l x 2 (count - 1);
+      open_tally l x 2
+    end
+    else begin
+      add_closed l x 1 (count - 1);
+      add_closed l y 1 (count - 1);
+      open_tally l x 1;
+      open_tally l y 1
+    end
+  in
+  Some { Loopir.Compiled.on_site; on_instance; on_access; on_mac }
 
 (* Hand everything recorded since the last flush to the [memprof.*]
    counters and pressure histograms. [close] first closes every domain's

@@ -17,9 +17,9 @@
    Plus unit tests for the verifier license itself (an out-of-bounds
    proc must be refused the unchecked fast path), the CFD_EXEC_DEBUG
    escape hatch, the persistent work pool, the [~jobs] plumbing of the
-   functional simulator, and the memory probe's event stream against a
-   tree walk of the proc, with the probed run's buffers against an
-   unprobed run's.
+   functional simulator, and the memory probe's event stream, each
+   fused MAC loop's one event expanded, against a tree walk of the
+   proc, with the probed run's buffers against an unprobed run's.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
 
@@ -447,11 +447,18 @@ let fused_loops ?probe mode proc =
   ignore (Compiled.compile ~mode ?probe proc);
   Obs.Metrics.counter_value c_fused - before
 
+(* The [on_mac] of a probe that only ever runs behind [expanding] (or
+   never runs at all). *)
+let unexpanded_mac ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_
+    ~dy:_ =
+  Alcotest.failf "MAC event at site %d reached a probe that expects none" site
+
 let silent_probe =
   {
     Compiled.on_site = (fun ~site:_ ~vars:_ ~stmt:_ -> ());
     on_instance = (fun ~site:_ ~values:_ -> ());
     on_access = (fun ~site:_ ~slot:_ ~index:_ ~write:_ -> ());
+    on_mac = unexpanded_mac;
   }
 
 (* The fast path has a count: a change in the shape the flow emits that
@@ -477,6 +484,9 @@ let test_fused_operators () =
             (name <> "mass") (r.mac_loops > 0);
         Alcotest.(check int) (what ^ ": unchecked fuses them all")
           (expected_fused r) (fused_loops Compiled.Unchecked proc);
+        Alcotest.(check int) (what ^ ": probed fuses its MAC loops only")
+          r.mac_loops
+          (fused_loops ~probe:silent_probe Compiled.Unchecked proc);
         List.iter
           (fun (mode, probe, leg) ->
             Alcotest.(check int) (what ^ ": " ^ leg ^ " fuses none") 0
@@ -484,7 +494,7 @@ let test_fused_operators () =
           [
             (Compiled.Checked, None, "checked");
             (Compiled.Debug, None, "debug");
-            (Compiled.Unchecked, Some silent_probe, "probed");
+            (Compiled.Checked, Some silent_probe, "probed checked");
           ]
       done)
     (Cfdlang.Operators.all ~p:4 ())
@@ -844,29 +854,69 @@ let walk_events (proc : Prog.proc) =
   List.iter (exec []) tree;
   List.rev !events
 
-(* The events a recording probe sees over one run on [inputs], and the
-   parameter buffers the run leaves: the array comes from the slot map,
-   and the loop values are the first [depth] entries of the frame's
-   array. *)
+(* [p], with each MAC event expanded into the instance and access events
+   it stands for and counted in [macs]. The depth of each site comes from
+   its [on_site]; the MAC loop's own value is the leaf's last. *)
+let expanding ?(macs = ref 0) (p : Compiled.probe) =
+  let depth = Hashtbl.create 16 in
+  {
+    p with
+    Compiled.on_site =
+      (fun ~site ~vars ~stmt ->
+        Hashtbl.replace depth site (Array.length vars);
+        p.on_site ~site ~vars ~stmt);
+    on_mac =
+      (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ->
+        incr macs;
+        let d = Hashtbl.find depth site - 1 in
+        let v = Array.make (d + 1) 0 in
+        Array.blit values 0 v 0 d;
+        for t = 0 to count - 1 do
+          v.(d) <- lo + t;
+          p.on_instance ~site ~values:v;
+          p.on_access ~site ~slot:x ~index:(ix + (t * dx)) ~write:false;
+          p.on_access ~site ~slot:y ~index:(iy + (t * dy)) ~write:false
+        done);
+  }
+
+(* The runs of MAC loops with at least one iteration: one MAC event
+   each in an unchecked probed run. *)
+let mac_runs (proc : Prog.proc) =
+  let rec runs outer = function
+    | Prog.For { lo; hi; body; _ } -> (
+        let trips = max 0 (hi - lo) in
+        match body with
+        | [ m ] when is_mac m -> if trips > 0 then outer else 0
+        | body -> List.fold_left (fun n s -> n + runs (outer * trips) s) 0 body)
+    | _ -> 0
+  in
+  List.fold_left (fun n s -> n + runs 1 s) 0 proc.Prog.body
+
+(* The events a recording probe sees over one run on [inputs], with
+   each MAC event expanded, the parameter buffers the run leaves, and
+   the number of MAC events: the array comes from the slot map, and the
+   loop values are the first [depth] entries of the frame's array. *)
 let probe_run ~mode ~inputs (proc : Prog.proc) =
   let names = Array.map fst (Compiled.array_slots proc) in
-  let depth = Hashtbl.create 16 and events = ref [] in
+  let depth = Hashtbl.create 16 and events = ref [] and macs = ref 0 in
   let emit e = events := e :: !events in
   let probe =
-    {
-      Compiled.on_site =
-        (fun ~site ~vars ~stmt:_ ->
-          Hashtbl.replace depth site (Array.length vars);
-          emit (Site (site, Array.to_list vars)));
-      on_instance =
-        (fun ~site ~values ->
-          emit
-            (Instance
-               (site, Array.to_list (Array.sub values 0 (Hashtbl.find depth site)))));
-      on_access =
-        (fun ~site ~slot ~index ~write ->
-          emit (Access (site, names.(slot), index, write)));
-    }
+    expanding ~macs
+      {
+        Compiled.on_site =
+          (fun ~site ~vars ~stmt:_ ->
+            Hashtbl.replace depth site (Array.length vars);
+            emit (Site (site, Array.to_list vars)));
+        on_instance =
+          (fun ~site ~values ->
+            emit
+              (Instance
+                 (site, Array.to_list (Array.sub values 0 (Hashtbl.find depth site)))));
+        on_access =
+          (fun ~site ~slot ~index ~write ->
+            emit (Access (site, names.(slot), index, write)));
+        on_mac = unexpanded_mac;
+      }
   in
   let t = Compiled.compile ~mode ~probe proc in
   let fr = Compiled.make_frame t in
@@ -878,12 +928,15 @@ let probe_run ~mode ~inputs (proc : Prog.proc) =
   ( List.rev !events,
     List.map
       (fun (p : Prog.param) -> (p.Prog.name, Compiled.buffer t fr p.Prog.name))
-      proc.Prog.params )
+      proc.Prog.params,
+    !macs )
 
 (* The probe contract: in each mode the probe sees the tree walk's
-   events, and the probed run leaves the same parameter bits as an
-   unprobed engine in that mode. Every parameter starts from non-zero
-   data, so a probed store that lost its accumulate shows. *)
+   events, with each MAC event expanded, and the probed run leaves the
+   same parameter bits as an unprobed engine in that mode. An unchecked
+   run reports each run of a MAC loop as one MAC event, a checked run
+   none. Every parameter starts from non-zero data, so a probed store
+   that lost its accumulate shows. *)
 let check_probe_contract ~what proc =
   let expected = walk_events proc in
   let inputs =
@@ -896,7 +949,11 @@ let check_probe_contract ~what proc =
   in
   List.iter
     (fun (mode, mode_name) ->
-      let got, buffers = probe_run ~mode ~inputs proc in
+      let got, buffers, macs = probe_run ~mode ~inputs proc in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s MAC events" what mode_name)
+        (if mode = Compiled.Unchecked then mac_runs proc else 0)
+        macs;
       let rec first_diff i = function
         | e :: es, g :: gs ->
             if e = g then first_diff (i + 1) (es, gs)
@@ -989,6 +1046,90 @@ let test_probe_hand_built_nests () =
   Prog.validate proc;
   check_probe_contract ~what:"hand-built nests" proc
 
+(* The MAC loop's edges under a probe:
+     for i in [0, 2) {
+       s = 0.7;
+       for k in [lo, lo + trips) { s += a[4i + k] * b[k + 1]; }
+       c[i] = s;
+       (c[8 + i] = a[i] * s;)      -- a pointwise tail: no reduction nest
+     }
+     c[15] = s;
+   at lo 0 and 1 and 0 to 3 trips; [a]'s index may drop [k] (a stride
+   of 0), and [b] may be [a] itself, so that one instance reads one
+   buffer twice. [Prog.validate] refuses the empty loop, but the engine
+   runs it as the walk does, and its MAC loop fires no event. The
+   memprof tests record these too. *)
+let mac_edge_procs () =
+  let ix terms c = Ix.of_terms terms c in
+  let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body } in
+  let store array index value = Prog.Store { array; index; value } in
+  let proc lo trips stride same tail =
+    let b = if same then "a" else "b" in
+    let mac =
+      Prog.Acc_scalar
+        {
+          name = "s";
+          value =
+            Prog.Mul
+              ( Prog.Load ("a", ix ((4, "i") :: (if stride then [ (1, "k") ] else [])) 0),
+                Prog.Load (b, ix [ (1, "k") ] 1) );
+        }
+    in
+    let tail =
+      if tail then
+        [
+          store "c" (ix [ (1, "i") ] 8)
+            (Prog.Mul (Prog.Load ("a", ix [ (1, "i") ] 0), Prog.Scalar "s"));
+        ]
+      else []
+    in
+    ( Printf.sprintf "MAC loop k from %d x%d, stride %d, %s%s" lo trips
+        (if stride then 1 else 0)
+        (if same then "both operands on a" else "operands a and b")
+        (if tail = [] then ", in a nest" else ", pointwise tail"),
+      {
+        Prog.name = "mac_edges";
+        params =
+          [
+            { Prog.name = "a"; size = 16; dir = Prog.In };
+            { Prog.name = "b"; size = 16; dir = Prog.In };
+            { Prog.name = "c"; size = 16; dir = Prog.Out };
+          ];
+        locals = [];
+        body =
+          [
+            loop "i" 0 2
+              ([
+                 Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
+                 loop "k" lo (lo + trips) [ mac ];
+                 store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
+               ]
+              @ tail);
+            store "c" (Ix.const 15) (Prog.Scalar "s");
+          ];
+      } )
+  in
+  List.concat_map
+    (fun lo ->
+      List.concat_map
+        (fun trips ->
+          List.concat_map
+            (fun stride ->
+              List.concat_map
+                (fun same ->
+                  List.map (proc lo trips stride same) [ false; true ])
+                [ false; true ])
+            [ true; false ])
+        [ 0; 1; 2; 3 ])
+    [ 0; 1 ]
+
+let test_probe_mac_edges () =
+  List.iter
+    (fun (what, proc) ->
+      if mac_runs proc > 0 then Prog.validate proc;
+      check_probe_contract ~what proc)
+    (mac_edge_procs ())
+
 let qcheck_probe_random_procs =
   QCheck.Test.make ~name:"probe events = tree walk on random procs" ~count:200
     arb_spec
@@ -1041,6 +1182,7 @@ let suite =
       [
         case "events = tree walk: Operators.all p=4" test_probe_operators;
         case "events = tree walk: shallow after deep" test_probe_hand_built_nests;
+        case "events = tree walk: MAC-loop edges" test_probe_mac_edges;
         Test_seed.to_alcotest qcheck_probe_random_procs;
       ] );
   ]

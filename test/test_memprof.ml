@@ -3,7 +3,8 @@
    sharing numbers from observation, catches a forced-illegal storage
    merge with a concrete witness, and costs nothing when disabled. The
    per-domain recorder counts exactly what a single-mutex recorder
-   does, at any job count. *)
+   does, at any job count, and records a fused MAC loop's one event as
+   it would the per-access events of its iterations. *)
 
 let kernels_dir () =
   if Sys.file_exists "../kernels" then "../kernels" else "kernels"
@@ -472,7 +473,13 @@ module Oracle = struct
           | Some n -> incr n
           | None -> d.dc_tally <- (buffer, ref 1) :: d.dc_tally)
     in
-    { Loopir.Compiled.on_site; on_instance; on_access }
+    (* it sees a MAC event only through [Test_compiled.expanding] *)
+    {
+      Loopir.Compiled.on_site;
+      on_instance;
+      on_access;
+      on_mac = Test_compiled.unexpanded_mac;
+    }
 
   let reset () =
     Mutex.protect lock (fun () ->
@@ -583,28 +590,31 @@ let snapshot_lines (sn : Memprof.Record.snapshot) =
           d.R.d_words_out)
       sn.R.sn_dma
 
-(* The pressure histograms and the [counters] under [prefix], as
-   lines. *)
+(* The pressure histograms of [buffers] and the [counters] under
+   [prefix], as lines. *)
 let metric_lines
     ?(counters = [ "accesses.read"; "accesses.write"; "instances" ]) prefix
-    (sn : Memprof.Record.snapshot) =
+    buffers =
   List.map
-    (fun (b : Memprof.Record.buffer_stats) ->
+    (fun buffer ->
       let h =
         Obs.Metrics.histogram_snapshot
-          (Obs.Metrics.histogram
-             (prefix ^ ".pressure." ^ b.Memprof.Record.b_buffer))
+          (Obs.Metrics.histogram (prefix ^ ".pressure." ^ buffer))
       in
       Printf.sprintf "pressure %s: n %d, sum %h, min %h, max %h, p50 %h, p95 %h, p99 %h"
-        b.Memprof.Record.b_buffer h.Obs.Metrics.h_count h.Obs.Metrics.h_sum
+        buffer h.Obs.Metrics.h_count h.Obs.Metrics.h_sum
         h.Obs.Metrics.h_min h.Obs.Metrics.h_max h.Obs.Metrics.h_p50
         h.Obs.Metrics.h_p95 h.Obs.Metrics.h_p99)
-    sn.Memprof.Record.sn_buffers
+    buffers
   @ List.map
       (fun c ->
         Printf.sprintf "%s %d" c
           (Obs.Metrics.counter_value (Obs.Metrics.counter (prefix ^ "." ^ c))))
       counters
+
+let buffers_of (sn : Memprof.Record.snapshot) =
+  List.map (fun (b : Memprof.Record.buffer_stats) -> b.Memprof.Record.b_buffer)
+    sn.Memprof.Record.sn_buffers
 
 let same_lines what expected got =
   let rec go i = function
@@ -619,7 +629,8 @@ let same_lines what expected got =
 
 (* One recorded simulation (round-scheduled unless [strategy] says
    otherwise), from fresh metrics; with [oracle], the oracle watches the
-   same engine through a tee. *)
+   same engine through a tee, which hands each MAC event to the recorder
+   as it is and to the oracle expanded. *)
 let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
     ~jobs (r : Cfd_core.Compile.result) system n =
   Obs.Metrics.reset ();
@@ -631,7 +642,7 @@ let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
          (fun proc ->
            Option.map
              (fun (a : Loopir.Compiled.probe) ->
-               let b = Oracle.make_probe proc in
+               let b = Test_compiled.expanding (Oracle.make_probe proc) in
                {
                  Loopir.Compiled.on_site =
                    (fun ~site ~vars ~stmt ->
@@ -645,6 +656,10 @@ let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
                    (fun ~site ~slot ~index ~write ->
                      a.on_access ~site ~slot ~index ~write;
                      b.on_access ~site ~slot ~index ~write);
+                 on_mac =
+                   (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ->
+                     a.on_mac ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy;
+                     b.on_mac ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy);
                })
              (Memprof.Record.make_probe proc)))
   end;
@@ -666,8 +681,8 @@ let test_recorder_matches_oracle () =
       same_lines (what ^ " snapshot") (snapshot_lines osn)
         (snapshot_lines { sn with Memprof.Record.sn_dma = [] });
       same_lines (what ^ " metrics")
-        (metric_lines "memprof_oracle" osn)
-        (metric_lines "memprof" sn))
+        (metric_lines "memprof_oracle" (buffers_of osn))
+        (metric_lines "memprof" (buffers_of sn)))
     (Lazy.force recorder_cases)
 
 (* Whatever the strategy and job count, a run records what the
@@ -688,7 +703,7 @@ let test_recorder_jobs_invariant () =
                 "dma.words_in";
                 "dma.words_out";
               ]
-            "memprof" sn
+            "memprof" (buffers_of sn)
       in
       let reference = lines Sim.Functional.Round_scheduled 1 in
       List.iter
@@ -706,6 +721,65 @@ let test_recorder_jobs_invariant () =
           (Sim.Functional.Round_scheduled, 4);
         ])
     (Lazy.force recorder_cases)
+
+(* One element of [proc] compiled in [mode] and recorded, from fresh
+   metrics: the metrics after [disable], which leaves the last instance
+   open, then the snapshot and the metrics after [snapshot], which
+   closes it. *)
+let recorded_element ~mode (proc : Loopir.Prog.proc) =
+  Obs.Metrics.reset ();
+  Memprof.Record.enable ();
+  Fun.protect ~finally:Memprof.Record.disable (fun () ->
+      (* access patterns are data-independent: the inputs stay zero *)
+      let t = Loopir.Compiled.compile ~mode proc in
+      Loopir.Compiled.run t (Loopir.Compiled.make_frame t));
+  let slots = Array.to_list (Array.map fst (Loopir.Compiled.array_slots proc)) in
+  let disabled = metric_lines "memprof" slots in
+  let sn = Memprof.Record.snapshot () in
+  disabled @ snapshot_lines sn @ metric_lines "memprof" (buffers_of sn)
+
+(* A fused MAC loop's one event records what its per-access events
+   would: an unchecked engine (fused MAC loops) and a checked one (no
+   fusion) record the same snapshot, pressure histograms and counters.
+   Every Operators.all kernel at p = 4 and 7 at five option points, each
+   licensed to run unchecked as the simulator runs it, and the
+   hand-built MAC-loop edges, in range by construction. *)
+let test_fused_recording_agrees () =
+  let options =
+    let d = Cfd_core.Compile.default_options in
+    [
+      ("default", d);
+      ("sharing off", { d with Cfd_core.Compile.sharing = false });
+      ("unroll 2", { d with Cfd_core.Compile.unroll = Some 2 });
+      ("factorize off", { d with Cfd_core.Compile.factorize = false });
+      ("fuse_pointwise", { d with Cfd_core.Compile.fuse_pointwise = true });
+    ]
+  in
+  let kernels =
+    List.concat_map
+      (fun p ->
+        List.concat_map
+          (fun (name, ast) ->
+            List.map
+              (fun (label, options) ->
+                let what = Printf.sprintf "%s p=%d %s" name p label in
+                let proc =
+                  (Cfd_core.Compile.compile ~options ast).Cfd_core.Compile.proc
+                in
+                Alcotest.(check bool) (what ^ ": licensed unchecked") true
+                  (Analysis.Verify.execution_mode proc
+                  = Loopir.Compiled.Unchecked);
+                (what, proc))
+              options)
+          (Cfdlang.Operators.all ~p ()))
+      [ 4; 7 ]
+  in
+  List.iter
+    (fun (what, proc) ->
+      same_lines what
+        (recorded_element ~mode:Loopir.Compiled.Checked proc)
+        (recorded_element ~mode:Loopir.Compiled.Unchecked proc))
+    (kernels @ Test_compiled.mac_edge_procs ())
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
@@ -772,6 +846,8 @@ let suite =
            test_disabled_recorder_invisible
       :: Alcotest.test_case "recorder bookkeeping is exact" `Quick
            test_recorder_bookkeeping
+      :: Alcotest.test_case "fused and unfused recording agree" `Quick
+           test_fused_recording_agrees
       :: Alcotest.test_case "report JSON and counter tracks well-formed"
            `Quick test_report_json_wellformed
       :: List.map
