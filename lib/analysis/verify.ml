@@ -219,11 +219,27 @@ let store st x tbl base =
     tbl.(base + p) <- stamp_at st x p
   done
 
-(* Visit every instance [x] of [stmt] with the flat offset [access]
-   touches there; returns the number of instances. *)
-let walk_access program (stmt : Flow.statement) access visit =
+(* Visit the instances [x] of [stmt] with the flat offset [access]
+   touches there, pinned as [BS.walk ~pin]; returns the instances
+   covered and the instances visited.
+
+   On a box domain the pinned instances suffice. Take any instance x and
+   a dimension the offset does not depend on; setting that coordinate to
+   its lower bound keeps x in the domain and on the same element, and
+   cannot raise x's timestamp, each of whose components is a constant or
+   a coordinate. So each element's first write is met at [`Low]; so is
+   the domain-order-first read at or before it, the witness, since the
+   lowered instance is also earlier in walk order; and each element's
+   last access is met at [`High]. *)
+let walk_access ~pin program (stmt : Flow.statement) access visit =
   let off = (Poly.Aff_map.exprs (Flow.array_access program access)).(0) in
-  BS.walk stmt.Flow.domain [| off |] (fun x v -> visit x v.(0))
+  let visits = ref 0 in
+  let covered =
+    BS.walk ~pin stmt.Flow.domain [| off |] (fun x v ->
+        incr visits;
+        visit x v.(0))
+  in
+  (covered, !visits)
 
 type element_stamps = {
   first_write : int array;
@@ -231,12 +247,13 @@ type element_stamps = {
   written : Bytes.t;
 }
 
-(* The per-element liveness table: one walk per statement access. The
-   write's walk keeps each element's lexicographically first write; with
-   [~last], every walk also keeps its last access. Offsets outside an
-   array are skipped (the bounds check reports them). Returns the table,
-   which gives an all-unwritten entry for an array no statement writes,
-   and the number of points walked. *)
+(* The per-element liveness table: one walk per statement write, pinned
+   low, keeps each element's lexicographically first write; with
+   [~last], one more walk per statement access, pinned high, keeps its
+   last access. Offsets outside an array are skipped (the bounds check
+   reports them). Returns the table, which gives an all-unwritten entry
+   for an array no statement writes, and the instances the write walks
+   covered and visited. *)
 let element_table ~last (program : Flow.program) (schedule : Schedule.t) =
   let tuple_arity = Schedule.tuple_arity schedule in
   let arrays : (string, element_stamps) Hashtbl.t = Hashtbl.create 16 in
@@ -256,48 +273,55 @@ let element_table ~last (program : Flow.program) (schedule : Schedule.t) =
         Hashtbl.replace arrays name t;
         t
   in
-  let points = ref 0 in
+  let points = ref 0 and visits = ref 0 in
   List.iter
     (fun (stmt : Flow.statement) ->
       let st = stamp ~tuple_arity (Schedule.find schedule stmt.Flow.stmt_name) in
-      List.iter
-        (fun (access, write) ->
-          let t = table access.Flow.array in
-          points :=
-            !points
-            + walk_access program stmt access (fun x off ->
-                  if off >= 0 && off < Bytes.length t.written then begin
-                    let base = off * tuple_arity in
-                    if
-                      write
-                      && (Bytes.get t.written off = '\000'
-                         || compare_stored st x t.first_write base < 0)
-                    then begin
-                      Bytes.set t.written off '\001';
-                      store st x t.first_write base
-                    end;
-                    if last && compare_stored st x t.last_access base > 0 then
-                      store st x t.last_access base
-                  end))
-        ((stmt.Flow.write, true)
-        :: (if last then List.map (fun r -> (r, false)) (Flow.reads stmt) else [])))
+      let t = table stmt.Flow.write.Flow.array in
+      let covered, visited =
+        walk_access ~pin:`Low program stmt stmt.Flow.write (fun x off ->
+            if
+              off >= 0
+              && off < Bytes.length t.written
+              && (Bytes.get t.written off = '\000'
+                 || compare_stored st x t.first_write (off * tuple_arity) < 0)
+            then begin
+              Bytes.set t.written off '\001';
+              store st x t.first_write (off * tuple_arity)
+            end)
+      in
+      points := !points + covered;
+      visits := !visits + visited;
+      if last then
+        List.iter
+          (fun (access : Flow.access) ->
+            let t = table access.Flow.array in
+            ignore
+              (walk_access ~pin:`High program stmt access (fun x off ->
+                   if
+                     off >= 0
+                     && off < Bytes.length t.written
+                     && compare_stored st x t.last_access (off * tuple_arity) > 0
+                   then store st x t.last_access (off * tuple_arity))))
+          (stmt.Flow.write :: Flow.reads stmt))
     program.Flow.stmts;
-  (table, !points)
+  (table, !points, !visits)
 
 let element_liveness (program : Flow.program) (schedule : Schedule.t) =
-  let table, _ = element_table ~last:true program schedule in
+  let table, _, _ = element_table ~last:true program schedule in
   List.map
     (fun (a : Flow.array_info) -> (a.Flow.array_name, table a.Flow.array_name))
     program.Flow.arrays
 
 let c_ubd_points = Obs.Metrics.counter "verify.ubd.points"
+let c_ubd_visits = Obs.Metrics.counter "verify.ubd.visits"
 
 let use_before_def (program : Flow.program) (schedule : Schedule.t) =
   let tuple_arity = Schedule.tuple_arity schedule in
   let diags = ref [] in
   (* pass 1: lexicographically first write per element *)
-  let table, points = element_table ~last:false program schedule in
-  let points = ref points in
+  let table, points, visits = element_table ~last:false program schedule in
+  let points = ref points and visits = ref visits in
   (* pass 2: every read must land strictly after its element's first
      write. A Mac's += is a read-modify-write of its accumulator, so the
      write access joins the read list: a missing initialization makes the
@@ -319,19 +343,21 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           then begin
             let t = table r.Flow.array in
             let witness = ref None in
-            points :=
-              !points
-              + walk_access program stmt r (fun x off ->
-                    if off >= 0 && off < Bytes.length t.written then
-                      let bad why =
-                        witness := Some (Array.copy x, off, why);
-                        raise Exit
-                      in
-                      if Bytes.get t.written off = '\000' then
-                        bad "the element is never written"
-                      else if
-                        compare_stored st x t.first_write (off * tuple_arity) <= 0
-                      then bad "the read is scheduled at or before its first write");
+            let covered, visited =
+              walk_access ~pin:`Low program stmt r (fun x off ->
+                  if off >= 0 && off < Bytes.length t.written then
+                    let bad why =
+                      witness := Some (Array.copy x, off, why);
+                      raise Exit
+                    in
+                    if Bytes.get t.written off = '\000' then
+                      bad "the element is never written"
+                    else if
+                      compare_stored st x t.first_write (off * tuple_arity) <= 0
+                    then bad "the read is scheduled at or before its first write")
+            in
+            points := !points + covered;
+            visits := !visits + visited;
             match !witness with
             | None -> ()
             | Some (x, off, why) ->
@@ -346,7 +372,9 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
         reads)
     program.Flow.stmts;
   Obs.Metrics.add c_ubd_points !points;
+  Obs.Metrics.add c_ubd_visits !visits;
   Obs.Trace.span_attr "points" (string_of_int !points);
+  Obs.Trace.span_attr "visits" (string_of_int !visits);
   List.rev !diags
 
 let bounds (proc : Loopir.Prog.proc) =

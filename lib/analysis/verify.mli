@@ -38,9 +38,15 @@ val use_before_def :
 
     The enumeration is one odometer per statement and access over the
     domain's bounding box, with the flat offset kept incrementally and
-    the timestamps compared in place, in flat per-array tables; the
-    enumerated instances are counted in [verify.ubd.points] and in the
-    [points] attribute of the [verify.use-before-def] span.
+    the timestamps compared in place, in flat per-array tables. On a box
+    domain the odometer holds each dimension the access's offset does
+    not depend on at its lower bound ([Poly.Basic_set.walk ~pin:`Low]):
+    lowering such a coordinate keeps the element and cannot raise the
+    timestamp, so the first writes and the first offending instance are
+    the same as a full walk's. The instances covered are counted in
+    [verify.ubd.points] and in the [points] attribute of the
+    [verify.use-before-def] span, those visited in [verify.ubd.visits]
+    and [visits].
     @raise Invalid_argument on a statement with an unbounded domain. *)
 
 type stamp
@@ -69,8 +75,9 @@ val element_liveness :
 (** Exact per-element liveness (the L mapping of Section IV-F), one
     entry per declared array in declaration order: from each element's
     first write to its last access, in schedule time. It is the table
-    {!use_before_def} reads, filled by the same walks plus one per read
-    access, and is not counted in [verify.ubd.points]. Interface arrays
+    {!use_before_def} reads, filled by the same walks plus one per
+    statement access pinned at the upper bound for the last accesses,
+    and is not counted in [verify.ubd.points]. Interface arrays
     carry no virtual bracket here; a reader adds it. Offsets an access
     takes outside its array are skipped. *)
 

@@ -5,7 +5,15 @@ type t = {
   space : Space.t;
   constrs : constr list;
   inconsistent : bool; (* detected trivially false constraint *)
+  box : box option;
+      (* [Some] when every constraint mentions one variable, or the set
+         is inconsistent: bounds, emptiness and lex extrema are read
+         off it *)
 }
+
+(* Per-variable inclusive bounds, [None] where unbounded, and whether
+   some variable's range is empty. *)
+and box = { void : bool; ranges : (int option * int option) array }
 
 (* --- hash-consing ------------------------------------------------------- *)
 (* Every set produced by [build] is interned, so structurally identical
@@ -28,6 +36,52 @@ let () =
   Memo.register_clear (fun () ->
       Mutex.protect hashcons_lock (fun () -> Hashtbl.reset hashcons))
 
+let constr_aff = function Eq e | Ge e -> e
+
+(* The one variable [e] mentions, or -1 when it mentions several. *)
+let sole_var (e : Aff.t) =
+  let v = ref (-1) and mentioned = ref 0 in
+  Array.iteri
+    (fun j c ->
+      if c <> 0 then begin
+        v := j;
+        incr mentioned
+      end)
+    e.Aff.coeffs;
+  if !mentioned = 1 then !v else -1
+
+(* A set is a box when each of its constraints mentions one variable
+   (normalization drops those that mention none); it is then the product
+   of its per-variable ranges, so FM would find exactly these bounds.
+   Normalization leaves every single-variable constraint with coefficient
+   +-1, and an equality whose constant the coefficient does not divide
+   has made the set inconsistent, which is the empty box: every range
+   [0, -1], the answer [var_bounds] gives for it. *)
+let box_of space constrs inconsistent =
+  let n = Space.arity space in
+  if inconsistent then Some { void = true; ranges = Array.make n (Some 0, Some (-1)) }
+  else if List.exists (fun c -> sole_var (constr_aff c) < 0) constrs then None
+  else begin
+    let ranges = Array.make n (None, None) in
+    List.iter
+      (fun c ->
+        let e = constr_aff c in
+        let j = sole_var e in
+        let a = e.Aff.coeffs.(j) and b = e.Aff.const in
+        assert (abs a = 1);
+        let lo, hi = ranges.(j) in
+        let lo' v = match lo with Some l when l >= v -> lo | _ -> Some v in
+        let hi' v = match hi with Some h when h <= v -> hi | _ -> Some v in
+        ranges.(j) <-
+          (match c with
+          | Ge _ when a > 0 -> (lo' (-b), hi)
+          | Ge _ -> (lo, hi' b)
+          | Eq _ -> (lo' (-b * a), hi' (-b * a))))
+      constrs;
+    let void = Array.exists (function Some l, Some h -> l > h | _ -> false) ranges in
+    Some { void; ranges }
+  end
+
 let intern space constrs inconsistent =
   let key = (space, constrs, inconsistent) in
   Mutex.protect hashcons_lock (fun () ->
@@ -39,14 +93,13 @@ let intern space constrs inconsistent =
           Stats.miss intern_counter;
           if Hashtbl.length hashcons >= max_hashcons then
             Hashtbl.reset hashcons;
-          let t = { id = !next_id; space; constrs; inconsistent } in
+          let box = box_of space constrs inconsistent in
+          let t = { id = !next_id; space; constrs; inconsistent; box } in
           incr next_id;
           Hashtbl.add hashcons key t;
           t)
 
 let uid t = t.id
-
-let constr_aff = function Eq e | Ge e -> e
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
@@ -228,17 +281,18 @@ let is_empty_memo : (int, bool) Memo.t =
 
 let is_empty t =
   Obs.Metrics.incr emptiness_tests;
-  if t.inconsistent then true
-  else
-    Memo.find_or_compute is_empty_memo t.id (fun () ->
-        let n = arity t in
-        let rec loop constrs j =
-          match build t.space constrs with
-          | { inconsistent = true; _ } -> true
-          | { constrs; _ } ->
-              if j >= n then false else loop (eliminate_var constrs j) (j + 1)
-        in
-        loop t.constrs 0)
+  match t.box with
+  | Some b -> b.void
+  | None ->
+      Memo.find_or_compute is_empty_memo t.id (fun () ->
+          let n = arity t in
+          let rec loop constrs j =
+            match build t.space constrs with
+            | { inconsistent = true; _ } -> true
+            | { constrs; _ } ->
+                if j >= n then false else loop (eliminate_var constrs j) (j + 1)
+          in
+          loop t.constrs 0)
 
 let project_memo : (int * int list * Space.t, t) Memo.t =
   Memo.create ~name:"poly.project_out" ()
@@ -310,10 +364,11 @@ let var_bounds_memo : (int * int, int option * int option) Memo.t =
   Memo.create ~name:"poly.var_bounds" ()
 
 let var_bounds t j =
-  if t.inconsistent then (Some 0, Some (-1))
-  else
-    Memo.find_or_compute var_bounds_memo (t.id, j) (fun () ->
-        var_bounds_fresh t j)
+  match t.box with
+  | Some b -> b.ranges.(j)
+  | None ->
+      Memo.find_or_compute var_bounds_memo (t.id, j) (fun () ->
+          var_bounds_fresh t j)
 
 let bounding_box t =
   let n = arity t in
@@ -354,8 +409,11 @@ let enumerate t =
    forward or wraps a dimension back to its lower bound, so a point
    costs O(tracked) additions and no allocation. The constraints the box
    does not already imply are tracked after [exprs] and re-checked per
-   point (a box, the only domain the flow produces, has none). *)
-let walk t exprs visit =
+   point (a box, the only domain the flow produces, has none). Under
+   [pin], a set without such constraints holds each dimension that no
+   expression mentions at one bound, and each point visited stands for
+   [repeat] points of the box. *)
+let walk ?pin t exprs visit =
   match bounding_box t with
   | None -> invalid_arg "Basic_set.walk: unbounded set"
   | Some box ->
@@ -370,6 +428,17 @@ let walk t exprs visit =
               match c with Ge _ -> l < 0 | Eq _ -> l <> 0 || h <> 0)
             t.constrs
         in
+        let repeat = ref 1 in
+        (match pin with
+        | Some side when residual = [] ->
+            for j = 0 to k - 1 do
+              if Array.for_all (fun e -> Aff.coeff e j = 0) exprs then begin
+                repeat := !repeat * (hi.(j) - lo.(j) + 1);
+                match side with `Low -> hi.(j) <- lo.(j) | `High -> lo.(j) <- hi.(j)
+              end
+            done
+        | _ -> ());
+        let repeat = !repeat in
         let m = Array.length exprs in
         let tracked = Array.append exprs (Array.of_list (List.map constr_aff residual)) in
         let is_eq =
@@ -409,7 +478,7 @@ let walk t exprs visit =
         (try
            while
              if inside m then begin
-               incr count;
+               count := !count + repeat;
                visit x v
              end;
              step (k - 1)
@@ -430,10 +499,21 @@ exception Off_the_set
    greedy point is exact whenever it lies in [t]. A bound that is
    rationally but not integrally attained shows as an empty slice
    further down ([Off_the_set]); then, as on a failed membership test,
-   enumeration decides. *)
+   enumeration decides. A box takes each dimension's own bound, with no
+   elimination. *)
 let lex_extremum ~maximize t =
-  if is_empty t then None
-  else begin
+  match t.box with
+  | Some { void = true; _ } -> None
+  | Some { ranges; _ } ->
+      Some
+        (Array.map
+           (fun (lo, hi) ->
+             match if maximize then hi else lo with
+             | Some v -> v
+             | None -> invalid_arg "Basic_set.lexmin/lexmax: unbounded dimension")
+           ranges)
+  | None when is_empty t -> None
+  | None -> begin
     let n = arity t in
     let proj = Array.make n t.constrs in
     let rec project j =

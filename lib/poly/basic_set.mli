@@ -7,7 +7,9 @@
     by the compiler flow have unit-coefficient bounds, and analyses that
     require integer exactness use {!enumerate} (domains are bounded, with
     p = 11 at most ~1.8M points). The test suite cross-validates FM
-    emptiness against enumeration on randomized sets. *)
+    emptiness against enumeration on randomized sets. A box — each
+    constraint on one variable, as every statement domain and schedule
+    image the flow builds — skips FM: see {!is_empty}. *)
 
 type constr = Eq of Aff.t | Ge of Aff.t
 (** [Eq e] means e = 0; [Ge e] means e >= 0. *)
@@ -15,7 +17,6 @@ type constr = Eq of Aff.t | Ge of Aff.t
 type t
 
 val universe : Space.t -> t
-val empty : Space.t -> t
 
 val of_box : Space.t -> (int * int) list -> t
 (** [of_box space bounds] with inclusive per-dimension [(lo, hi)] bounds;
@@ -42,7 +43,11 @@ val intersect : t -> t -> t
 val mem : t -> int array -> bool
 val is_obviously_empty : t -> bool
 val is_empty : t -> bool
-(** Fourier–Motzkin emptiness check (rational relaxation + gcd tightening). *)
+(** Fourier–Motzkin emptiness check (rational relaxation + gcd tightening).
+    A box — a set each of whose constraints mentions at most one
+    variable, decided once when the set is interned — is empty exactly
+    when some variable's range is, and is answered without elimination,
+    as are its {!var_bounds}, {!bounding_box}, {!lexmin} and {!lexmax}. *)
 
 val eliminate : t -> int -> t
 (** Project out one variable; the result keeps the same space arity but the
@@ -63,7 +68,12 @@ val bounding_box : t -> (int * int) array option
 val enumerate : t -> int array list
 (** All integer points (exact). @raise Invalid_argument when unbounded. *)
 
-val walk : t -> Aff.t array -> (int array -> int array -> unit) -> int
+val walk :
+  ?pin:[ `Low | `High ] ->
+  t ->
+  Aff.t array ->
+  (int array -> int array -> unit) ->
+  int
 (** [walk t exprs visit] visits every integer point of [t] in the order
     of {!enumerate} (row-major) without materializing them, and returns
     how many it visited. [exprs] are over [t]'s variables. [visit x v] gets the point [x] and, in
@@ -72,6 +82,14 @@ val walk : t -> Aff.t array -> (int array -> int array -> unit) -> int
     retain them. Values are kept incrementally, so a point costs no
     allocation and O(1) additions per tracked expression. Raising [Exit]
     from [visit] stops the walk.
+
+    With [~pin], when [t] has no constraint its bounding box does not
+    imply (so [t] is that box), every dimension whose coefficient is 0
+    in all of [exprs] is held at its lower ([`Low]) or upper ([`High])
+    bound: the walk visits, in the same order, exactly those points of
+    {!enumerate} whose such coordinates sit at that bound, and counts
+    each as the points it stands for, so a full walk still returns the
+    set's point count. Other sets are walked in full.
     @raise Invalid_argument when [t] is unbounded. *)
 
 val lexmin : t -> int array option

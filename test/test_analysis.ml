@@ -638,6 +638,148 @@ let qcheck_ubd_hand_built_match_reference =
       let program, schedule = hand_built_program (Random.State.make [| seed |]) in
       same_use_before_def "hand-built" program schedule)
 
+(* Box domains of 1-4 dimensions, where the verifier's walks are
+   pinned. Each access leaves out a random subset of the dimensions, in
+   outer, middle or inner position; over the rest its strides lie in
+   [-1, 2], so an element recurs along the dimensions that are walked.
+   Each statement's dims are a random permutation, its betas random and
+   possibly tied, and one schedule in two is mutated further. *)
+let box_program rng =
+  let program, _ = hand_built_program rng in
+  let shuffle a =
+    for k = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (k + 1) in
+      let t = a.(k) in
+      a.(k) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let stmt (s : Flow.statement) =
+    let name = s.Flow.stmt_name in
+    let d = 1 + Random.State.int rng 4 in
+    let space = Poly.Space.make name (List.init d (Printf.sprintf "i%d")) in
+    let bounds =
+      List.init d (fun _ ->
+          let lo = Random.State.int rng 2 in
+          (lo, lo + Random.State.int rng 3))
+    in
+    let access (a : Flow.access) =
+      let e =
+        Poly.Aff.make
+          (Array.init d (fun _ ->
+               if Random.State.bool rng then 0 else Random.State.int rng 4 - 1))
+          (Random.State.int rng 4)
+      in
+      { a with Flow.map = Poly.Aff_map.make space (Poly.Space.make a.Flow.array [ "d0" ]) [| e |] }
+    in
+    {
+      s with
+      Flow.domain = Poly.Basic_set.of_box space bounds;
+      write = access s.Flow.write;
+      compute =
+        (match s.Flow.compute with
+        | Flow.Assign_copy r -> Flow.Assign_copy (access r)
+        | Flow.Mac rs -> Flow.Mac (List.map access rs)
+        | c -> c);
+    }
+  in
+  let program = { program with Flow.stmts = List.map stmt program.Flow.stmts } in
+  let schedule =
+    List.map
+      (fun (s : Flow.statement) ->
+        let d = Poly.Basic_set.arity s.Flow.domain in
+        ( s.Flow.stmt_name,
+          {
+            Schedule.betas =
+              Array.init (d + 1) (fun l -> Random.State.int rng (if l = 0 then 4 else 2));
+            dims = shuffle (Array.init d Fun.id);
+          } ))
+      program.Flow.stmts
+  in
+  if Random.State.bool rng then mutate rng program schedule else (program, schedule)
+
+(* Whether some walked access of [program] leaves out a dimension other
+   than its statement's innermost. *)
+let pins_outer (program : Flow.program) =
+  List.exists
+    (fun (stmt : Flow.statement) ->
+      let d = Poly.Basic_set.arity stmt.Flow.domain in
+      List.exists
+        (fun (a : Flow.access) ->
+          let off = (Poly.Aff_map.exprs (Flow.array_access program a)).(0) in
+          List.exists (fun j -> Poly.Aff.coeff off j = 0) (List.init (d - 1) Fun.id))
+        (stmt.Flow.write :: Flow.reads stmt))
+    program.Flow.stmts
+
+let test_ubd_box_match_reference () =
+  let violations = ref 0 and outer = ref 0 in
+  let rng = Test_seed.rand () in
+  for _ = 1 to 300 do
+    let program, schedule = box_program rng in
+    ignore (same_use_before_def "box" program schedule);
+    if V.use_before_def program schedule <> [] then incr violations;
+    if pins_outer program then incr outer
+  done;
+  if !violations < 200 || !outer < 250 then
+    Alcotest.failf
+      "of 300 box programs: %d with a violation (floor 200), %d pinning a \
+       dimension other than the innermost (floor 250)"
+      !violations !outer
+
+(* The domain-order-first violating read has a pinned coordinate at a
+   lower bound other than 0. [W] writes a[k] at (0, k, 1); [R], over
+   2 <= i <= 3 and 0 <= j <= 3, reads a[j], which leaves i out, at
+   (0, i, 0, j, 0): at or before a[j]'s first write exactly when
+   i <= j, first at (2, 2). *)
+let test_ubd_pinned_witness () =
+  let array name kind =
+    { Flow.array_name = name; kind; tensor_shape = [ 4 ]; layout = Flow.default_layout name [ 4 ]; size = 4 }
+  in
+  let w_space = Poly.Space.make "W" [ "k" ] and r_space = Poly.Space.make "R" [ "i"; "j" ] in
+  let access space array coeffs =
+    {
+      Flow.array;
+      map =
+        Poly.Aff_map.make space (Poly.Space.make array [ "d0" ])
+          [| Poly.Aff.make coeffs 0 |];
+    }
+  in
+  let program =
+    {
+      Flow.prog_name = "pinned";
+      arrays = [ array "a" Flow.Temp; array "c" Flow.Output ];
+      stmts =
+        [
+          {
+            Flow.stmt_name = "W";
+            domain = Poly.Basic_set.of_box w_space [ (0, 3) ];
+            write = access w_space "a" [| 1 |];
+            compute = Flow.Init 0.0;
+          };
+          {
+            Flow.stmt_name = "R";
+            domain = Poly.Basic_set.of_box r_space [ (2, 3); (0, 3) ];
+            write = access r_space "c" [| 0; 1 |];
+            compute = Flow.Assign_copy (access r_space "a" [| 0; 1 |]);
+          };
+        ];
+    }
+  in
+  let schedule =
+    [
+      ("W", { Schedule.betas = [| 0; 1 |]; dims = [| 0 |] });
+      ("R", { Schedule.betas = [| 0; 0; 0 |]; dims = [| 0; 1 |] });
+    ]
+  in
+  let diags = V.use_before_def program schedule in
+  Alcotest.(check (list string)) "one diagnostic"
+    [ "R: reads a@2 before it is defined: the read is scheduled at or before its first write" ]
+    (List.map (fun d -> d.D.subject ^ ": " ^ d.D.message) diags);
+  Alcotest.(check bool) "witness R[2, 2]" true
+    (List.map (fun d -> d.D.witness) diags = [ Some (D.Instance ("R", [| 2; 2 |])) ]);
+  ignore (same_use_before_def "pinned witness" program schedule)
+
 (* [verify.ubd.points] counts the verifier's walks: on a clean program,
    every instance once for the write and once per checked read (reads of
    inputs are exempt, a Mac's accumulator is read too). Filling the
@@ -1155,6 +1297,9 @@ let suite =
       [
         Test_seed.to_alcotest qcheck_ubd_kernels_match_reference;
         Test_seed.to_alcotest qcheck_ubd_hand_built_match_reference;
+        case "use-before-def pinned walk = enumeration, box domains"
+          test_ubd_box_match_reference;
+        case "use-before-def witness with a pinned coordinate" test_ubd_pinned_witness;
         case "verify.ubd.points counts the verifier's walks only"
           test_ubd_points_are_the_verifiers;
       ] );

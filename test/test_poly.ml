@@ -297,6 +297,237 @@ let test_lex_extremum_elimination_count () =
       ]
   done
 
+(* The same chain bound on a set that is not a box (each dimension tied
+   to the next), which Fourier–Motzkin answers; boxes take no
+   elimination at all (below). *)
+let test_lex_extremum_elimination_count_coupled () =
+  let eliminations = Obs.Metrics.counter "poly.fm.eliminations" in
+  for n = 2 to 7 do
+    let chain =
+      List.init (n - 1) (fun i ->
+          Basic_set.Ge (Aff.sub (Aff.var n (i + 1)) (Aff.add_const (Aff.var n i) 1)))
+    in
+    let b =
+      List.fold_left Basic_set.add_constraint
+        (box "E" (List.init n (fun i -> (i, (2 * i) + 3))))
+        chain
+    in
+    Memo.clear_all ();
+    ignore (Basic_set.is_empty b);
+    List.iter
+      (fun (what, extremum, expected) ->
+        let before = Obs.Metrics.counter_value eliminations in
+        Alcotest.(check (option (array int)))
+          (Printf.sprintf "%s, n=%d" what n)
+          (Some expected) (extremum b);
+        let spent = Obs.Metrics.counter_value eliminations - before in
+        if spent < 1 || spent > n - 1 then
+          Alcotest.failf "%s on a %d-variable chain: %d eliminations, 1 to %d expected"
+            what n spent (n - 1))
+      [
+        ("lexmin", Basic_set.lexmin, Array.init n Fun.id);
+        ("lexmax", Basic_set.lexmax, Array.init n (fun i -> (2 * i) + 3));
+      ]
+  done
+
+(* Box queries against enumeration. A set of 1-3 variables is either a
+   box (0-3 constraints on each variable alone, coefficients in +-1..3
+   that normalization rounds, one constraint in six an equality, which
+   the coefficient may not divide, and variables left unbounded on a
+   side) or a coupled set (a bounded box plus 1-2 constraints over
+   several variables). Points are found by testing membership over the
+   cube [-7, 7]^n, which holds every finite bound drawn (within +-6), so
+   a range that reaches the cube's face is unbounded there. Boxes must
+   agree with the points exactly and spend no Fourier–Motzkin
+   elimination; coupled sets go through Fourier–Motzkin, whose lex
+   extrema are exact and whose bounds and emptiness are sound. *)
+let query_case_gen =
+  QCheck.Gen.(
+    let* nvars = int_range 1 3 in
+    let* coupled = if nvars = 1 then return false else map (fun n -> n = 0) (int_range 0 2) in
+    let single j =
+      let* is_eq = map (fun n -> n = 0) (int_range 0 5) in
+      let* a = map2 (fun neg m -> if neg then -m else m) bool (int_range 1 3) in
+      let* b = int_range (-6) 6 in
+      let e = Aff.add_const (Aff.scale a (Aff.var nvars j)) b in
+      return (if is_eq then Basic_set.Eq e else Basic_set.Ge e)
+    in
+    let* singles =
+      if coupled then return []
+      else
+        map List.concat
+          (flatten_l
+             (List.init nvars (fun j ->
+                  let* k = int_range 0 3 in
+                  list_repeat k (single j))))
+    in
+    let* couplings =
+      if not coupled then return []
+      else
+        let* k = int_range 1 2 in
+        list_repeat k
+          (let* coeffs = list_repeat nvars (int_range (-2) 2) in
+           let* c = int_range (-3) 3 in
+           let* is_eq = map (fun n -> n = 0) (int_range 0 3) in
+           let e = Aff.make (Array.of_list coeffs) c in
+           return (if is_eq then Basic_set.Eq e else Basic_set.Ge e))
+    in
+    let bounded =
+      if not coupled then []
+      else
+        List.concat_map
+          (fun j ->
+            let x = Aff.var nvars j in
+            Basic_set.[ Ge (Aff.add_const x 3); Ge (Aff.sub (Aff.const nvars 3) x) ])
+          (List.init nvars Fun.id)
+    in
+    return (nvars, bounded @ singles @ couplings))
+
+let mentioned c =
+  let e = match c with Basic_set.Eq e | Basic_set.Ge e -> e in
+  List.filter (fun j -> Aff.coeff e j <> 0) (List.init (Aff.arity e) Fun.id)
+
+(* Row-major points of the cube [-7, 7]^n that satisfy [holds]. *)
+let cube_points n holds =
+  let pts = ref [] and x = Array.make n 0 in
+  let rec go j =
+    if j = n then (if holds x then pts := Array.copy x :: !pts)
+    else
+      for v = -7 to 7 do
+        x.(j) <- v;
+        go (j + 1)
+      done
+  in
+  go 0;
+  List.rev !pts
+
+(* The range of coordinate [j] over [pts], [None] on a side that reaches
+   the cube's face. *)
+let range_of pts j =
+  let vs = List.map (fun p -> p.(j)) pts in
+  let lo = List.fold_left min max_int vs and hi = List.fold_left max min_int vs in
+  ((if lo = -7 then None else Some lo), if hi = 7 then None else Some hi)
+
+let extremum_or_raise f set =
+  match f set with v -> `Value v | exception Invalid_argument _ -> `Raised
+
+let test_box_queries_match_enumeration () =
+  let eliminations = Obs.Metrics.counter "poly.fm.eliminations" in
+  let cases = QCheck.Gen.generate ~rand:(Test_seed.rand ()) ~n:400 query_case_gen in
+  let boxes = ref 0 and empty_boxes = ref 0 and non_dividing = ref 0
+  and unbounded = ref 0 and bounded = ref 0 and coupled_fm = ref 0 in
+  List.iter
+    (fun (nvars, constrs) ->
+      let sp = Space.make "Q" (List.init nvars (Printf.sprintf "x%d")) in
+      let set = Basic_set.of_constraints sp constrs in
+      let what = Format.asprintf "%a" Basic_set.pp set in
+      let pts = cube_points nvars (Basic_set.mem set) in
+      let before = Obs.Metrics.counter_value eliminations in
+      let empty = Basic_set.is_empty set in
+      let bounds = Array.init nvars (Basic_set.var_bounds set) in
+      let bbox = Basic_set.bounding_box set in
+      let lexmin = extremum_or_raise Basic_set.lexmin set in
+      let lexmax = extremum_or_raise Basic_set.lexmax set in
+      let spent = Obs.Metrics.counter_value eliminations - before in
+      let last l = List.nth l (List.length l - 1) in
+      if List.for_all (fun c -> List.length (mentioned c) <= 1) constrs then begin
+        incr boxes;
+        if spent <> 0 then Alcotest.failf "%s: a box spent %d eliminations" what spent;
+        let non_dividing_eq =
+          List.exists
+            (function
+              | Basic_set.Eq e as c ->
+                  List.exists (fun j -> Aff.constant e mod Aff.coeff e j <> 0) (mentioned c)
+              | Basic_set.Ge _ -> false)
+            constrs
+        in
+        let inconsistent =
+          non_dividing_eq
+          || List.exists
+               (fun c ->
+                 mentioned c = []
+                 &&
+                 match c with
+                 | Basic_set.Eq e -> Aff.constant e <> 0
+                 | Basic_set.Ge e -> Aff.constant e < 0)
+               constrs
+        in
+        if non_dividing_eq then incr non_dividing;
+        Alcotest.(check bool) (what ^ ": is_empty") (pts = []) empty;
+        (* Each variable's range is that of its own constraints; an
+           empty one has lo > hi, and so has every variable of a set
+           made inconsistent by an equality. *)
+        let own j =
+          let mine = List.filter (fun c -> mentioned c = [ j ]) constrs in
+          cube_points 1 (fun v ->
+              List.for_all
+                (fun c ->
+                  let e = match c with Basic_set.Eq e | Basic_set.Ge e -> e in
+                  let x = (Aff.coeff e j * v.(0)) + Aff.constant e in
+                  match c with Basic_set.Eq _ -> x = 0 | Basic_set.Ge _ -> x >= 0)
+                mine)
+        in
+        let expected_bounds =
+          Array.init nvars (fun j ->
+              if pts <> [] then `Range (range_of pts j)
+              else
+                let o = own j in
+                if inconsistent || o = [] then `Empty else `Range (range_of o 0))
+        in
+        Array.iteri
+          (fun j want ->
+            match (want, bounds.(j)) with
+            | `Range r, got when got = r -> ()
+            | `Empty, (Some l, Some h) when l > h -> ()
+            | _, (l, h) ->
+                let pp = function None -> "-" | Some v -> string_of_int v in
+                Alcotest.failf "%s: var_bounds x%d = (%s, %s)" what j (pp l) (pp h))
+          expected_bounds;
+        let want_box =
+          if Array.for_all (function Some _, Some _ -> true | _ -> false) bounds
+          then Some (Array.map (function Some l, Some h -> (l, h) | _ -> assert false) bounds)
+          else None
+        in
+        Alcotest.(check bool) (what ^ ": bounding_box") true (bbox = want_box);
+        (match pts with
+        | [] ->
+            incr empty_boxes;
+            Alcotest.(check bool) (what ^ ": no extrema") true
+              (lexmin = `Value None && lexmax = `Value None)
+        | first :: _ ->
+            let side pick = List.exists (fun j -> pick (range_of pts j) = None) (List.init nvars Fun.id) in
+            incr (if side fst || side snd then unbounded else bounded);
+            Alcotest.(check bool) (what ^ ": lexmin") true
+              (lexmin = if side fst then `Raised else `Value (Some first));
+            Alcotest.(check bool) (what ^ ": lexmax") true
+              (lexmax = if side snd then `Raised else `Value (Some (last pts))))
+      end
+      else begin
+        if spent > 0 then incr coupled_fm;
+        if empty && pts <> [] then Alcotest.failf "%s: Fourier–Motzkin calls it empty" what;
+        Alcotest.(check bool) (what ^ ": lexmin") true
+          (lexmin = `Value (match pts with [] -> None | p :: _ -> Some p));
+        Alcotest.(check bool) (what ^ ": lexmax") true
+          (lexmax = `Value (match pts with [] -> None | _ -> Some (last pts)));
+        if pts <> [] then
+          Array.iteri
+            (fun j (l, h) ->
+              let lo, hi = range_of pts j in
+              if not (l <= lo && hi <= h) then
+                Alcotest.failf "%s: var_bounds x%d misses a point" what j)
+            bounds
+      end)
+    cases;
+  if !boxes < 200 || !empty_boxes < 60 || !non_dividing < 15 || !unbounded < 80
+     || !bounded < 15 || !coupled_fm < 45
+  then
+    Alcotest.failf
+      "of 400 sets: %d boxes (floor 200), %d empty (floor 60), %d with an \
+       equality the coefficient does not divide (floor 15), %d nonempty and \
+       unbounded (floor 80), %d nonempty and bounded (floor 15); %d coupled \
+       sets through Fourier–Motzkin (floor 45)"
+      !boxes !empty_boxes !non_dividing !unbounded !bounded !coupled_fm
+
 (* ---------- Set ---------- *)
 
 let test_set_union_mem () =
@@ -473,6 +704,94 @@ let qcheck_walk_matches_enumeration =
       || QCheck.Test.fail_reportf "walk visited %d points, enumerate %d" n
            (List.length want))
 
+(* A pinned walk against enumeration. Sets of 1-4 dimensions, a box in
+   about half the cases and otherwise a box plus 1-2 random constraints;
+   1-3 expressions that leave a random subset of the dimensions out. A
+   set whose points fill its bounding box is walked pinned: it visits
+   exactly enumerate's points whose left-out coordinates sit at the
+   pinned bound, in enumerate's order; any other set is walked in full.
+   Either way the walk returns the set's point count. *)
+let pin_case_gen =
+  QCheck.Gen.(
+    let* nvars = int_range 1 4 in
+    let* bounds =
+      list_repeat nvars
+        (let* lo = int_range (-3) 2 in
+         let* width = int_range 0 3 in
+         return (lo, lo + width))
+    in
+    let* nconstrs = map (fun n -> max 0 (n - 1)) (int_range 0 3) in
+    let* constrs =
+      list_repeat nconstrs
+        (let* coeffs = list_repeat nvars (int_range (-2) 2) in
+         let* c = int_range (-2) 2 in
+         let* is_eq = map (fun n -> n = 0) (int_range 0 5) in
+         let e = Aff.make (Array.of_list coeffs) c in
+         return (if is_eq then Basic_set.Eq e else Basic_set.Ge e))
+    in
+    let* used = list_repeat nvars bool in
+    let* nout = int_range 1 3 in
+    let* exprs =
+      list_repeat nout
+        (let* coeffs =
+           flatten_l
+             (List.map (fun u -> if u then int_range (-3) 3 else return 0) used)
+         in
+         let* c = int_range (-4) 4 in
+         return (Aff.make (Array.of_list coeffs) c))
+    in
+    let* high = bool in
+    return ((nvars, bounds, constrs, Array.of_list exprs), high))
+
+let test_pinned_walk_matches_enumeration () =
+  let cases = QCheck.Gen.generate ~rand:(Test_seed.rand ()) ~n:500 pin_case_gen in
+  let pinned = ref 0 and outer = ref 0 and full = ref 0 in
+  List.iter
+    (fun (case, high) ->
+      let set, map = walk_case case in
+      let exprs = Aff_map.exprs map in
+      let what = walk_case_print case ^ if high then " pinned high" else " pinned low" in
+      let pts = Basic_set.enumerate set in
+      let n = Basic_set.arity set in
+      let left_out =
+        List.filter
+          (fun j -> Array.for_all (fun e -> Aff.coeff e j = 0) exprs)
+          (List.init n Fun.id)
+      in
+      let want =
+        match Basic_set.bounding_box set with
+        | Some box
+          when pts <> []
+               && List.length pts
+                  = Array.fold_left (fun acc (l, h) -> acc * (h - l + 1)) 1 box ->
+            if left_out <> [] then incr pinned;
+            if List.exists (fun j -> j < n - 1) left_out then incr outer;
+            List.filter
+              (fun p ->
+                List.for_all
+                  (fun j -> p.(j) = (if high then snd else fst) box.(j))
+                  left_out)
+              pts
+        | _ ->
+            if pts <> [] && left_out <> [] then incr full;
+            pts
+      in
+      let visited = ref [] in
+      let count =
+        Basic_set.walk ~pin:(if high then `High else `Low) set exprs (fun x v ->
+            visited := (Array.copy x, Array.sub v 0 (Array.length exprs)) :: !visited)
+      in
+      Alcotest.(check int) (what ^ ": count") (List.length pts) count;
+      Alcotest.(check bool) (what ^ ": points visited") true
+        (List.rev !visited = List.map (fun p -> (p, Aff_map.apply map p)) want))
+    cases;
+  if !pinned < 150 || !outer < 75 || !full < 20 then
+    Alcotest.failf
+      "of 500 sets: %d boxes with a left-out dimension (floor 150), %d of \
+       them not innermost (floor 75); %d other nonempty sets with one \
+       (floor 20)"
+      !pinned !outer !full
+
 (* Image boxes beyond an int's range keep their images as tuples. *)
 let test_aff_map_injective_huge_image () =
   let big = 1 lsl 40 in
@@ -646,6 +965,9 @@ let suite =
         case "lexmin constrained" test_lexmin_constrained;
         case "lexmin empty" test_lexmin_empty;
         case "lexmin/lexmax elimination count" test_lex_extremum_elimination_count;
+        case "lexmin/lexmax elimination count, coupled"
+          test_lex_extremum_elimination_count_coupled;
+        case "box queries = enumeration" test_box_queries_match_enumeration;
         Test_seed.to_alcotest qcheck_fm_sound;
         Test_seed.to_alcotest qcheck_projection_superset;
         Test_seed.to_alcotest qcheck_lex_extrema_match_enumeration;
@@ -669,6 +991,7 @@ let suite =
         Test_seed.to_alcotest qcheck_image_matches_enumeration;
         Test_seed.to_alcotest qcheck_injective_matches_enumeration;
         Test_seed.to_alcotest qcheck_walk_matches_enumeration;
+        case "pinned walk = enumeration at the bound" test_pinned_walk_matches_enumeration;
       ] );
     ( "poly.rel",
       [
