@@ -21,12 +21,12 @@
      iteration (strength reduction) instead of re-evaluating the affine
      form, entering with [+ ci * lo] and restoring on exit so sibling
      and outer statements always observe consistent cursors;
-   - in unchecked unprobed code, each reduction of the scalarized
-     kernel runs as one closure, the unit the HLS kernel pipelines: a
-     MAC loop [for k { s += x[..] * y[..] }], or a whole reduction nest
-     [for i { s = c; <MAC loop on s>; a[..] = s }], walks its cursors
-     and its accumulator in locals, adding the products in program
-     order (see "Fused reductions" below);
+   - in unchecked code, each loop the HLS kernel pipelines runs as one
+     closure: a MAC loop [for k { s += x[..] * y[..] }], a whole
+     reduction nest [for i { s = c; <MAC loop on s>; a[..] = s }], or a
+     pointwise loop [for i { a[..] = x[..] op y[..] }], walks its
+     cursors (and accumulator) in locals and boxes no float. Products
+     and operands keep program order (see "Fused loops" below);
    - bounds checks are a compile-time mode, not a per-access cost: in
      [Unchecked] mode — which callers may select only on the license of
      the static verifier ([Analysis.Verify.bounds] proving every access
@@ -35,10 +35,10 @@
      checks; [Debug] additionally replays every run through [Interp] on
      a copy of the frame and insists on bit-identical parameter buffers;
    - a memory probe is a layer of the same compiler, not a second one:
-     the same closures carry its events. In unchecked code a MAC loop
-     stays one fused closure under a probe and reports its whole run as
-     one [on_mac] event; only the fused reduction nests and the spill's
-     closure, which would bypass the probe, are left out.
+     the same closures carry its events. A fused loop stays one closure
+     under a probe and reports each run as one event ([on_mac],
+     [on_nest] or [on_pointwise]) that stands for its instances and
+     accesses.
 
    All mutable execution state lives in the frame, never in the
    compiled closures, so one compiled program can drive any number of
@@ -85,10 +85,17 @@ type frame = {
    ([array_slots]) — reads in textual order, then the write. An
    accumulate reports one write (its read-modify port is implicit),
    mirroring the static reads+writes port accounting in
-   [Mnemosyne.Memgen]. [on_mac] stands for the instance and access
-   events of one whole run of a fused MAC loop: [count] instances of the
-   leaf at [site] at loop values [lo + t], each reading slot [x] at
-   [ix + t * dx], then slot [y] at [iy + t * dy]. *)
+   [Mnemosyne.Memgen]. Each of the last three events stands for the
+   instance and access events of one whole run of a fused loop ([lo] and
+   [count] its first value and trip count, each access a slot, the
+   entry index at the run's first instance, and a stride per loop):
+   [on_mac] for a MAC loop's [count] instances, each reading [x] then
+   [y]; [on_pointwise] for a pointwise loop's, each reading [x] and [y]
+   and then writing [a]; [on_nest] for a reduction nest's [count] outer
+   iterations, each the init's instance at [site], [mac_count] MAC
+   instances at [site + 1] and the spill's write of [a] at [site + 2].
+   The [ox], [oy] and [oa] strides step per outer iteration, [dx] and
+   [dy] per MAC iteration. *)
 type probe = {
   on_site : site:int -> vars:string array -> stmt:Prog.stmt -> unit;
   on_instance : site:int -> values:int array -> unit;
@@ -104,6 +111,40 @@ type probe = {
     y:int ->
     iy:int ->
     dy:int ->
+    unit;
+  on_nest :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    mac_lo:int ->
+    mac_count:int ->
+    x:int ->
+    ix:int ->
+    ox:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    oy:int ->
+    dy:int ->
+    a:int ->
+    ia:int ->
+    oa:int ->
+    unit;
+  on_pointwise :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    x:int ->
+    ix:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    dy:int ->
+    a:int ->
+    ia:int ->
+    da:int ->
     unit;
 }
 
@@ -336,31 +377,42 @@ let compile_leaf st env ~check ?probe ~site (stmt : Prog.stmt) : op =
         Array.unsafe_set fr.scal i (Array.unsafe_get fr.scal i +. value fr)
 
 (* ------------------------------------------------------------------ *)
-(* Fused reductions                                                    *)
+(* Fused loops                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Unchecked unprobed code runs each reduction as one closure, the unit
-   the HLS kernel pipelines, with its cursors and accumulator in locals:
+(* Unchecked code runs each loop the HLS kernel pipelines as one
+   closure, with its cursors and accumulator in locals:
 
    (A) a MAC loop: a [For] whose body is the single leaf
        [s += x[ix] * y[iy]];
    (B) a reduction nest: a [For] whose body is exactly
-       [s = c; <an (A) loop on s>; a[ia] = s].
+       [s = c; <an (A) loop on s>; a[ia] = s];
+   (C) a pointwise loop: a [For] whose body is the single leaf
+       [a[ia] = x[ix] op y[iy]], with op one of + - * /.
 
    Their bodies touch no other cursor, so they neither step nor restore
    [fr.cur]: each access enters at its cursor plus [stride * lo] and walks
    a local. [s] is written back after the last iteration. The products
-   are added in program order, as the generic closures add them, so
-   results are bit-identical.
+   are added in program order, and each pointwise point reads its
+   operands before its store, as the generic closures do, so results are
+   bit-identical; no float is boxed.
 
-   Under a probe only (A) is fused: it fires one [on_mac] per run in
-   place of its iterations' instance and access events, and a nest runs
-   the generic probed loop around it, so its init and spill keep their
-   own events. *)
+   Under a probe each shape keeps its closure, reports its leaves' sites
+   in pre-order at compile time, and fires one event per run that has an
+   iteration, before it: [on_mac], [on_nest] or [on_pointwise]. *)
 
 (* Cursor [c]'s step per iteration of the loop that collected [incs]. *)
 let stride incs c =
   List.fold_left (fun s (c', k) -> if c' = c then s + k else s) 0 !incs
+
+(* [run], preceded on every run with an iteration by [event]. *)
+let reporting ~lo ~hi event run : op =
+  if hi <= lo then run
+  else fun fr ->
+    event fr;
+    run fr
+
+let leaf_vars ~outer (l : Prog.loop) = Array.of_list (List.rev (l.var :: outer))
 
 let mac_body = function
   | [
@@ -368,6 +420,23 @@ let mac_body = function
         { name; value = Prog.Mul (Prog.Load (x, ix), Prog.Load (y, iy)) };
     ] ->
       Some (name, (x, ix), (y, iy))
+  | _ -> None
+
+type pointwise_op = Add | Sub | Mul | Div
+
+let pointwise_body = function
+  | [ Prog.Store { array; index; value } ] -> (
+      let loads op = function
+        | Prog.Load (x, ix), Prog.Load (y, iy) ->
+            Some (op, (array, index), (x, ix), (y, iy))
+        | _ -> None
+      in
+      match value with
+      | Prog.Add (x, y) -> loads Add (x, y)
+      | Prog.Sub (x, y) -> loads Sub (x, y)
+      | Prog.Mul (x, y) -> loads Mul (x, y)
+      | Prog.Div (x, y) -> loads Div (x, y)
+      | _ -> None)
   | _ -> None
 
 (* [outer] names the enclosing loop variables, innermost first, as in
@@ -398,22 +467,17 @@ let mac_loop st env ?probe ~outer (l : Prog.loop) (s, (x, ix), (y, iy)) : op =
   match probe with
   | None -> run
   | Some p ->
-      p.on_site ~site
-        ~vars:(Array.of_list (List.rev (l.var :: outer)))
-        ~stmt:(List.hd l.body);
-      (* a loop without iterations runs no instance: no event *)
-      if hi <= lo then run
-      else
-        let count = hi - lo in
-        fun fr ->
-          p.on_mac ~site ~values:fr.vars ~lo ~count ~x:sx
+      p.on_site ~site ~vars:(leaf_vars ~outer l) ~stmt:(List.hd l.body);
+      reporting ~lo ~hi
+        (fun fr ->
+          p.on_mac ~site ~values:fr.vars ~lo ~count:(hi - lo) ~x:sx
             ~ix:(Array.unsafe_get fr.cur cx + (dx * lo))
             ~dx ~y:sy
             ~iy:(Array.unsafe_get fr.cur cy + (dy * lo))
-            ~dy;
-          run fr
+            ~dy)
+        run
 
-let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
+let reduction_nest st env ?probe ~outer (l : Prog.loop) c (m : Prog.loop)
     (s, (x, ix), (y, iy)) (a, ia) : op =
   let oincs = ref [] and incs = ref [] in
   let oenv = (l.var, oincs) :: env in
@@ -425,9 +489,10 @@ let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
   let ox = stride oincs cx and oy = stride oincs cy and oa = stride oincs ca in
   let dx = stride incs cx and dy = stride incs cy in
   let lo = l.lo and hi = l.hi and mlo = m.lo and mhi = m.hi in
-  st.st_nsites <- st.st_nsites + 3;
+  let site = st.st_nsites in
+  st.st_nsites <- site + 3;
   st.st_fused <- st.st_fused + 2;
-  fun fr ->
+  let run fr =
     let bx = Array.unsafe_get fr.bufs sx and by = Array.unsafe_get fr.bufs sy in
     let out = Array.unsafe_get fr.bufs sa and cur = fr.cur in
     let kx = ref (Array.unsafe_get cur cx + (ox * lo) + (dx * mlo))
@@ -448,20 +513,107 @@ let reduction_nest st env (l : Prog.loop) c (m : Prog.loop)
       ky := !ky + oy
     done;
     Array.unsafe_set fr.scal i !acc
+  in
+  match probe with
+  | None -> run
+  | Some p ->
+      let vars = leaf_vars ~outer l in
+      p.on_site ~site ~vars ~stmt:(List.hd l.body);
+      p.on_site ~site:(site + 1)
+        ~vars:(leaf_vars ~outer:(l.var :: outer) m)
+        ~stmt:(List.hd m.body);
+      p.on_site ~site:(site + 2) ~vars ~stmt:(List.nth l.body 2);
+      reporting ~lo ~hi
+        (fun fr ->
+          let cur = fr.cur in
+          p.on_nest ~site ~values:fr.vars ~lo ~count:(hi - lo) ~mac_lo:mlo
+            ~mac_count:(max 0 (mhi - mlo)) ~x:sx
+            ~ix:(Array.unsafe_get cur cx + (ox * lo) + (dx * mlo))
+            ~ox ~dx ~y:sy
+            ~iy:(Array.unsafe_get cur cy + (oy * lo) + (dy * mlo))
+            ~oy ~dy ~a:sa
+            ~ia:(Array.unsafe_get cur ca + (oa * lo))
+            ~oa)
+        run
+
+let pointwise_loop st env ?probe ~outer (l : Prog.loop)
+    (op, (a, ia), (x, ix), (y, iy)) : op =
+  let incs = ref [] in
+  let env = (l.var, incs) :: env in
+  let sa = array_slot st a and ca = cursor st env ia in
+  let sx = array_slot st x and cx = cursor st env ix in
+  let sy = array_slot st y and cy = cursor st env iy in
+  let da = stride incs ca and dx = stride incs cx and dy = stride incs cy in
+  let lo = l.lo and hi = l.hi in
+  let site = st.st_nsites in
+  st.st_nsites <- site + 1;
+  st.st_fused <- st.st_fused + 1;
+  (* one loop per operator, so that no point calls through a closure *)
+  let run fr =
+    let out = Array.unsafe_get fr.bufs sa
+    and bx = Array.unsafe_get fr.bufs sx
+    and by = Array.unsafe_get fr.bufs sy in
+    let ja = Array.unsafe_get fr.cur ca + (da * lo)
+    and jx = Array.unsafe_get fr.cur cx + (dx * lo)
+    and jy = Array.unsafe_get fr.cur cy + (dy * lo) in
+    match op with
+    | Add ->
+        for t = 0 to hi - lo - 1 do
+          Array.unsafe_set out (ja + (t * da))
+            (Array.unsafe_get bx (jx + (t * dx))
+            +. Array.unsafe_get by (jy + (t * dy)))
+        done
+    | Sub ->
+        for t = 0 to hi - lo - 1 do
+          Array.unsafe_set out (ja + (t * da))
+            (Array.unsafe_get bx (jx + (t * dx))
+            -. Array.unsafe_get by (jy + (t * dy)))
+        done
+    | Mul ->
+        for t = 0 to hi - lo - 1 do
+          Array.unsafe_set out (ja + (t * da))
+            (Array.unsafe_get bx (jx + (t * dx))
+            *. Array.unsafe_get by (jy + (t * dy)))
+        done
+    | Div ->
+        for t = 0 to hi - lo - 1 do
+          Array.unsafe_set out (ja + (t * da))
+            (Array.unsafe_get bx (jx + (t * dx))
+            /. Array.unsafe_get by (jy + (t * dy)))
+        done
+  in
+  match probe with
+  | None -> run
+  | Some p ->
+      p.on_site ~site ~vars:(leaf_vars ~outer l) ~stmt:(List.hd l.body);
+      reporting ~lo ~hi
+        (fun fr ->
+          let cur = fr.cur in
+          p.on_pointwise ~site ~values:fr.vars ~lo ~count:(hi - lo) ~x:sx
+            ~ix:(Array.unsafe_get cur cx + (dx * lo))
+            ~dx ~y:sy
+            ~iy:(Array.unsafe_get cur cy + (dy * lo))
+            ~dy ~a:sa
+            ~ia:(Array.unsafe_get cur ca + (da * lo))
+            ~da)
+        run
 
 let fused st env ?probe ~outer (l : Prog.loop) : op option =
-  match (probe, l.body) with
-  | ( None,
-      [
-        Prog.Set_scalar { name; value = Prog.Const c };
-        Prog.For m;
-        Prog.Store { array; index; value = Prog.Scalar spill };
-      ] ) -> (
+  match l.body with
+  | [
+   Prog.Set_scalar { name; value = Prog.Const c };
+   Prog.For m;
+   Prog.Store { array; index; value = Prog.Scalar spill };
+  ] -> (
       match mac_body m.body with
       | Some ((s, _, _) as mac) when s = name && spill = name ->
-          Some (reduction_nest st env l c m mac (array, index))
+          Some (reduction_nest st env ?probe ~outer l c m mac (array, index))
       | _ -> None)
-  | _, body -> Option.map (mac_loop st env ?probe ~outer l) (mac_body body)
+  | body -> (
+      match mac_body body with
+      | Some mac -> Some (mac_loop st env ?probe ~outer l mac)
+      | None ->
+          Option.map (pointwise_loop st env ?probe ~outer l) (pointwise_body body))
 
 (* [outer] names the enclosing loop variables, innermost first; its
    length is the statement's loop depth. *)

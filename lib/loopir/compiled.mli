@@ -9,9 +9,10 @@
     is decomposed into a loop-invariant base plus one stride per
     enclosing loop, so inner loops update indices incrementally
     (strength reduction) instead of re-evaluating affine expressions.
-    In [Unchecked] code, each reduction of a scalarized tensor kernel,
-    the loop the HLS kernel pipelines, runs as one closure with its
-    cursors and accumulator in locals (see {!compile}).
+    In [Unchecked] code, each loop the HLS kernel pipelines — a
+    reduction or a pointwise loop of a scalarized tensor kernel — runs
+    as one closure with its cursors and accumulator in locals, probed or
+    not (see {!compile}).
 
     On every observable outcome the engine is bit-identical to
     {!Interp.run} (property-tested in [test/test_compiled.ml]); a proc
@@ -93,6 +94,69 @@ type probe = {
           reports. [values] is the frame's array, under
           [on_instance]'s rules. A loop with no iteration fires
           nothing. *)
+  on_nest :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    mac_lo:int ->
+    mac_count:int ->
+    x:int ->
+    ix:int ->
+    ox:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    oy:int ->
+    dy:int ->
+    a:int ->
+    ia:int ->
+    oa:int ->
+    unit;
+      (** Fired at run time once per run of a fused reduction nest
+          [for i { s = c; for k { s += x[..] * y[..] }; a[..] = s }]
+          ([Unchecked] code only) in place of the events of its
+          [count >= 1] outer iterations. The nest's leaves are the
+          init at [site], the MAC at [site + 1] and the spill at
+          [site + 2]. Outer iteration [t] ([0 <= t < count]) runs with
+          the enclosing loops at the first [d] entries of [values]
+          ([d] = the init's [depth] - 1) and [i] at [lo + t], and
+          stands for, in order:
+          - the init's instance, which touches no array;
+          - for each [u] with [0 <= u < mac_count], the MAC's instance
+            with [k] at [mac_lo + u], reading slot [x] at
+            [ix + t * ox + u * dx], then slot [y] at
+            [iy + t * oy + u * dy];
+          - the spill's instance, writing slot [a] at [ia + t * oa].
+          Expanded, that is exactly the stream an unfused run reports.
+          [values] is the frame's array, under [on_instance]'s rules.
+          [mac_count] may be 0; a nest whose outer loop has no
+          iteration fires nothing. *)
+  on_pointwise :
+    site:int ->
+    values:int array ->
+    lo:int ->
+    count:int ->
+    x:int ->
+    ix:int ->
+    dx:int ->
+    y:int ->
+    iy:int ->
+    dy:int ->
+    a:int ->
+    ia:int ->
+    da:int ->
+    unit;
+      (** Fired at run time once per run of a fused pointwise loop
+          [for i { a[..] = x[..] op y[..] }] ([Unchecked] code only) in
+          place of the events of its [count >= 1] iterations. Instance
+          [t] ([0 <= t < count]) of the leaf at [site] runs with its
+          enclosing loops at the first [depth - 1] entries of [values]
+          and the loop itself at [lo + t]; it reads slot [x] at
+          [ix + t * dx], then slot [y] at [iy + t * dy], then writes
+          slot [a] at [ia + t * da]. Expanded, that is exactly the
+          stream an unfused run reports. A loop with no iteration fires
+          nothing. *)
 }
 (** A memory probe: observes every array access of a compiled program,
     for the dynamic PLM profiler ([Memprof]). Probe callbacks run in the
@@ -116,24 +180,26 @@ val compile : ?mode:mode -> ?probe:probe -> Prog.proc -> t
 (** One-time slot resolution, stride decomposition and closure
     generation. Default mode is [Checked].
 
-    In [Unchecked] mode without a probe, two loop shapes compile to one
-    closure each, and add to the [exec.fused_loops] counter the loops
-    they absorb:
+    In [Unchecked] mode, three loop shapes compile to one closure
+    each, and add to the [exec.fused_loops] counter the loops they
+    absorb:
     - a MAC loop, a [For] whose body is the single leaf
       [s += x[..] * y[..]] (one loop);
     - a reduction nest, a [For] whose body is exactly
-      [s = c; <a MAC loop on s>; a[..] = s] (two loops).
-    They add each accumulator's products in program order, so results
-    are bit-identical to the generic closures'. [Checked] and [Debug]
-    code keep the generic closures.
+      [s = c; <a MAC loop on s>; a[..] = s] (two loops);
+    - a pointwise loop, a [For] whose body is the single leaf
+      [a[..] = x[..] op y[..]], with op one of [+ - * /] (one loop).
+    They add each accumulator's products in program order and read each
+    pointwise point's operands before its store, so results are
+    bit-identical to the generic closures'; no float is boxed. [Checked]
+    and [Debug] code keep the generic closures.
 
     When [probe] is given — or a {!set_probe_provider} provider returns
     one — the same compiler adds the probe's events to the closures it
-    builds. In [Unchecked] mode each MAC loop stays fused (and counts
-    one fused loop) and reports each run as one [on_mac] event; a
-    reduction nest runs as a probed generic loop around its fused MAC
-    loop, so its init and spill report their own instances. Numeric
-    results are unchanged.
+    builds. A fused loop stays fused (and counts as without a probe),
+    reports its leaves to [on_site] in pre-order, and reports each run
+    as one [on_mac], [on_nest] or [on_pointwise] event. Numeric results
+    are unchanged.
     @raise Error on duplicate or undeclared arrays, or an index using a
     loop variable not bound by an enclosing loop. *)
 

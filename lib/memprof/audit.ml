@@ -369,11 +369,31 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           push ua.ua_occupancy !seq ua.ua_words_touched
         end
   in
-  (* a Checked compile fuses no MAC loop *)
-  let on_mac ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_ ~dy:_ =
-    errf "fused MAC event at probe site %d in a checked audit run" site
+  (* a Checked compile fuses no loop *)
+  let fused what site =
+    errf "fused %s event at probe site %d in a checked audit run" what site
   in
-  let probe = { Loopir.Compiled.on_site; on_instance; on_access; on_mac } in
+  let on_mac ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_ ~dy:_ =
+    fused "MAC" site
+  in
+  let on_nest ~site ~values:_ ~lo:_ ~count:_ ~mac_lo:_ ~mac_count:_ ~x:_ ~ix:_
+      ~ox:_ ~dx:_ ~y:_ ~iy:_ ~oy:_ ~dy:_ ~a:_ ~ia:_ ~oa:_ =
+    fused "nest" site
+  in
+  let on_pointwise ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_
+      ~dy:_ ~a:_ ~ia:_ ~da:_ =
+    fused "pointwise" site
+  in
+  let probe =
+    {
+      Loopir.Compiled.on_site;
+      on_instance;
+      on_access;
+      on_mac;
+      on_nest;
+      on_pointwise;
+    }
+  in
   let t = Loopir.Compiled.compile ~mode:Loopir.Compiled.Checked ~probe proc in
   let fr = Loopir.Compiled.make_frame t in
   (* deterministic synthetic inputs; access patterns are data-independent *)

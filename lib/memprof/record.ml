@@ -9,24 +9,26 @@
    report layer joins its snapshot against a Mnemosyne architecture.
 
    A probe event costs a few array increments and takes no lock. The
-   hot one is [on_mac], one per run of a fused MAC loop: it adds the
-   run's instances and reads to its site in bulk, walks the two
-   operands' words with one strided loop, and counts the run's closed
-   instances per pressure value at once. A recorded engine so keeps the
-   unprobed engine's fused MAC loops, and records exactly what the
-   per-access events of their iterations would. State is kept per
-   (engine, domain), where an engine is one probed compile, in int
-   arrays indexed by array slot, word and site. A domain reaches
+   hot ones are the fused-loop events, one per run of a loop the engine
+   fuses: [on_mac] for a MAC loop, [on_nest] for a whole reduction nest,
+   [on_pointwise] for a pointwise loop. Each adds the run's instances
+   and accesses to its sites in bulk, walks each access stream's words
+   with one strided loop, counts the run's closed instances per
+   pressure value at once and leaves its last instance open. A recorded
+   engine so keeps every fused loop of the unprobed engine, and records
+   exactly what the per-access events of their iterations would. State
+   is kept per (engine, domain), where an engine is one probed compile,
+   in int arrays indexed by array slot, word and site. A domain reaches
    its state through one [Domain.DLS] cell that caches the engine it
    last recorded for, so the lookup is a DLS read and a physical
    comparison; the lock is taken only when a domain first records for
-   an engine.
-   Instance boundaries are therefore per domain, and the port pressure
-   of one accelerator instance is never polluted by a concurrently
-   simulated one. Each instance's per-buffer tally is folded into a
-   count per pressure value; the [memprof.pressure.<buffer>] histograms
-   and the [memprof.*] access and instance counters receive these in
-   bulk when [snapshot], [disable] or [reset] flushes. Every merge over
+   an engine. Instance boundaries are therefore per domain, and the
+   port pressure of one accelerator instance is never polluted by a
+   concurrently simulated one. Each instance's per-buffer tally is
+   folded into a count per pressure value; the
+   [memprof.pressure.<buffer>] histograms and the [memprof.*] access
+   and instance counters receive these in bulk when [snapshot],
+   [disable] or [reset] flushes. Every merge over
    engines and domains is a sum, a max or a union of touched words, so
    a snapshot does not depend on how a simulation spread its elements
    over domains or in which order it ran them. When disabled (the
@@ -143,6 +145,41 @@ let open_tally l slot n =
   l.l_ntouched <- l.l_ntouched + 1;
   l.l_tally.(slot) <- n
 
+let add_site l site ~instances ~reads ~writes =
+  let s = 3 * site in
+  l.l_sites.(s) <- l.l_sites.(s) + instances;
+  l.l_sites.(s + 1) <- l.l_sites.(s + 1) + reads;
+  l.l_sites.(s + 2) <- l.l_sites.(s + 2) + writes
+
+(* [count] accesses to [slot], from word [index] on, [stride] apart. *)
+let walk l slot ~index ~stride ~count ~write =
+  let words = l.l_words.(slot) in
+  let j = ref ((2 * index) + Bool.to_int write) in
+  for _ = 1 to count do
+    words.(!j) <- words.(!j) + 1;
+    j := !j + (2 * stride)
+  done
+
+(* The slot of an instance's absent access. *)
+let none = -1
+
+(* [closed] closed instances that each access slots [x], [y] and [z]
+   once ([none] for fewer), a slot named twice counting twice, then, if
+   [last], one more such instance left open. *)
+let add_instances l ~closed ~last x y z =
+  let add slot =
+    if slot <> none then begin
+      let n =
+        Bool.to_int (slot = x) + Bool.to_int (slot = y) + Bool.to_int (slot = z)
+      in
+      add_closed l slot n closed;
+      if last then open_tally l slot n
+    end
+  in
+  add x;
+  if y <> x then add y;
+  if z <> x && z <> y then add z
+
 let make_probe (proc : Loopir.Prog.proc) =
   let e =
     {
@@ -172,35 +209,54 @@ let make_probe (proc : Loopir.Prog.proc) =
     let n = l.l_tally.(slot) in
     if n = 0 then open_tally l slot 1 else l.l_tally.(slot) <- n + 1
   in
-  (* [count] instances at once, as [on_instance] and [on_access] would
-     see them: all but the last closed, the last left open *)
+  (* Each fused-loop event adds its [count] runs' instances and accesses
+     at once, as [on_instance] and [on_access] would see them: every
+     instance but the last closed, the last left open. *)
   let on_mac ~site ~values:_ ~lo:_ ~count ~x ~ix ~dx ~y ~iy ~dy =
     let l = local e in
     close_instance l;
-    let s = 3 * site in
-    l.l_sites.(s) <- l.l_sites.(s) + count;
-    l.l_sites.(s + 1) <- l.l_sites.(s + 1) + (2 * count);
-    let wx = l.l_words.(x) and wy = l.l_words.(y) in
-    let jx = ref (2 * ix) and jy = ref (2 * iy) in
-    for _ = 1 to count do
-      wx.(!jx) <- wx.(!jx) + 1;
-      wy.(!jy) <- wy.(!jy) + 1;
-      jx := !jx + (2 * dx);
-      jy := !jy + (2 * dy)
-    done;
-    (* each instance reads [x] and [y]: one buffer twice if they are one *)
-    if x = y then begin
-      add_closed l x 2 (count - 1);
-      open_tally l x 2
-    end
-    else begin
-      add_closed l x 1 (count - 1);
-      add_closed l y 1 (count - 1);
-      open_tally l x 1;
-      open_tally l y 1
-    end
+    add_site l site ~instances:count ~reads:(2 * count) ~writes:0;
+    walk l x ~index:ix ~stride:dx ~count ~write:false;
+    walk l y ~index:iy ~stride:dy ~count ~write:false;
+    add_instances l ~closed:(count - 1) ~last:true x y none
   in
-  Some { Loopir.Compiled.on_site; on_instance; on_access; on_mac }
+  let on_nest ~site ~values:_ ~lo:_ ~count ~mac_lo:_ ~mac_count ~x ~ix ~ox ~dx
+      ~y ~iy ~oy ~dy ~a ~ia ~oa =
+    let l = local e in
+    close_instance l;
+    let macs = count * mac_count in
+    add_site l site ~instances:count ~reads:0 ~writes:0;
+    add_site l (site + 1) ~instances:macs ~reads:(2 * macs) ~writes:0;
+    add_site l (site + 2) ~instances:count ~reads:0 ~writes:count;
+    for t = 0 to count - 1 do
+      walk l x ~index:(ix + (t * ox)) ~stride:dx ~count:mac_count ~write:false;
+      walk l y ~index:(iy + (t * oy)) ~stride:dy ~count:mac_count ~write:false
+    done;
+    walk l a ~index:ia ~stride:oa ~count ~write:true;
+    (* the inits touch no buffer; every MAC instance is followed by
+       another instance, the last spill by none *)
+    add_instances l ~closed:macs ~last:false x y none;
+    add_instances l ~closed:(count - 1) ~last:true a none none
+  in
+  let on_pointwise ~site ~values:_ ~lo:_ ~count ~x ~ix ~dx ~y ~iy ~dy ~a ~ia
+      ~da =
+    let l = local e in
+    close_instance l;
+    add_site l site ~instances:count ~reads:(2 * count) ~writes:count;
+    walk l x ~index:ix ~stride:dx ~count ~write:false;
+    walk l y ~index:iy ~stride:dy ~count ~write:false;
+    walk l a ~index:ia ~stride:da ~count ~write:true;
+    add_instances l ~closed:(count - 1) ~last:true x y a
+  in
+  Some
+    {
+      Loopir.Compiled.on_site;
+      on_instance;
+      on_access;
+      on_mac;
+      on_nest;
+      on_pointwise;
+    }
 
 (* Hand everything recorded since the last flush to the [memprof.*]
    counters and pressure histograms. [close] first closes every domain's

@@ -15,10 +15,11 @@
     [Memprof.Audit], which runs its own instrumented execution and does
     not go through this global store.
 
-    A run of a fused MAC loop arrives as one [on_mac] event and is
-    added in bulk, exactly as the per-access events of its iterations
-    would be, so an [Unchecked] engine and a [Checked] one record the
-    same. Events take no lock: each (engine, domain) pair — an engine
+    A run of a fused loop (a MAC loop, a reduction nest or a pointwise
+    loop) arrives as one [on_mac], [on_nest] or [on_pointwise] event and
+    is added in bulk, exactly as the per-access events of its
+    iterations would be, so an [Unchecked] engine and a [Checked] one
+    record the same. Events take no lock: each (engine, domain) pair — an engine
     is one probed compile — records into its own int arrays, reached
     through [Domain.DLS], and instance boundaries are per domain, so
     concurrently simulated accelerators do not pollute each other's

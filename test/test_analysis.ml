@@ -1047,8 +1047,22 @@ let test_mutation_overlapping_storage_merge () =
   Alcotest.(check (list string))
     "simultaneously live residents are exactly an address-space error"
     [ "share-address-space" ] (error_rules diags);
-  Alcotest.(check bool) "witness shows the overlapping live intervals" true
-    (has_witness (function D.Intervals _ -> true | _ -> false) diags)
+  (* both ends of both live intervals: the read array is live from the
+     host to its last read, the output from its first write to the host *)
+  let ival (i : Poly.Lex.interval) = (i.Poly.Lex.first, i.Poly.Lex.last) in
+  let ival_t = Alcotest.(pair (array int) (array int)) in
+  Alcotest.(check (list (pair ival_t ival_t)))
+    "witness pins both ends of the overlapping live intervals"
+    [
+      ( ([| min_int |], [| 6; 4; 0; 4; 0; 4; 1; 4; 0 |]),
+        ([| 6; 0; 0; 0; 0; 0; 0; 0; 0 |], [| max_int |]) );
+    ]
+    (List.filter_map
+       (fun d ->
+         match d.D.witness with
+         | Some (D.Intervals (a, b)) -> Some (ival a, ival b)
+         | _ -> None)
+       (D.errors diags))
 
 (* Two read operands of one statement stacked as separate slots of one
    unit: address spaces are disjoint, but the instance needs both in the

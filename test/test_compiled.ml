@@ -12,13 +12,14 @@
      kernel;
    - every kernel under [kernels/], on representative option sets.
 
-   Plus the fused reductions of unchecked code: a count that every MAC
-   loop the flow emits is fused, and their edges against the interpreter.
+   Plus the fused loops of unchecked code: a count that every MAC loop,
+   reduction nest and pointwise loop the flow emits is fused, probed or
+   not, their edges against the interpreter, and an allocation floor.
    Plus unit tests for the verifier license itself (an out-of-bounds
    proc must be refused the unchecked fast path), the CFD_EXEC_DEBUG
    escape hatch, the persistent work pool, the [~jobs] plumbing of the
    functional simulator, and the memory probe's event stream, each
-   fused MAC loop's one event expanded, against a tree walk of the
+   fused loop's one event per run expanded, against a tree walk of the
    proc, with the probed run's buffers against an unprobed run's.
 
    All randomized tests draw from the fixed suite seed ({!Test_seed}). *)
@@ -263,10 +264,46 @@ let gen_spec =
         ( Prog.For { var = vo; lo = olo; hi = ohi; pragmas = []; body },
           if List.mem s scalars then scalars else s :: scalars )
       in
+      (* The pointwise loop the engine fuses, [for v { out = x op y }]:
+         the output may be an operand, and coefficients of 0 or 1 give
+         stride-0 accesses. *)
+      let pointwise =
+        oneofl free >>= fun v ->
+        gen_bound v >>= fun ((_, lo, hi) as b) ->
+        let load = pair (oneofl arrays) (gen_unit_ix (b :: bound)) in
+        triple
+          (pair (oneofl [ "c"; "t" ]) (gen_unit_ix (b :: bound)))
+          (pair load load)
+          (oneofl
+             [
+               (fun x y -> Prog.Add (x, y));
+               (fun x y -> Prog.Sub (x, y));
+               (fun x y -> Prog.Mul (x, y));
+               (fun x y -> Prog.Div (x, y));
+             ])
+        >|= fun ((out, iout), ((x, ix), (y, iy)), op) ->
+        ( Prog.For
+            {
+              var = v;
+              lo;
+              hi;
+              pragmas = [];
+              body =
+                [
+                  Prog.Store
+                    {
+                      array = out;
+                      index = iout;
+                      value = op (Prog.Load (x, ix)) (Prog.Load (y, iy));
+                    };
+                ];
+            },
+          scalars )
+      in
       frequency
         ([ (4, write); (2, set) ]
         @ (if scalars = [] then [] else [ (2, acc) ])
-        @ (if free = [] || depth >= 3 then [] else [ (4, forloop) ])
+        @ (if free = [] || depth >= 3 then [] else [ (4, forloop); (2, pointwise) ])
         @ if nests && List.length free >= 2 then [ (3, nest) ] else [])
     in
     (* Half the procs draw reduction nests, with arrays that hold every
@@ -405,41 +442,80 @@ let test_kernel file () =
     kernel_option_bits
 
 (* ------------------------------------------------------------------ *)
-(* Fused reductions                                                    *)
+(* Fused loops                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What a walk of the proc finds of the reductions an unchecked compile
-   fuses: [macs] leaves [s += x[..] * y[..]]; [mac_loops] loops whose
-   whole body is one of them; [nests] loops whose body is exactly
-   [s = c; <a MAC loop on s>; a[..] = s]. *)
-type reductions = { macs : int; mac_loops : int; nests : int }
+(* The loop shapes an unchecked compile fuses. *)
+type shape = Mac_loop | Nest | Pointwise | Generic
 
 let is_mac = function
   | Prog.Acc_scalar { value = Prog.Mul (Prog.Load _, Prog.Load _); _ } -> true
   | _ -> false
 
-let reductions (proc : Prog.proc) =
+let is_pointwise = function
+  | Prog.Store
+      {
+        value =
+          ( Prog.Add (Prog.Load _, Prog.Load _)
+          | Prog.Sub (Prog.Load _, Prog.Load _)
+          | Prog.Mul (Prog.Load _, Prog.Load _)
+          | Prog.Div (Prog.Load _, Prog.Load _) );
+        _;
+      } ->
+      true
+  | _ -> false
+
+let shape (l : Prog.loop) =
+  match l.Prog.body with
+  | [ m ] when is_mac m -> Mac_loop
+  | [ p ] when is_pointwise p -> Pointwise
+  | [
+   Prog.Set_scalar { name; value = Prog.Const _ };
+   Prog.For { body = [ (Prog.Acc_scalar { name = s; _ } as m) ]; _ };
+   Prog.Store { value = Prog.Scalar s'; _ };
+  ]
+    when is_mac m && s = name && s' = name ->
+      Nest
+  | _ -> Generic
+
+(* What a walk of the proc finds: [macs] leaves [s += x[..] * y[..]];
+   [mac_loops] loops whose whole body is one of them, in a nest or not;
+   [nests] loops whose body is exactly [s = c; <a MAC loop on s>;
+   a[..] = s]; [pointwise] loops whose body is [a[..] = x[..] op y[..]];
+   [store_loops] loops whose whole body is one store. *)
+type shapes = {
+  macs : int;
+  mac_loops : int;
+  nests : int;
+  pointwise : int;
+  store_loops : int;
+}
+
+let shapes (proc : Prog.proc) =
   let rec walk r = function
-    | Prog.For { body; _ } ->
+    | Prog.For l ->
         let r =
-          match body with
-          | [ m ] when is_mac m -> { r with mac_loops = r.mac_loops + 1 }
-          | [
-           Prog.Set_scalar { name; value = Prog.Const _ };
-           Prog.For { body = [ (Prog.Acc_scalar { name = s; _ } as m) ]; _ };
-           Prog.Store { value = Prog.Scalar s'; _ };
-          ]
-            when is_mac m && s = name && s' = name ->
-              { r with nests = r.nests + 1 }
+          match shape l with
+          | Mac_loop -> { r with mac_loops = r.mac_loops + 1 }
+          | Nest -> { r with nests = r.nests + 1 }
+          | Pointwise -> { r with pointwise = r.pointwise + 1 }
+          | Generic -> r
+        in
+        let r =
+          match l.Prog.body with
+          | [ Prog.Store _ ] -> { r with store_loops = r.store_loops + 1 }
           | _ -> r
         in
-        List.fold_left walk r body
+        List.fold_left walk r l.Prog.body
     | leaf -> if is_mac leaf then { r with macs = r.macs + 1 } else r
   in
-  List.fold_left walk { macs = 0; mac_loops = 0; nests = 0 } proc.Prog.body
+  List.fold_left walk
+    { macs = 0; mac_loops = 0; nests = 0; pointwise = 0; store_loops = 0 }
+    proc.Prog.body
 
-(* A MAC loop runs as one fused loop, a nest as two. *)
-let expected_fused r = r.mac_loops + r.nests
+(* A MAC loop runs as one fused loop, a nest as two (its MAC loop is
+   among [mac_loops]), a pointwise loop as one. *)
+let expected_fused r = r.mac_loops + r.nests + r.pointwise
 let c_fused = Obs.Metrics.counter "exec.fused_loops"
 
 let fused_loops ?probe mode proc =
@@ -447,45 +523,73 @@ let fused_loops ?probe mode proc =
   ignore (Compiled.compile ~mode ?probe proc);
   Obs.Metrics.counter_value c_fused - before
 
-(* The [on_mac] of a probe that only ever runs behind [expanding] (or
-   never runs at all). *)
-let unexpanded_mac ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_
-    ~dy:_ =
-  Alcotest.failf "MAC event at site %d reached a probe that expects none" site
-
-let silent_probe =
+(* A probe that expects no fused-loop event: it runs behind [expanding],
+   on a checked engine, or never. *)
+let per_instance ~on_site ~on_instance ~on_access =
+  let unexpected what site =
+    Alcotest.failf "%s event at site %d reached a probe that expects none"
+      what site
+  in
   {
-    Compiled.on_site = (fun ~site:_ ~vars:_ ~stmt:_ -> ());
-    on_instance = (fun ~site:_ ~values:_ -> ());
-    on_access = (fun ~site:_ ~slot:_ ~index:_ ~write:_ -> ());
-    on_mac = unexpanded_mac;
+    Compiled.on_site;
+    on_instance;
+    on_access;
+    on_mac =
+      (fun ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_ ~dy:_ ->
+        unexpected "MAC" site);
+    on_nest =
+      (fun ~site ~values:_ ~lo:_ ~count:_ ~mac_lo:_ ~mac_count:_ ~x:_ ~ix:_
+           ~ox:_ ~dx:_ ~y:_ ~iy:_ ~oy:_ ~dy:_ ~a:_ ~ia:_ ~oa:_ ->
+        unexpected "nest" site);
+    on_pointwise =
+      (fun ~site ~values:_ ~lo:_ ~count:_ ~x:_ ~ix:_ ~dx:_ ~y:_ ~iy:_ ~dy:_
+           ~a:_ ~ia:_ ~da:_ -> unexpected "pointwise" site);
   }
 
+let silent_probe =
+  per_instance
+    ~on_site:(fun ~site:_ ~vars:_ ~stmt:_ -> ())
+    ~on_instance:(fun ~site:_ ~values:_ -> ())
+    ~on_access:(fun ~site:_ ~slot:_ ~index:_ ~write:_ -> ())
+
+let compile_source_exn ?options source =
+  match Cfd_core.Compile.compile_source ?options source with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "compile: %s" m
+
 (* The fast path has a count: a change in the shape the flow emits that
-   put [sim] back on the generic closures fails here, not silently. *)
+   put [sim] back on the generic closures fails here, not silently.
+   Every MAC loop, nest and pointwise loop of Operators.all and
+   kernels/helmholtz.cfd at p = 4 fuses in unchecked code, probed or
+   not, and none in checked or debug code. *)
 let test_fused_operators () =
+  let helmholtz =
+    let source = read_file (Filename.concat (kernels_dir ()) "helmholtz.cfd") in
+    fun options ->
+      (compile_source_exn ~options source).Cfd_core.Compile.proc
+  in
   List.iter
-    (fun (name, ast) ->
-      let default = reductions (Cfd_core.Compile.compile ast).Cfd_core.Compile.proc in
+    (fun (name, compile) ->
+      let default = shapes (compile Cfd_core.Compile.default_options) in
       Alcotest.(check int)
         (name ^ ": every MAC loop is a reduction nest at default options")
         default.mac_loops default.nests;
       for bits = 0 to 63 do
-        let proc =
-          (Cfd_core.Compile.compile ~options:(options_of_bits bits) ast)
-            .Cfd_core.Compile.proc
-        in
+        let proc = compile (options_of_bits bits) in
         let what = Printf.sprintf "%s p=4 options=%02x" name bits in
-        let r = reductions proc in
+        let r = shapes proc in
         Alcotest.(check int) (what ^ ": every MAC is a loop's whole body") r.macs
           r.mac_loops;
+        Alcotest.(check int)
+          (what ^ ": every loop of one store is a pointwise loop")
+          r.store_loops r.pointwise;
         if bits land 0x01 = 1 then
           Alcotest.(check bool) (what ^ ": MAC loops iff a contraction")
             (name <> "mass") (r.mac_loops > 0);
         Alcotest.(check int) (what ^ ": unchecked fuses them all")
           (expected_fused r) (fused_loops Compiled.Unchecked proc);
-        Alcotest.(check int) (what ^ ": probed fuses its MAC loops only")
-          r.mac_loops
+        Alcotest.(check int) (what ^ ": probed unchecked fuses them all")
+          (expected_fused r)
           (fused_loops ~probe:silent_probe Compiled.Unchecked proc);
         List.iter
           (fun (mode, probe, leg) ->
@@ -497,71 +601,125 @@ let test_fused_operators () =
             (Compiled.Checked, Some silent_probe, "probed checked");
           ]
       done)
-    (Cfdlang.Operators.all ~p:4 ())
+    (List.map
+       (fun (name, ast) ->
+         ( name,
+           fun options ->
+             (Cfd_core.Compile.compile ~options ast).Cfd_core.Compile.proc ))
+       (Cfdlang.Operators.all ~p:4 ())
+    @ [ ("helmholtz.cfd", helmholtz) ])
 
-(* The random procs reach both fused shapes, and enough of them are
-   licensed for the differential property to run them unchecked. *)
+(* The random procs reach every fused shape, and enough of those with a
+   reduction are licensed for the differential property to run them
+   unchecked. *)
 let test_random_procs_reach_fused () =
   let specs = QCheck.Gen.generate ~rand:(Test_seed.rand ()) ~n:300 gen_spec in
-  let with_macs, licensed, nests, tails =
+  let with_macs, licensed, nests, tails, pointwise =
     List.fold_left
-      (fun (m, l, n, t) spec ->
-        let r = reductions spec.proc in
-        Alcotest.(check int) "unchecked fuses every MAC loop" (expected_fused r)
+      (fun (m, l, n, t, p) spec ->
+        let r = shapes spec.proc in
+        Alcotest.(check int) "unchecked fuses every fused shape"
+          (expected_fused r)
           (fused_loops Compiled.Unchecked spec.proc);
-        if r.mac_loops = 0 then (m, l, n, t)
+        let p = p + r.pointwise in
+        if r.mac_loops = 0 then (m, l, n, t, p)
         else
           let lic = Analysis.Verify.execution_mode spec.proc = Compiled.Unchecked in
-          (m + 1, (if lic then l + 1 else l), n + r.nests, t + r.mac_loops - r.nests))
-      (0, 0, 0, 0) specs
+          ( m + 1,
+            (if lic then l + 1 else l),
+            n + r.nests,
+            t + r.mac_loops - r.nests,
+            p ))
+      (0, 0, 0, 0, 0) specs
   in
   let share = float_of_int licensed /. float_of_int (max 1 with_macs) in
-  if with_macs < 75 || nests < 50 || tails < 20 || share < 0.8 then
+  if
+    with_macs < 75 || nests < 50 || tails < 20 || pointwise < 100 || share < 0.8
+  then
     Alcotest.failf
       "random procs: %d of 300 with a MAC loop (floor 75), %d nests (floor \
-       50), %d MAC loops outside a nest (floor 20), %.0f%% licensed \
-       unchecked (floor 80%%)"
-      with_macs nests tails (100. *. share)
+       50), %d MAC loops outside a nest (floor 20), %d pointwise loops \
+       (floor 100), %.0f%% licensed unchecked (floor 80%%)"
+      with_macs nests tails pointwise (100. *. share)
 
-(* The edges of both shapes, each licensed and run unchecked:
-     for i in [olo, olo + on) {
+(* Runs of fused loops that have an iteration, by shape: the events an
+   unchecked probed run fires. A nest's MAC loop fires none of its own. *)
+type runs = { mac_runs : int; nest_runs : int; pointwise_runs : int }
+
+let no_runs = { mac_runs = 0; nest_runs = 0; pointwise_runs = 0 }
+
+let fused_runs (proc : Prog.proc) =
+  let rec walk outer r = function
+    | Prog.For l -> (
+        let trips = max 0 (l.Prog.hi - l.Prog.lo) in
+        let runs = if trips > 0 then outer else 0 in
+        match shape l with
+        | Mac_loop -> { r with mac_runs = r.mac_runs + runs }
+        | Nest -> { r with nest_runs = r.nest_runs + runs }
+        | Pointwise -> { r with pointwise_runs = r.pointwise_runs + runs }
+        | Generic -> List.fold_left (walk (outer * trips)) r l.Prog.body)
+    | _ -> r
+  in
+  List.fold_left (walk 1) no_runs proc.Prog.body
+
+(* A hand-built edge case: the loops an unchecked compile fuses, and the
+   events an unchecked probed run fires. *)
+type edge = { what : string; proc : Prog.proc; fused : int; runs : runs }
+
+let ix terms c = Ix.of_terms terms c
+let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body }
+let store array index value = Prog.Store { array; index; value }
+
+let edge_proc name body =
+  {
+    Prog.name;
+    params =
+      [
+        { Prog.name = "a"; size = 16; dir = Prog.In };
+        { Prog.name = "b"; size = 16; dir = Prog.In };
+        { Prog.name = "c"; size = 16; dir = Prog.Out };
+      ];
+    locals = [];
+    body;
+  }
+
+let cross l f = List.concat_map f l
+
+(* The reduction nest's edges:
+     s = 0.1;
+     for i in [lo, lo + outer) {
        s = 0.7;
-       for k in [ilo, ilo + in) { s += a[4i + k] * c[k + 1]; }
+       for k in [lo, lo + inner) { s += a[4i + k] * y[k + 1]; }
        c[i] = s;
-       (c[8 + i] = a[i] * s;)      -- the pointwise tail: only k is fused
+       (c[8 + i] = a[i] * s;)      -- a pointwise tail: no reduction nest
      }
      c[15] = s;                     -- reads the accumulator written back
-   [c] is both the output and a MAC operand, so a read sees the earlier
-   iterations' stores; one variant drops [k] from [a]'s index, a stride
-   of 0. Tenths round, so a sum in another order shows. *)
-let test_fused_edges () =
-  let ix terms c = Ix.of_terms terms c in
-  let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body } in
-  let store array index value = Prog.Store { array; index; value } in
-  let inputs =
-    List.map
-      (fun (n, k) -> (n, Array.init 16 (fun i -> float_of_int ((i * k) + 3) /. 10.)))
-      [ ("a", 7); ("c", 5) ]
-  in
-  List.iter
-    (fun (olo, on, ilo, inn, stride, tail) ->
+   at lo 0 and 1 and 0 to 3 trips of each loop; [a]'s index may drop [k]
+   (a stride of 0), and [y] is [b], [a] itself (one instance reads one
+   buffer twice) or the output [c] (a read sees the earlier iterations'
+   stores). [Prog.validate] refuses an empty loop, but the engines run
+   it as the walk does, and it fires no event. Tenths round, so a sum in
+   another order shows. *)
+let nest_edges () =
+  cross [ 0; 1 ] @@ fun lo ->
+  cross [ 0; 1; 2; 3 ] @@ fun outer ->
+  cross [ 0; 1; 2; 3 ] @@ fun inner ->
+  cross [ true; false ] @@ fun stride ->
+  cross [ "b"; "a"; "c" ] @@ fun y ->
+  List.map
+    (fun tail ->
       let mac =
         Prog.Acc_scalar
           {
             name = "s";
             value =
               Prog.Mul
-                ( Prog.Load ("a", ix ((4, "i") :: (if stride then [ (1, "k") ] else [])) 0),
-                  Prog.Load ("c", ix [ (1, "k") ] 1) );
+                ( Prog.Load
+                    ("a", ix ((4, "i") :: (if stride then [ (1, "k") ] else [])) 0),
+                  Prog.Load (y, ix [ (1, "k") ] 1) );
           }
       in
-      let body =
-        [
-          Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
-          loop "k" ilo (ilo + inn) [ mac ];
-          store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
-        ]
-        @
+      let tail_store =
         if tail then
           [
             store "c" (ix [ (1, "i") ] 8)
@@ -569,52 +727,148 @@ let test_fused_edges () =
           ]
         else []
       in
-      let proc =
-        {
-          Prog.name = "edges";
-          params =
+      let runs = if outer > 0 then 1 else 0 in
+      {
+        what =
+          Printf.sprintf "nest i from %d x%d, k x%d, stride %d, a * %s%s" lo
+            outer inner
+            (if stride then 1 else 0)
+            y
+            (if tail then ", pointwise tail" else "");
+        proc =
+          edge_proc "nest_edges"
             [
-              { Prog.name = "a"; size = 16; dir = Prog.In };
-              { Prog.name = "c"; size = 16; dir = Prog.Out };
-            ];
-          locals = [];
-          body =
-            [
-              loop "i" olo (olo + on) body;
+              Prog.Set_scalar { name = "s"; value = Prog.Const 0.1 };
+              loop "i" lo (lo + outer)
+                ([
+                   Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
+                   loop "k" lo (lo + inner) [ mac ];
+                   store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
+                 ]
+                @ tail_store);
               store "c" (Ix.const 15) (Prog.Scalar "s");
             ];
-        }
+        fused = (if tail then 1 else 2);
+        runs =
+          (if tail then
+             { no_runs with mac_runs = (if inner > 0 then outer else 0) }
+           else { no_runs with nest_runs = runs });
+      })
+    [ false; true ]
+
+(* The pointwise loop's edges:
+     for j in [0, 2) {
+       for i in [lo, lo + trips) { c[4j + i + 1] = x op y; }
+     }
+   at lo 0 and 1, 0 to 3 trips and each operator, where x is a[2i + j]
+   or, with stride 0, a[3], and y is b[i + j], x itself, or the output
+   c[4j + i] (so that each point reads the previous point's store, as
+   laplacian's [plm2[..] = plm1[..] + plm2[.. + 27]] reads its own
+   output). *)
+let pointwise_edges () =
+  cross [ 0; 1 ] @@ fun lo ->
+  cross [ 0; 1; 2; 3 ] @@ fun trips ->
+  cross [ true; false ] @@ fun stride ->
+  cross [ "b"; "x"; "c" ] @@ fun y ->
+  List.map
+    (fun (op_name, op) ->
+      let x =
+        Prog.Load
+          ("a", if stride then ix [ (2, "i"); (1, "j") ] 0 else Ix.const 3)
       in
-      let what =
-        Printf.sprintf "i from %d x%d, k from %d x%d, stride %d%s" olo on ilo inn
-          (if stride then 1 else 0)
-          (if tail then ", pointwise tail" else "")
+      let y_load =
+        match y with
+        | "b" -> Prog.Load ("b", ix [ (1, "i"); (1, "j") ] 0)
+        | "x" -> x
+        | _ -> Prog.Load ("c", ix [ (4, "j"); (1, "i") ] 0)
       in
-      Prog.validate proc;
+      {
+        what =
+          Printf.sprintf "pointwise i from %d x%d, stride %d, x %s %s" lo trips
+            (if stride then 1 else 0)
+            op_name y;
+        proc =
+          edge_proc "pointwise_edges"
+            [
+              loop "j" 0 2
+                [
+                  loop "i" lo (lo + trips)
+                    [ store "c" (ix [ (4, "j"); (1, "i") ] 1) (op x y_load) ];
+                ];
+            ];
+        fused = 1;
+        runs = { no_runs with pointwise_runs = (if trips > 0 then 2 else 0) };
+      })
+    [
+      ("+", fun x y -> Prog.Add (x, y));
+      ("-", fun x y -> Prog.Sub (x, y));
+      ("*", fun x y -> Prog.Mul (x, y));
+      ("/", fun x y -> Prog.Div (x, y));
+    ]
+
+let edge_inputs (proc : Prog.proc) =
+  List.map
+    (fun (p : Prog.param) ->
+      ( p.Prog.name,
+        Array.init p.Prog.size (fun i -> float_of_int ((i * 7 mod 23) + 1) /. 10.)
+      ))
+    proc.Prog.params
+
+let rec has_empty_loop = function
+  | Prog.For l -> l.Prog.hi <= l.Prog.lo || List.exists has_empty_loop l.Prog.body
+  | _ -> false
+
+(* Each edge fused as its shape says and run against the interpreter.
+   The verifier licenses every edge without an empty loop; it refuses an
+   empty loop the license ([bounds-empty-loop]), so those edges, in
+   range by construction, run their unchecked leg here. *)
+let check_fused_edges edges =
+  List.iter
+    (fun { what; proc; fused; _ } ->
+      let empty = List.exists has_empty_loop proc.Prog.body in
+      if not empty then Prog.validate proc;
+      Alcotest.(check bool) (what ^ ": licensed") (not empty)
+        (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
+      Alcotest.(check int) (what ^ ": fused loops") fused
+        (fused_loops Compiled.Unchecked proc);
+      let inputs = edge_inputs proc in
+      check_differential ~what proc inputs;
+      if empty then
+        match
+          (run_interp proc inputs, run_compiled ~mode:Compiled.Unchecked proc inputs)
+        with
+        | Ran bi, Ran bu when buffers_identical bu bi -> ()
+        | _ -> Alcotest.failf "%s: unchecked run differs from interpreter" what)
+    edges
+
+let test_fused_edges () = check_fused_edges (nest_edges ())
+let test_fused_pointwise_edges () = check_fused_edges (pointwise_edges ())
+
+(* Under default options no kernel allocates per run beyond a few words
+   of bookkeeping: no fused loop boxes a float. *)
+let test_fused_allocation () =
+  List.iter
+    (fun (what, (r : Cfd_core.Compile.result)) ->
+      let proc = r.Cfd_core.Compile.proc in
       Alcotest.(check bool) (what ^ ": licensed") true
         (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
-      Alcotest.(check int) (what ^ ": fused loops")
-        (if tail then 1 else 2)
-        (fused_loops Compiled.Unchecked proc);
-      check_differential ~what proc inputs)
-    (List.concat_map
-       (fun olo ->
-         List.concat_map
-           (fun on ->
-             List.concat_map
-               (fun ilo ->
-                 List.concat_map
-                   (fun inn ->
-                     List.concat_map
-                       (fun stride ->
-                         List.map
-                           (fun tail -> (olo, on, ilo, inn, stride, tail))
-                           [ false; true ])
-                       [ true; false ])
-                   [ 1; 2; 3 ])
-               [ 0; 1 ])
-           [ 1; 2; 3 ])
-       [ 0; 1 ])
+      let t = Compiled.compile ~mode:Compiled.Unchecked proc in
+      let fr = Compiled.make_frame t in
+      Compiled.run t fr;
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        Compiled.run t fr
+      done;
+      let words = (Gc.minor_words () -. before) /. 100. in
+      if words > 100. then
+        Alcotest.failf "%s: %.0f minor words per run (at most 100)" what words)
+    (List.map
+       (fun (name, ast) -> (name ^ " p=11", Cfd_core.Compile.compile ast))
+       (Cfdlang.Operators.all ~p:11 ())
+    @ List.map
+        (fun f ->
+          (f, compile_source_exn (read_file (Filename.concat (kernels_dir ()) f))))
+        (kernel_files ()))
 
 (* ------------------------------------------------------------------ *)
 (* The verifier license                                                *)
@@ -854,11 +1108,20 @@ let walk_events (proc : Prog.proc) =
   List.iter (exec []) tree;
   List.rev !events
 
-(* [p], with each MAC event expanded into the instance and access events
-   it stands for and counted in [macs]. The depth of each site comes from
-   its [on_site]; the MAC loop's own value is the leaf's last. *)
-let expanding ?(macs = ref 0) (p : Compiled.probe) =
+(* [p], with each fused-loop event expanded into the instance and access
+   events it stands for and counted in [runs]. The depth of each site
+   comes from its [on_site]; the fused loops' own values are the leaves'
+   last (a nest's init and spill: the last; its MAC: the last two). *)
+let expanding ?(runs = ref no_runs) (p : Compiled.probe) =
   let depth = Hashtbl.create 16 in
+  (* the enclosing loop values of the leaf at [site], the fused loop's
+     own left to fill: [extra] of them *)
+  let enclosing ~site ~values extra =
+    let d = Hashtbl.find depth site - 1 in
+    let v = Array.make (d + extra) 0 in
+    Array.blit values 0 v 0 d;
+    (v, d)
+  in
   {
     p with
     Compiled.on_site =
@@ -867,56 +1130,70 @@ let expanding ?(macs = ref 0) (p : Compiled.probe) =
         p.on_site ~site ~vars ~stmt);
     on_mac =
       (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ->
-        incr macs;
-        let d = Hashtbl.find depth site - 1 in
-        let v = Array.make (d + 1) 0 in
-        Array.blit values 0 v 0 d;
+        runs := { !runs with mac_runs = !runs.mac_runs + 1 };
+        let v, d = enclosing ~site ~values 1 in
         for t = 0 to count - 1 do
           v.(d) <- lo + t;
           p.on_instance ~site ~values:v;
           p.on_access ~site ~slot:x ~index:(ix + (t * dx)) ~write:false;
           p.on_access ~site ~slot:y ~index:(iy + (t * dy)) ~write:false
         done);
+    on_nest =
+      (fun ~site ~values ~lo ~count ~mac_lo ~mac_count ~x ~ix ~ox ~dx ~y ~iy
+           ~oy ~dy ~a ~ia ~oa ->
+        runs := { !runs with nest_runs = !runs.nest_runs + 1 };
+        let v, d = enclosing ~site ~values 2 in
+        let mac = site + 1 and spill = site + 2 in
+        for t = 0 to count - 1 do
+          v.(d) <- lo + t;
+          p.on_instance ~site ~values:v;
+          for u = 0 to mac_count - 1 do
+            v.(d + 1) <- mac_lo + u;
+            p.on_instance ~site:mac ~values:v;
+            p.on_access ~site:mac ~slot:x
+              ~index:(ix + (t * ox) + (u * dx))
+              ~write:false;
+            p.on_access ~site:mac ~slot:y
+              ~index:(iy + (t * oy) + (u * dy))
+              ~write:false
+          done;
+          p.on_instance ~site:spill ~values:v;
+          p.on_access ~site:spill ~slot:a ~index:(ia + (t * oa)) ~write:true
+        done);
+    on_pointwise =
+      (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ~a ~ia ~da ->
+        runs := { !runs with pointwise_runs = !runs.pointwise_runs + 1 };
+        let v, d = enclosing ~site ~values 1 in
+        for t = 0 to count - 1 do
+          v.(d) <- lo + t;
+          p.on_instance ~site ~values:v;
+          p.on_access ~site ~slot:x ~index:(ix + (t * dx)) ~write:false;
+          p.on_access ~site ~slot:y ~index:(iy + (t * dy)) ~write:false;
+          p.on_access ~site ~slot:a ~index:(ia + (t * da)) ~write:true
+        done);
   }
 
-(* The runs of MAC loops with at least one iteration: one MAC event
-   each in an unchecked probed run. *)
-let mac_runs (proc : Prog.proc) =
-  let rec runs outer = function
-    | Prog.For { lo; hi; body; _ } -> (
-        let trips = max 0 (hi - lo) in
-        match body with
-        | [ m ] when is_mac m -> if trips > 0 then outer else 0
-        | body -> List.fold_left (fun n s -> n + runs (outer * trips) s) 0 body)
-    | _ -> 0
-  in
-  List.fold_left (fun n s -> n + runs 1 s) 0 proc.Prog.body
-
 (* The events a recording probe sees over one run on [inputs], with
-   each MAC event expanded, the parameter buffers the run leaves, and
-   the number of MAC events: the array comes from the slot map, and the
-   loop values are the first [depth] entries of the frame's array. *)
+   each fused-loop event expanded, the parameter buffers the run leaves,
+   and the fused-loop events by shape: the array comes from the slot
+   map, and the loop values are the first [depth] entries of the
+   frame's array. *)
 let probe_run ~mode ~inputs (proc : Prog.proc) =
   let names = Array.map fst (Compiled.array_slots proc) in
-  let depth = Hashtbl.create 16 and events = ref [] and macs = ref 0 in
+  let depth = Hashtbl.create 16 and events = ref [] and runs = ref no_runs in
   let emit e = events := e :: !events in
   let probe =
-    expanding ~macs
-      {
-        Compiled.on_site =
-          (fun ~site ~vars ~stmt:_ ->
-            Hashtbl.replace depth site (Array.length vars);
-            emit (Site (site, Array.to_list vars)));
-        on_instance =
-          (fun ~site ~values ->
-            emit
-              (Instance
-                 (site, Array.to_list (Array.sub values 0 (Hashtbl.find depth site)))));
-        on_access =
-          (fun ~site ~slot ~index ~write ->
-            emit (Access (site, names.(slot), index, write)));
-        on_mac = unexpanded_mac;
-      }
+    expanding ~runs
+      (per_instance
+         ~on_site:(fun ~site ~vars ~stmt:_ ->
+           Hashtbl.replace depth site (Array.length vars);
+           emit (Site (site, Array.to_list vars)))
+         ~on_instance:(fun ~site ~values ->
+           emit
+             (Instance
+                (site, Array.to_list (Array.sub values 0 (Hashtbl.find depth site)))))
+         ~on_access:(fun ~site ~slot ~index ~write ->
+           emit (Access (site, names.(slot), index, write))))
   in
   let t = Compiled.compile ~mode ~probe proc in
   let fr = Compiled.make_frame t in
@@ -929,31 +1206,33 @@ let probe_run ~mode ~inputs (proc : Prog.proc) =
     List.map
       (fun (p : Prog.param) -> (p.Prog.name, Compiled.buffer t fr p.Prog.name))
       proc.Prog.params,
-    !macs )
+    !runs )
 
 (* The probe contract: in each mode the probe sees the tree walk's
-   events, with each MAC event expanded, and the probed run leaves the
-   same parameter bits as an unprobed engine in that mode. An unchecked
-   run reports each run of a MAC loop as one MAC event, a checked run
-   none. Every parameter starts from non-zero data, so a probed store
-   that lost its accumulate shows. *)
-let check_probe_contract ~what proc =
+   events, with each fused-loop event expanded, and the probed run
+   leaves the same parameter bits as an unprobed engine in that mode. An
+   unchecked run reports each run of a fused loop as one event ([runs],
+   by default one per run of a walk's fused loop that has an iteration),
+   a checked run none. Every parameter starts from non-zero data, so a
+   probed store that lost its accumulate shows. *)
+let check_probe_contract ?runs ~what proc =
   let expected = walk_events proc in
-  let inputs =
-    List.map
-      (fun (p : Prog.param) ->
-        ( p.Prog.name,
-          Array.init p.Prog.size (fun i ->
-              float_of_int ((i * 7 mod 23) + 1) /. 8.) ))
-      proc.Prog.params
-  in
+  let inputs = edge_inputs proc in
+  let unchecked_runs = Option.value runs ~default:(fused_runs proc) in
   List.iter
     (fun (mode, mode_name) ->
-      let got, buffers, macs = probe_run ~mode ~inputs proc in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: %s MAC events" what mode_name)
-        (if mode = Compiled.Unchecked then mac_runs proc else 0)
-        macs;
+      let got, buffers, runs = probe_run ~mode ~inputs proc in
+      let want = if mode = Compiled.Unchecked then unchecked_runs else no_runs in
+      List.iter
+        (fun (shape, want, got) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s %s events" what mode_name shape)
+            want got)
+        [
+          ("MAC", want.mac_runs, runs.mac_runs);
+          ("nest", want.nest_runs, runs.nest_runs);
+          ("pointwise", want.pointwise_runs, runs.pointwise_runs);
+        ];
       let rec first_diff i = function
         | e :: es, g :: gs ->
             if e = g then first_diff (i + 1) (es, gs)
@@ -1046,89 +1325,13 @@ let test_probe_hand_built_nests () =
   Prog.validate proc;
   check_probe_contract ~what:"hand-built nests" proc
 
-(* The MAC loop's edges under a probe:
-     for i in [0, 2) {
-       s = 0.7;
-       for k in [lo, lo + trips) { s += a[4i + k] * b[k + 1]; }
-       c[i] = s;
-       (c[8 + i] = a[i] * s;)      -- a pointwise tail: no reduction nest
-     }
-     c[15] = s;
-   at lo 0 and 1 and 0 to 3 trips; [a]'s index may drop [k] (a stride
-   of 0), and [b] may be [a] itself, so that one instance reads one
-   buffer twice. [Prog.validate] refuses the empty loop, but the engine
-   runs it as the walk does, and its MAC loop fires no event. The
-   memprof tests record these too. *)
-let mac_edge_procs () =
-  let ix terms c = Ix.of_terms terms c in
-  let loop var lo hi body = Prog.For { var; lo; hi; pragmas = []; body } in
-  let store array index value = Prog.Store { array; index; value } in
-  let proc lo trips stride same tail =
-    let b = if same then "a" else "b" in
-    let mac =
-      Prog.Acc_scalar
-        {
-          name = "s";
-          value =
-            Prog.Mul
-              ( Prog.Load ("a", ix ((4, "i") :: (if stride then [ (1, "k") ] else [])) 0),
-                Prog.Load (b, ix [ (1, "k") ] 1) );
-        }
-    in
-    let tail =
-      if tail then
-        [
-          store "c" (ix [ (1, "i") ] 8)
-            (Prog.Mul (Prog.Load ("a", ix [ (1, "i") ] 0), Prog.Scalar "s"));
-        ]
-      else []
-    in
-    ( Printf.sprintf "MAC loop k from %d x%d, stride %d, %s%s" lo trips
-        (if stride then 1 else 0)
-        (if same then "both operands on a" else "operands a and b")
-        (if tail = [] then ", in a nest" else ", pointwise tail"),
-      {
-        Prog.name = "mac_edges";
-        params =
-          [
-            { Prog.name = "a"; size = 16; dir = Prog.In };
-            { Prog.name = "b"; size = 16; dir = Prog.In };
-            { Prog.name = "c"; size = 16; dir = Prog.Out };
-          ];
-        locals = [];
-        body =
-          [
-            loop "i" 0 2
-              ([
-                 Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
-                 loop "k" lo (lo + trips) [ mac ];
-                 store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
-               ]
-              @ tail);
-            store "c" (Ix.const 15) (Prog.Scalar "s");
-          ];
-      } )
-  in
-  List.concat_map
-    (fun lo ->
-      List.concat_map
-        (fun trips ->
-          List.concat_map
-            (fun stride ->
-              List.concat_map
-                (fun same ->
-                  List.map (proc lo trips stride same) [ false; true ])
-                [ false; true ])
-            [ true; false ])
-        [ 0; 1; 2; 3 ])
-    [ 0; 1 ]
-
-let test_probe_mac_edges () =
+let check_probe_edges edges =
   List.iter
-    (fun (what, proc) ->
-      if mac_runs proc > 0 then Prog.validate proc;
-      check_probe_contract ~what proc)
-    (mac_edge_procs ())
+    (fun { what; proc; runs; _ } -> check_probe_contract ~runs ~what proc)
+    edges
+
+let test_probe_nest_edges () = check_probe_edges (nest_edges ())
+let test_probe_pointwise_edges () = check_probe_edges (pointwise_edges ())
 
 let qcheck_probe_random_procs =
   QCheck.Test.make ~name:"probe events = tree walk on random procs" ~count:200
@@ -1155,11 +1358,15 @@ let suite =
            (kernel_files ()) );
     ( "compiled.fused",
       [
-        case "unchecked fuses every MAC loop: Operators.all x 64"
+        case "unchecked fuses every MAC, nest and pointwise loop: Operators.all x 64"
           test_fused_operators;
-        case "random procs reach both fused shapes"
+        case "random procs reach both fused reductions and pointwise loops"
           test_random_procs_reach_fused;
         case "edges: bounds, stride 0, output read, tail" test_fused_edges;
+        case "pointwise edges: operators, stride 0, aliasing"
+          test_fused_pointwise_edges;
+        case "at most 100 minor words per run: every kernel"
+          test_fused_allocation;
       ] );
     ( "compiled.license",
       [
@@ -1182,7 +1389,9 @@ let suite =
       [
         case "events = tree walk: Operators.all p=4" test_probe_operators;
         case "events = tree walk: shallow after deep" test_probe_hand_built_nests;
-        case "events = tree walk: MAC-loop edges" test_probe_mac_edges;
+        case "events = tree walk: MAC-loop edges" test_probe_nest_edges;
         Test_seed.to_alcotest qcheck_probe_random_procs;
+        case "events = tree walk: pointwise-loop edges"
+          test_probe_pointwise_edges;
       ] );
   ]

@@ -305,49 +305,67 @@ let test_disabled_recorder_invisible () =
         (sn.Memprof.Record.sn_buffers <> []))
 
 (* Recorder bookkeeping: instance, access and per-buffer counts and the
-   DMA ledger are exact on a hand-checkable engine run. *)
+   DMA ledger are exact on a hand-checkable engine run, recorded per
+   access (a checked engine) and in bulk (an unchecked one, whose one
+   pointwise loop fuses and reports one event per run). *)
 let test_recorder_bookkeeping () =
   let r = compile_kernel "mass.cfd" in
   let proc = r.Cfd_core.Compile.proc in
-  Memprof.Record.enable ();
-  Fun.protect
-    ~finally:(fun () -> Memprof.Record.disable ())
-    (fun () ->
-      let engine = Loopir.Compiled.compile ~mode:Loopir.Compiled.Checked proc in
-      let frame = Loopir.Compiled.make_frame engine in
-      stage_inputs r engine frame;
-      Loopir.Compiled.run engine frame;
-      Memprof.Record.record_dma ~set:0 ~dir:`In ~words:1331;
-      Memprof.Record.record_dma ~set:0 ~dir:`Out ~words:1331;
-      Memprof.Record.record_dma ~set:3 ~dir:`In ~words:42;
-      let sn = Memprof.Record.snapshot () in
-      (* mass: one pointwise statement over 11^3 elements, three arrays *)
-      Alcotest.(check int) "instances = 11^3" 1331
-        sn.Memprof.Record.sn_instances;
-      Alcotest.(check int) "accesses = 3 per instance" (3 * 1331)
-        sn.Memprof.Record.sn_accesses;
-      List.iter
-        (fun (b : Memprof.Record.buffer_stats) ->
-          let name = b.Memprof.Record.b_buffer in
-          Alcotest.(check int) (name ^ " touches every word") 1331
-            b.Memprof.Record.b_words_touched;
-          (* each word once: read-only inputs, a write-only output *)
-          Alcotest.(check int) (name ^ " accesses every word once") 1331
-            (b.Memprof.Record.b_reads + b.Memprof.Record.b_writes);
-          Alcotest.(check bool) (name ^ " is read-only or write-only") true
-            (b.Memprof.Record.b_reads = 0 || b.Memprof.Record.b_writes = 0);
-          Alcotest.(check int) (name ^ " pressure") 1
-            b.Memprof.Record.b_max_pressure)
-        sn.Memprof.Record.sn_buffers;
-      match sn.Memprof.Record.sn_dma with
-      | [ d0; d3 ] ->
-          Alcotest.(check int) "set 0" 0 d0.Memprof.Record.d_set;
-          Alcotest.(check int) "set 0 in" 1331 d0.Memprof.Record.d_words_in;
-          Alcotest.(check int) "set 0 out" 1331 d0.Memprof.Record.d_words_out;
-          Alcotest.(check int) "set 3" 3 d3.Memprof.Record.d_set;
-          Alcotest.(check int) "set 3 in" 42 d3.Memprof.Record.d_words_in;
-          Alcotest.(check int) "set 3 out" 0 d3.Memprof.Record.d_words_out
-      | dma -> Alcotest.failf "expected 2 DMA sets, got %d" (List.length dma))
+  Alcotest.(check bool) "mass licensed unchecked" true
+    (Analysis.Verify.execution_mode proc = Loopir.Compiled.Unchecked);
+  let fused = Obs.Metrics.counter "exec.fused_loops" in
+  List.iter
+    (fun (mode, leg, fused_loops) ->
+      Memprof.Record.enable ();
+      Fun.protect
+        ~finally:(fun () -> Memprof.Record.disable ())
+        (fun () ->
+          let before = Obs.Metrics.counter_value fused in
+          let engine = Loopir.Compiled.compile ~mode proc in
+          Alcotest.(check int) (leg ^ ": fused loops") fused_loops
+            (Obs.Metrics.counter_value fused - before);
+          let frame = Loopir.Compiled.make_frame engine in
+          stage_inputs r engine frame;
+          Loopir.Compiled.run engine frame;
+          Memprof.Record.record_dma ~set:0 ~dir:`In ~words:1331;
+          Memprof.Record.record_dma ~set:0 ~dir:`Out ~words:1331;
+          Memprof.Record.record_dma ~set:3 ~dir:`In ~words:42;
+          let sn = Memprof.Record.snapshot () in
+          (* mass: one pointwise statement over 11^3 elements, three
+             arrays *)
+          Alcotest.(check int) (leg ^ ": instances = 11^3") 1331
+            sn.Memprof.Record.sn_instances;
+          Alcotest.(check int) (leg ^ ": accesses = 3 per instance") (3 * 1331)
+            sn.Memprof.Record.sn_accesses;
+          List.iter
+            (fun (b : Memprof.Record.buffer_stats) ->
+              let name = leg ^ ": " ^ b.Memprof.Record.b_buffer in
+              Alcotest.(check int) (name ^ " touches every word") 1331
+                b.Memprof.Record.b_words_touched;
+              (* each word once: read-only inputs, a write-only output *)
+              Alcotest.(check int) (name ^ " accesses every word once") 1331
+                (b.Memprof.Record.b_reads + b.Memprof.Record.b_writes);
+              Alcotest.(check bool) (name ^ " is read-only or write-only") true
+                (b.Memprof.Record.b_reads = 0 || b.Memprof.Record.b_writes = 0);
+              Alcotest.(check int) (name ^ " pressure") 1
+                b.Memprof.Record.b_max_pressure)
+            sn.Memprof.Record.sn_buffers;
+          match sn.Memprof.Record.sn_dma with
+          | [ d0; d3 ] ->
+              Alcotest.(check int) "set 0" 0 d0.Memprof.Record.d_set;
+              Alcotest.(check int) "set 0 in" 1331 d0.Memprof.Record.d_words_in;
+              Alcotest.(check int) "set 0 out" 1331
+                d0.Memprof.Record.d_words_out;
+              Alcotest.(check int) "set 3" 3 d3.Memprof.Record.d_set;
+              Alcotest.(check int) "set 3 in" 42 d3.Memprof.Record.d_words_in;
+              Alcotest.(check int) "set 3 out" 0 d3.Memprof.Record.d_words_out
+          | dma ->
+              Alcotest.failf "%s: expected 2 DMA sets, got %d" leg
+                (List.length dma)))
+    [
+      (Loopir.Compiled.Checked, "checked", 0);
+      (Loopir.Compiled.Unchecked, "unchecked", 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The recorder against its single-mutex form                          *)
@@ -473,13 +491,8 @@ module Oracle = struct
           | Some n -> incr n
           | None -> d.dc_tally <- (buffer, ref 1) :: d.dc_tally)
     in
-    (* it sees a MAC event only through [Test_compiled.expanding] *)
-    {
-      Loopir.Compiled.on_site;
-      on_instance;
-      on_access;
-      on_mac = Test_compiled.unexpanded_mac;
-    }
+    (* it sees a fused-loop event only through [Test_compiled.expanding] *)
+    Test_compiled.per_instance ~on_site ~on_instance ~on_access
 
   let reset () =
     Mutex.protect lock (fun () ->
@@ -629,8 +642,8 @@ let same_lines what expected got =
 
 (* One recorded simulation (round-scheduled unless [strategy] says
    otherwise), from fresh metrics; with [oracle], the oracle watches the
-   same engine through a tee, which hands each MAC event to the recorder
-   as it is and to the oracle expanded. *)
+   same engine through a tee, which hands each fused-loop event to the
+   recorder as it is and to the oracle expanded. *)
 let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
     ~jobs (r : Cfd_core.Compile.result) system n =
   Obs.Metrics.reset ();
@@ -660,6 +673,20 @@ let recorded_run ?(oracle = false) ?(strategy = Sim.Functional.Round_scheduled)
                    (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ->
                      a.on_mac ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy;
                      b.on_mac ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy);
+                 on_nest =
+                   (fun ~site ~values ~lo ~count ~mac_lo ~mac_count ~x ~ix ~ox
+                        ~dx ~y ~iy ~oy ~dy ~a:out ~ia ~oa ->
+                     a.on_nest ~site ~values ~lo ~count ~mac_lo ~mac_count ~x
+                       ~ix ~ox ~dx ~y ~iy ~oy ~dy ~a:out ~ia ~oa;
+                     b.on_nest ~site ~values ~lo ~count ~mac_lo ~mac_count ~x
+                       ~ix ~ox ~dx ~y ~iy ~oy ~dy ~a:out ~ia ~oa);
+                 on_pointwise =
+                   (fun ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy ~dy ~a:out
+                        ~ia ~da ->
+                     a.on_pointwise ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy
+                       ~dy ~a:out ~ia ~da;
+                     b.on_pointwise ~site ~values ~lo ~count ~x ~ix ~dx ~y ~iy
+                       ~dy ~a:out ~ia ~da);
                })
              (Memprof.Record.make_probe proc)))
   end;
@@ -779,7 +806,10 @@ let test_fused_recording_agrees () =
       same_lines what
         (recorded_element ~mode:Loopir.Compiled.Checked proc)
         (recorded_element ~mode:Loopir.Compiled.Unchecked proc))
-    (kernels @ Test_compiled.mac_edge_procs ())
+    (kernels
+    @ List.map
+        (fun (e : Test_compiled.edge) -> (e.Test_compiled.what, e.Test_compiled.proc))
+        (Test_compiled.nest_edges () @ Test_compiled.pointwise_edges ()))
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
