@@ -548,7 +548,10 @@ let pointwise_loop st env ?probe ~outer (l : Prog.loop)
   let site = st.st_nsites in
   st.st_nsites <- site + 1;
   st.st_fused <- st.st_fused + 1;
-  (* one loop per operator, so that no point calls through a closure *)
+  (* One loop matches the operator at each point and boxes no float.
+     One loop per operator ran a point 20-35% faster in isolation
+     (x86-64, ocamlopt 5.1 without flambda), a difference the [sim]
+     workload does not show. *)
   let run fr =
     let out = Array.unsafe_get fr.bufs sa
     and bx = Array.unsafe_get fr.bufs sx
@@ -556,31 +559,12 @@ let pointwise_loop st env ?probe ~outer (l : Prog.loop)
     let ja = Array.unsafe_get fr.cur ca + (da * lo)
     and jx = Array.unsafe_get fr.cur cx + (dx * lo)
     and jy = Array.unsafe_get fr.cur cy + (dy * lo) in
-    match op with
-    | Add ->
-        for t = 0 to hi - lo - 1 do
-          Array.unsafe_set out (ja + (t * da))
-            (Array.unsafe_get bx (jx + (t * dx))
-            +. Array.unsafe_get by (jy + (t * dy)))
-        done
-    | Sub ->
-        for t = 0 to hi - lo - 1 do
-          Array.unsafe_set out (ja + (t * da))
-            (Array.unsafe_get bx (jx + (t * dx))
-            -. Array.unsafe_get by (jy + (t * dy)))
-        done
-    | Mul ->
-        for t = 0 to hi - lo - 1 do
-          Array.unsafe_set out (ja + (t * da))
-            (Array.unsafe_get bx (jx + (t * dx))
-            *. Array.unsafe_get by (jy + (t * dy)))
-        done
-    | Div ->
-        for t = 0 to hi - lo - 1 do
-          Array.unsafe_set out (ja + (t * da))
-            (Array.unsafe_get bx (jx + (t * dx))
-            /. Array.unsafe_get by (jy + (t * dy)))
-        done
+    for t = 0 to hi - lo - 1 do
+      let u = Array.unsafe_get bx (jx + (t * dx))
+      and v = Array.unsafe_get by (jy + (t * dy)) in
+      Array.unsafe_set out (ja + (t * da))
+        (match op with Add -> u +. v | Sub -> u -. v | Mul -> u *. v | Div -> u /. v)
+    done
   in
   match probe with
   | None -> run

@@ -687,21 +687,24 @@ let cross l f = List.concat_map f l
 
 (* The reduction nest's edges:
      s = 0.1;
-     for i in [lo, lo + outer) {
+     for i in [olo, olo + outer) {
        s = 0.7;
-       for k in [lo, lo + inner) { s += a[4i + k] * y[k + 1]; }
+       for k in [ilo, ilo + inner) { s += a[4i + k] * y[k + 1]; }
        c[i] = s;
        (c[8 + i] = a[i] * s;)      -- a pointwise tail: no reduction nest
      }
      c[15] = s;                     -- reads the accumulator written back
-   at lo 0 and 1 and 0 to 3 trips of each loop; [a]'s index may drop [k]
-   (a stride of 0), and [y] is [b], [a] itself (one instance reads one
-   buffer twice) or the output [c] (a read sees the earlier iterations'
-   stores). [Prog.validate] refuses an empty loop, but the engines run
+   at each pair of lower bounds in {0, 1} (the nest's entry offsets take
+   the outer bound times the outer stride and the inner bound times the
+   inner stride, so the two must differ somewhere) and 0 to 3 trips of
+   each loop; [a]'s index may drop [k] (a stride of 0), and [y] is [b],
+   [a] itself (one instance reads one buffer twice) or the output [c]
+   (a read sees the earlier iterations' stores). [Prog.validate] refuses an empty loop, but the engines run
    it as the walk does, and it fires no event. Tenths round, so a sum in
    another order shows. *)
 let nest_edges () =
-  cross [ 0; 1 ] @@ fun lo ->
+  cross [ 0; 1 ] @@ fun olo ->
+  cross [ 0; 1 ] @@ fun ilo ->
   cross [ 0; 1; 2; 3 ] @@ fun outer ->
   cross [ 0; 1; 2; 3 ] @@ fun inner ->
   cross [ true; false ] @@ fun stride ->
@@ -730,8 +733,8 @@ let nest_edges () =
       let runs = if outer > 0 then 1 else 0 in
       {
         what =
-          Printf.sprintf "nest i from %d x%d, k x%d, stride %d, a * %s%s" lo
-            outer inner
+          Printf.sprintf "nest i from %d x%d, k from %d x%d, stride %d, a * %s%s"
+            olo outer ilo inner
             (if stride then 1 else 0)
             y
             (if tail then ", pointwise tail" else "");
@@ -739,10 +742,10 @@ let nest_edges () =
           edge_proc "nest_edges"
             [
               Prog.Set_scalar { name = "s"; value = Prog.Const 0.1 };
-              loop "i" lo (lo + outer)
+              loop "i" olo (olo + outer)
                 ([
                    Prog.Set_scalar { name = "s"; value = Prog.Const 0.7 };
-                   loop "k" lo (lo + inner) [ mac ];
+                   loop "k" ilo (ilo + inner) [ mac ];
                    store "c" (ix [ (1, "i") ] 0) (Prog.Scalar "s");
                  ]
                 @ tail_store);
@@ -1389,6 +1392,9 @@ let suite =
       [
         case "events = tree walk: Operators.all p=4" test_probe_operators;
         case "events = tree walk: shallow after deep" test_probe_hand_built_nests;
+        (* runs [nest_edges], whose MAC loops sit in nests or beside a
+           pointwise tail; the name is kept so that lists of test names stay
+           comparable *)
         case "events = tree walk: MAC-loop edges" test_probe_nest_edges;
         Test_seed.to_alcotest qcheck_probe_random_procs;
         case "events = tree walk: pointwise-loop edges"

@@ -765,12 +765,14 @@ let recorded_element ~mode (proc : Loopir.Prog.proc) =
   let sn = Memprof.Record.snapshot () in
   disabled @ snapshot_lines sn @ metric_lines "memprof" (buffers_of sn)
 
-(* A fused MAC loop's one event records what its per-access events
-   would: an unchecked engine (fused MAC loops) and a checked one (no
-   fusion) record the same snapshot, pressure histograms and counters.
-   Every Operators.all kernel at p = 4 and 7 at five option points, each
+(* A fused loop's one event ([on_mac], [on_nest] or [on_pointwise])
+   records what its per-access events would: an unchecked engine (fused
+   MAC loops, nests and pointwise loops) and a checked one (no fusion)
+   record the same snapshot, pressure histograms and counters. Every
+   Operators.all kernel at p = 4 and 7 at five option points, each
    licensed to run unchecked as the simulator runs it, and the
-   hand-built MAC-loop edges, in range by construction. *)
+   hand-built nest and pointwise-loop edges ([Test_compiled.nest_edges],
+   [Test_compiled.pointwise_edges]), in range by construction. *)
 let test_fused_recording_agrees () =
   let options =
     let d = Cfd_core.Compile.default_options in
