@@ -98,7 +98,8 @@ profile: build
 # observed live intervals against the static model. cfdc memprof exits
 # non-zero on any memprof-* diagnostic, so a kernel whose dynamic
 # behaviour escapes its licensed architecture fails the build. The JSON
-# profiles and counter traces are kept as artifacts.
+# profiles and counter traces must parse as JSON and are kept as
+# artifacts.
 memprof: build
 	@mkdir -p memprof-out
 	@for k in kernels/*.cfd; do \
@@ -108,8 +109,10 @@ memprof: build
 	    --sim-elements 2 \
 	    --json "memprof-out/$$name.json" \
 	    --trace "memprof-out/$$name.trace.json" || exit 1; \
+	  python3 -m json.tool "memprof-out/$$name.json" > /dev/null || exit 1; \
+	  python3 -m json.tool "memprof-out/$$name.trace.json" > /dev/null || exit 1; \
 	done
-	@echo "memprof: all kernels audited clean"
+	@echo "memprof: all kernels audited clean (JSON valid)"
 
 # Device-cycle timeline of every kernel (docs/OBSERVABILITY.md): trace
 # both the plain and double-buffered legs on the modeled cycle clock

@@ -12,19 +12,30 @@
    hot ones are the fused-loop events, one per run of a loop the engine
    fuses: [on_mac] for a MAC loop, [on_nest] for a whole reduction nest,
    [on_pointwise] for a pointwise loop. Each adds the run's instances
-   and accesses to its sites in bulk, walks each access stream's words
-   with one strided loop, counts the run's closed instances per
-   pressure value at once and leaves its last instance open. A recorded
-   engine so keeps every fused loop of the unprobed engine, and records
-   exactly what the per-access events of their iterations would. State
-   is kept per (engine, domain), where an engine is one probed compile,
-   in int arrays indexed by array slot, word and site. A domain reaches
-   its state through one [Domain.DLS] cell that caches the engine it
-   last recorded for, so the lookup is a DLS read and a physical
-   comparison; the lock is taken only when a domain first records for
-   an engine. Instance boundaries are therefore per domain, and the
-   port pressure of one accelerator instance is never polluted by a
-   concurrently simulated one. Each instance's per-buffer tally is
+   and accesses to its sites and its buffers' read and write totals in
+   O(1), counts the run's closed instances per pressure value at once
+   and leaves its last instance open. A recorded engine so keeps every
+   fused loop of the unprobed engine, and records exactly what the
+   per-access events of their iterations would.
+
+   A buffer keeps no per-word counts, only a touched mark per word. An
+   access stream of a fused loop marks its words only the first time
+   the recorder meets it: the stream's slot, trip counts and strides are
+   constants of its site, so the words it touches are fixed by (site,
+   operand, entry index), and a triple met before has marked exactly
+   those words already, in the same (engine, domain) state. A seen
+   bitmap over the entry index of each site and operand records the
+   triples met; a repeat costs one byte read. Marks are idempotent and
+   their merge is a union, so words touched stay exact.
+
+   State is kept per (engine, domain), where an engine is one probed
+   compile, in arrays indexed by array slot, word and site. A domain
+   reaches its state through one [Domain.DLS] cell that caches the
+   engine it last recorded for, so the lookup is a DLS read and a
+   physical comparison; the lock is taken only when a domain first
+   records for an engine. Instance boundaries are therefore per domain,
+   and the port pressure of one accelerator instance is never polluted
+   by a concurrently simulated one. Each instance's per-buffer tally is
    folded into a count per pressure value; the
    [memprof.pressure.<buffer>] histograms and the [memprof.*] access
    and instance counters receive these in bulk when [snapshot],
@@ -45,7 +56,11 @@ let c_dma_out = Obs.Metrics.counter "memprof.dma.words_out"
 (* What one domain recorded for one engine. *)
 type local = {
   l_owner : cell;  (* the recording domain's DLS cell, as an identity *)
-  l_words : int array array;  (* slot -> per word, stride 2: reads, writes *)
+  l_accesses : int array;  (* per slot, stride 2: reads, writes *)
+  l_marks : Bytes.t array;  (* slot -> per word: '\001' once touched *)
+  l_seen : Bytes.t array;
+      (* 3 * site + operand of a fused-loop event -> per entry index:
+         '\001' once its stream is marked; empty until first met *)
   l_sites : int array;  (* per site, stride 3: instances, reads, writes *)
   l_tally : int array;  (* slot -> accesses in the open instance *)
   l_touched : int array;  (* slots with a non-zero tally, in the first *)
@@ -83,7 +98,9 @@ let new_local owner e =
   let nslots = Array.length e.e_slots in
   {
     l_owner = owner;
-    l_words = Array.map (fun (_, size) -> Array.make (2 * size) 0) e.e_slots;
+    l_accesses = Array.make (2 * nslots) 0;
+    l_marks = Array.map (fun (_, size) -> Bytes.make size '\000') e.e_slots;
+    l_seen = Array.make (3 * List.length e.e_descs) Bytes.empty;
     l_sites = Array.make (3 * List.length e.e_descs) 0;
     l_tally = Array.make nslots 0;
     l_touched = Array.make nslots 0;
@@ -151,34 +168,65 @@ let add_site l site ~instances ~reads ~writes =
   l.l_sites.(s + 1) <- l.l_sites.(s + 1) + reads;
   l.l_sites.(s + 2) <- l.l_sites.(s + 2) + writes
 
-(* [count] accesses to [slot], from word [index] on, [stride] apart. *)
-let walk l slot ~index ~stride ~count ~write =
-  let words = l.l_words.(slot) in
-  let j = ref ((2 * index) + Bool.to_int write) in
-  for _ = 1 to count do
-    words.(!j) <- words.(!j) + 1;
-    j := !j + (2 * stride)
-  done
+let add_accesses l slot ~count ~write =
+  let i = (2 * slot) + Bool.to_int write in
+  l.l_accesses.(i) <- l.l_accesses.(i) + count
+
+(* Whether the fused-loop event at [site] meets the stream of its
+   operand [operand], on [slot] from word [index] on, for the first
+   time; marks it met. *)
+let first_seen e l ~site ~operand ~slot ~index =
+  let key = (3 * site) + operand in
+  let seen =
+    let seen = l.l_seen.(key) in
+    if Bytes.length seen > 0 then seen
+    else begin
+      let seen = Bytes.make (snd e.e_slots.(slot)) '\000' in
+      l.l_seen.(key) <- seen;
+      seen
+    end
+  in
+  Bytes.get seen index = '\000'
+  && begin
+       Bytes.unsafe_set seen index '\001';
+       true
+     end
+
+(* One operand's access stream in a fused-loop event at [site]: [runs]
+   runs of [count] accesses to [slot], run [t] from word
+   [index + t * ostride] on, [stride] apart. Adds them to the slot's
+   totals and marks their words the first time the recorder meets
+   (site, operand, index). With no access, [index] names no word. *)
+let add_stream e l slot ~site ~operand ~index ~runs ~ostride ~count ~stride
+    ~write =
+  add_accesses l slot ~count:(runs * count) ~write;
+  if count > 0 && first_seen e l ~site ~operand ~slot ~index then begin
+    let marks = l.l_marks.(slot) in
+    for t = 0 to runs - 1 do
+      for u = 0 to count - 1 do
+        Bytes.set marks (index + (t * ostride) + (u * stride)) '\001'
+      done
+    done
+  end
 
 (* The slot of an instance's absent access. *)
 let none = -1
+
+(* Count [closed] closed instances with [n] accesses to [slot], then, if
+   [last], open one more. *)
+let add_slot l slot n ~closed ~last =
+  add_closed l slot n closed;
+  if last then open_tally l slot n
 
 (* [closed] closed instances that each access slots [x], [y] and [z]
    once ([none] for fewer), a slot named twice counting twice, then, if
    [last], one more such instance left open. *)
 let add_instances l ~closed ~last x y z =
-  let add slot =
-    if slot <> none then begin
-      let n =
-        Bool.to_int (slot = x) + Bool.to_int (slot = y) + Bool.to_int (slot = z)
-      in
-      add_closed l slot n closed;
-      if last then open_tally l slot n
-    end
-  in
-  add x;
-  if y <> x then add y;
-  if z <> x && z <> y then add z
+  if x <> none then
+    add_slot l x (1 + Bool.to_int (y = x) + Bool.to_int (z = x)) ~closed ~last;
+  if y <> none && y <> x then
+    add_slot l y (1 + Bool.to_int (z = y)) ~closed ~last;
+  if z <> none && z <> x && z <> y then add_slot l z 1 ~closed ~last
 
 let make_probe (proc : Loopir.Prog.proc) =
   let e =
@@ -202,9 +250,9 @@ let make_probe (proc : Loopir.Prog.proc) =
   in
   let on_access ~site ~slot ~index ~write =
     let l = local e in
-    let words = l.l_words.(slot) and dir = Bool.to_int write in
-    let w = (2 * index) + dir and s = (3 * site) + 1 + dir in
-    words.(w) <- words.(w) + 1;
+    Bytes.set l.l_marks.(slot) index '\001';
+    add_accesses l slot ~count:1 ~write;
+    let s = (3 * site) + 1 + Bool.to_int write in
     l.l_sites.(s) <- l.l_sites.(s) + 1;
     let n = l.l_tally.(slot) in
     if n = 0 then open_tally l slot 1 else l.l_tally.(slot) <- n + 1
@@ -216,8 +264,10 @@ let make_probe (proc : Loopir.Prog.proc) =
     let l = local e in
     close_instance l;
     add_site l site ~instances:count ~reads:(2 * count) ~writes:0;
-    walk l x ~index:ix ~stride:dx ~count ~write:false;
-    walk l y ~index:iy ~stride:dy ~count ~write:false;
+    add_stream e l x ~site ~operand:0 ~index:ix ~runs:1 ~ostride:0 ~count
+      ~stride:dx ~write:false;
+    add_stream e l y ~site ~operand:1 ~index:iy ~runs:1 ~ostride:0 ~count
+      ~stride:dy ~write:false;
     add_instances l ~closed:(count - 1) ~last:true x y none
   in
   let on_nest ~site ~values:_ ~lo:_ ~count ~mac_lo:_ ~mac_count ~x ~ix ~ox ~dx
@@ -228,11 +278,12 @@ let make_probe (proc : Loopir.Prog.proc) =
     add_site l site ~instances:count ~reads:0 ~writes:0;
     add_site l (site + 1) ~instances:macs ~reads:(2 * macs) ~writes:0;
     add_site l (site + 2) ~instances:count ~reads:0 ~writes:count;
-    for t = 0 to count - 1 do
-      walk l x ~index:(ix + (t * ox)) ~stride:dx ~count:mac_count ~write:false;
-      walk l y ~index:(iy + (t * oy)) ~stride:dy ~count:mac_count ~write:false
-    done;
-    walk l a ~index:ia ~stride:oa ~count ~write:true;
+    add_stream e l x ~site ~operand:0 ~index:ix ~runs:count ~ostride:ox
+      ~count:mac_count ~stride:dx ~write:false;
+    add_stream e l y ~site ~operand:1 ~index:iy ~runs:count ~ostride:oy
+      ~count:mac_count ~stride:dy ~write:false;
+    add_stream e l a ~site ~operand:2 ~index:ia ~runs:1 ~ostride:0 ~count
+      ~stride:oa ~write:true;
     (* the inits touch no buffer; every MAC instance is followed by
        another instance, the last spill by none *)
     add_instances l ~closed:macs ~last:false x y none;
@@ -243,9 +294,12 @@ let make_probe (proc : Loopir.Prog.proc) =
     let l = local e in
     close_instance l;
     add_site l site ~instances:count ~reads:(2 * count) ~writes:count;
-    walk l x ~index:ix ~stride:dx ~count ~write:false;
-    walk l y ~index:iy ~stride:dy ~count ~write:false;
-    walk l a ~index:ia ~stride:da ~count ~write:true;
+    add_stream e l x ~site ~operand:0 ~index:ix ~runs:1 ~ostride:0 ~count
+      ~stride:dx ~write:false;
+    add_stream e l y ~site ~operand:1 ~index:iy ~runs:1 ~ostride:0 ~count
+      ~stride:dy ~write:false;
+    add_stream e l a ~site ~operand:2 ~index:ia ~runs:1 ~ostride:0 ~count
+      ~stride:da ~write:true;
     add_instances l ~closed:(count - 1) ~last:true x y a
   in
   Some
@@ -366,30 +420,30 @@ type snapshot = {
   sn_accesses : int;
 }
 
-(* One buffer's counts summed over engines and domains, in the
-   [l_words] layout, and its max pressure. *)
-type merged = { mutable m_words : int array; mutable m_max_pressure : int }
+(* One buffer merged over engines and domains: its access totals and
+   max pressure, and the union of its touched words. *)
+type merged = {
+  mutable m_reads : int;
+  mutable m_writes : int;
+  mutable m_marks : Bytes.t;
+  mutable m_max_pressure : int;
+}
 
-let merge_words m words =
-  if Array.length words > Array.length m.m_words then begin
-    let grown = Array.make (Array.length words) 0 in
-    Array.blit m.m_words 0 grown 0 (Array.length m.m_words);
-    m.m_words <- grown
+let merge_marks m marks =
+  if Bytes.length marks > Bytes.length m.m_marks then begin
+    let grown = Bytes.make (Bytes.length marks) '\000' in
+    Bytes.blit m.m_marks 0 grown 0 (Bytes.length m.m_marks);
+    m.m_marks <- grown
   end;
-  Array.iteri (fun i n -> m.m_words.(i) <- m.m_words.(i) + n) words
+  Bytes.iteri (fun w c -> if c <> '\000' then Bytes.set m.m_marks w c) marks
 
 let buffer_stats name m =
-  let reads = ref 0 and writes = ref 0 and touched = ref 0 in
-  for w = 0 to (Array.length m.m_words / 2) - 1 do
-    let r = m.m_words.(2 * w) and wr = m.m_words.((2 * w) + 1) in
-    reads := !reads + r;
-    writes := !writes + wr;
-    if r + wr > 0 then incr touched
-  done;
+  let touched = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr touched) m.m_marks;
   {
     b_buffer = name;
-    b_reads = !reads;
-    b_writes = !writes;
+    b_reads = m.m_reads;
+    b_writes = m.m_writes;
     b_words_touched = !touched;
     b_max_pressure = m.m_max_pressure;
   }
@@ -428,20 +482,29 @@ let snapshot () =
                   }
               done;
               Array.iteri
-                (fun slot words ->
+                (fun slot marks ->
                   let name = fst e.e_slots.(slot) in
                   let m =
                     match Hashtbl.find_opt buffers name with
                     | Some m -> m
                     | None ->
-                        let m = { m_words = [||]; m_max_pressure = 0 } in
+                        let m =
+                          {
+                            m_reads = 0;
+                            m_writes = 0;
+                            m_marks = Bytes.empty;
+                            m_max_pressure = 0;
+                          }
+                        in
                         Hashtbl.replace buffers name m;
                         m
                   in
-                  merge_words m words;
+                  m.m_reads <- m.m_reads + l.l_accesses.(2 * slot);
+                  m.m_writes <- m.m_writes + l.l_accesses.((2 * slot) + 1);
+                  merge_marks m marks;
                   m.m_max_pressure <-
                     max m.m_max_pressure l.l_max_pressure.(slot))
-                l.l_words)
+                l.l_marks)
             e.e_locals)
         (List.rev !engines);
       let buffers =

@@ -19,11 +19,19 @@
     loop) arrives as one [on_mac], [on_nest] or [on_pointwise] event and
     is added in bulk, exactly as the per-access events of its
     iterations would be, so an [Unchecked] engine and a [Checked] one
-    record the same. Events take no lock: each (engine, domain) pair — an engine
-    is one probed compile — records into its own int arrays, reached
-    through [Domain.DLS], and instance boundaries are per domain, so
-    concurrently simulated accelerators do not pollute each other's
-    pressure accounting. The [memprof.*] access and instance counters
+    record the same. A buffer keeps read and write totals, which an
+    event adds in O(1), and one touched mark per word, not a count per
+    word. A fused loop's slots, trip counts and strides are constants of
+    its site, so the words an operand's access stream touches are fixed
+    by (site, operand, entry index): the recorder marks them only the
+    first time its (engine, domain) state meets that triple, which a
+    seen bitmap per site and operand records. Marking again would set
+    the same marks, so words touched stay exact. Events take no lock:
+    each (engine, domain) pair — an engine is one probed compile —
+    records into its own arrays, reached through [Domain.DLS], and
+    instance boundaries are per domain, so concurrently simulated
+    accelerators do not pollute each other's pressure accounting. The
+    [memprof.*] access and instance counters
     and the [memprof.pressure.<buffer>] histograms (one observation per
     leaf instance and buffer it touched) are fed in bulk when
     {!snapshot}, {!disable} or {!reset} flushes. Call those three only

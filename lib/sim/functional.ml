@@ -111,7 +111,8 @@ let run ?jobs ?(strategy = Sharded) ~(system : Sysgen.System.t)
      active accelerators (disjoint PLM-set frames) run Domain-parallel.
      Each round is a pool dispatch of at most k tiny tasks. --- *)
   let run_round_scheduled () =
-    let plm = Loopir.Compiled.make_frames exec m in
+    (* a set per PLM set that holds an element: fewer than m when n < m *)
+    let plm = Loopir.Compiled.make_frames exec (min m n) in
     (* One persistent pool for the whole run: controller rounds are
        fine-grained (a handful of kernel executions), so per-round domain
        spawns would dominate; the pool's helpers are spawned once. *)

@@ -847,24 +847,28 @@ let check_fused_edges edges =
 let test_fused_edges () = check_fused_edges (nest_edges ())
 let test_fused_pointwise_edges () = check_fused_edges (pointwise_edges ())
 
+(* Fails if an unchecked run of [proc] allocates more than 100 minor
+   words, over 100 runs after a first one. *)
+let check_run_allocation ~what proc =
+  Alcotest.(check bool) (what ^ ": licensed") true
+    (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
+  let t = Compiled.compile ~mode:Compiled.Unchecked proc in
+  let fr = Compiled.make_frame t in
+  Compiled.run t fr;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Compiled.run t fr
+  done;
+  let words = (Gc.minor_words () -. before) /. 100. in
+  if words > 100. then
+    Alcotest.failf "%s: %.0f minor words per run (at most 100)" what words
+
 (* Under default options no kernel allocates per run beyond a few words
    of bookkeeping: no fused loop boxes a float. *)
 let test_fused_allocation () =
   List.iter
     (fun (what, (r : Cfd_core.Compile.result)) ->
-      let proc = r.Cfd_core.Compile.proc in
-      Alcotest.(check bool) (what ^ ": licensed") true
-        (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
-      let t = Compiled.compile ~mode:Compiled.Unchecked proc in
-      let fr = Compiled.make_frame t in
-      Compiled.run t fr;
-      let before = Gc.minor_words () in
-      for _ = 1 to 100 do
-        Compiled.run t fr
-      done;
-      let words = (Gc.minor_words () -. before) /. 100. in
-      if words > 100. then
-        Alcotest.failf "%s: %.0f minor words per run (at most 100)" what words)
+      check_run_allocation ~what r.Cfd_core.Compile.proc)
     (List.map
        (fun (name, ast) -> (name ^ " p=11", Cfd_core.Compile.compile ast))
        (Cfdlang.Operators.all ~p:11 ())
@@ -872,6 +876,19 @@ let test_fused_allocation () =
         (fun f ->
           (f, compile_source_exn (read_file (Filename.concat (kernels_dir ()) f))))
         (kernel_files ()))
+
+(* Nor does recording: once the first run has made an engine's recorder
+   state, a recorded run's events allocate nothing. *)
+let test_recorded_allocation () =
+  List.iter
+    (fun (name, ast) ->
+      let proc = (Cfd_core.Compile.compile ast).Cfd_core.Compile.proc in
+      Memprof.Record.enable ();
+      Fun.protect ~finally:Memprof.Record.disable (fun () ->
+          check_run_allocation ~what:(name ^ " p=11, recorded") proc);
+      Alcotest.(check bool) (name ^ ": recorded") true
+        ((Memprof.Record.snapshot ()).Memprof.Record.sn_accesses > 0))
+    (Cfdlang.Operators.all ~p:11 ())
 
 (* ------------------------------------------------------------------ *)
 (* The verifier license                                                *)
@@ -1370,6 +1387,8 @@ let suite =
           test_fused_pointwise_edges;
         case "at most 100 minor words per run: every kernel"
           test_fused_allocation;
+        case "recorded: at most 100 minor words per run, Operators.all"
+          test_recorded_allocation;
       ] );
     ( "compiled.license",
       [

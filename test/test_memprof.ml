@@ -605,19 +605,20 @@ let snapshot_lines (sn : Memprof.Record.snapshot) =
 
 (* The pressure histograms of [buffers] and the [counters] under
    [prefix], as lines. *)
+let pressure_line buffer (h : Obs.Metrics.histogram_snapshot) =
+  Printf.sprintf "pressure %s: n %d, sum %h, min %h, max %h, p50 %h, p95 %h, p99 %h"
+    buffer h.Obs.Metrics.h_count h.Obs.Metrics.h_sum h.Obs.Metrics.h_min
+    h.Obs.Metrics.h_max h.Obs.Metrics.h_p50 h.Obs.Metrics.h_p95
+    h.Obs.Metrics.h_p99
+
 let metric_lines
     ?(counters = [ "accesses.read"; "accesses.write"; "instances" ]) prefix
     buffers =
   List.map
     (fun buffer ->
-      let h =
-        Obs.Metrics.histogram_snapshot
-          (Obs.Metrics.histogram (prefix ^ ".pressure." ^ buffer))
-      in
-      Printf.sprintf "pressure %s: n %d, sum %h, min %h, max %h, p50 %h, p95 %h, p99 %h"
-        buffer h.Obs.Metrics.h_count h.Obs.Metrics.h_sum
-        h.Obs.Metrics.h_min h.Obs.Metrics.h_max h.Obs.Metrics.h_p50
-        h.Obs.Metrics.h_p95 h.Obs.Metrics.h_p99)
+      pressure_line buffer
+        (Obs.Metrics.histogram_snapshot
+           (Obs.Metrics.histogram (prefix ^ ".pressure." ^ buffer))))
     buffers
   @ List.map
       (fun c ->
@@ -765,14 +766,89 @@ let recorded_element ~mode (proc : Loopir.Prog.proc) =
   let sn = Memprof.Record.snapshot () in
   disabled @ snapshot_lines sn @ metric_lines "memprof" (buffers_of sn)
 
+(* Two fused loops in a row that read [a] from one entry index, with
+   different strides or trip counts:
+     for j in [0, 2) { <first>; <second> }
+   where each of the two reads a[5j + d k] for k in [0, t) in one of
+   three shapes:
+     MAC loop:   s = 0; for k { s += a[5j + d k] * b[k] }; c[15] = s
+     pointwise:  for k { c[4j + k] = a[5j + d k] + b[k] }
+     nest:       for i in [0, 2) {
+                   s = 0; for k { s += a[5j + d k] * b[k] };
+                   c[8 + 2j + i] = s }
+   The recorder marks a fused loop's stream only the first time it meets
+   it. The two loops' streams on [a] share their entry index but not all
+   their words, so the seen key must hold the site; and each loop enters
+   [a] at two indices, one per [j], so it must hold the index. *)
+let shared_entry_edges () =
+  let open Loopir in
+  let loop = Test_compiled.loop and ix = Test_compiled.ix in
+  let a d = Prog.Load ("a", ix [ (5, "j"); (d, "k") ] 0)
+  and b = Prog.Load ("b", ix [ (1, "k") ] 0) in
+  let mac d = Prog.Acc_scalar { name = "s"; value = Prog.Mul (a d, b) } in
+  let init = Prog.Set_scalar { name = "s"; value = Prog.Const 0. } in
+  (* name, loops fused, body *)
+  let shapes =
+    [
+      ( "MAC loop",
+        1,
+        fun d t ->
+          [
+            init;
+            loop "k" 0 t [ mac d ];
+            Test_compiled.store "c" (Ix.const 15) (Prog.Scalar "s");
+          ] );
+      ( "pointwise",
+        1,
+        fun d t ->
+          [
+            loop "k" 0 t
+              [
+                Test_compiled.store "c"
+                  (ix [ (4, "j"); (1, "k") ] 0)
+                  (Prog.Add (a d, b));
+              ];
+          ] );
+      ( "nest",
+        2,
+        fun d t ->
+          [
+            loop "i" 0 2
+              [
+                init;
+                loop "k" 0 t [ mac d ];
+                Test_compiled.store "c"
+                  (ix [ (2, "j"); (1, "i") ] 8)
+                  (Prog.Scalar "s");
+              ];
+          ] );
+    ]
+  in
+  let streams = [ (1, 2); (2, 2); (1, 4) ] in
+  Test_compiled.cross shapes @@ fun (first, fused1, first_body) ->
+  Test_compiled.cross shapes @@ fun (second, fused2, second_body) ->
+  Test_compiled.cross streams @@ fun (d1, t1) ->
+  List.filter_map
+    (fun (d2, t2) ->
+      if (d1, t1) = (d2, t2) then None
+      else
+        Some
+          ( Printf.sprintf "shared entry: %s a[5j + %dk] x%d, then %s a[5j + %dk] x%d"
+              first d1 t1 second d2 t2,
+            fused1 + fused2,
+            Test_compiled.edge_proc "shared_entry"
+              [ loop "j" 0 2 (first_body d1 t1 @ second_body d2 t2) ] ))
+    streams
+
 (* A fused loop's one event ([on_mac], [on_nest] or [on_pointwise])
    records what its per-access events would: an unchecked engine (fused
    MAC loops, nests and pointwise loops) and a checked one (no fusion)
    record the same snapshot, pressure histograms and counters. Every
    Operators.all kernel at p = 4 and 7 at five option points, each
-   licensed to run unchecked as the simulator runs it, and the
-   hand-built nest and pointwise-loop edges ([Test_compiled.nest_edges],
-   [Test_compiled.pointwise_edges]), in range by construction. *)
+   licensed to run unchecked as the simulator runs it, the hand-built
+   nest and pointwise-loop edges ([Test_compiled.nest_edges],
+   [Test_compiled.pointwise_edges]), in range by construction, and the
+   licensed [shared_entry_edges]. *)
 let test_fused_recording_agrees () =
   let options =
     let d = Cfd_core.Compile.default_options in
@@ -803,6 +879,16 @@ let test_fused_recording_agrees () =
           (Cfdlang.Operators.all ~p ()))
       [ 4; 7 ]
   in
+  let shared =
+    List.map
+      (fun (what, fused, proc) ->
+        Alcotest.(check bool) (what ^ ": licensed unchecked") true
+          (Analysis.Verify.execution_mode proc = Loopir.Compiled.Unchecked);
+        Alcotest.(check int) (what ^ ": fused loops") fused
+          (Test_compiled.fused_loops Loopir.Compiled.Unchecked proc);
+        (what, proc))
+      (shared_entry_edges ())
+  in
   List.iter
     (fun (what, proc) ->
       same_lines what
@@ -811,7 +897,130 @@ let test_fused_recording_agrees () =
     (kernels
     @ List.map
         (fun (e : Test_compiled.edge) -> (e.Test_compiled.what, e.Test_compiled.proc))
-        (Test_compiled.nest_edges () @ Test_compiled.pointwise_edges ()))
+        (Test_compiled.nest_edges () @ Test_compiled.pointwise_edges ())
+    @ shared)
+
+(* What a recorded run of [n] elements of every Operators.all kernel at
+   p = 4 records is [n] times one element's reads, writes, instances,
+   site counts and pressure observations, with the same words touched
+   and max pressure: per-element totals add, per-word marks and maxima
+   do not. *)
+let test_recording_scales () =
+  let module R = Memprof.Record in
+  let pressure sn =
+    List.map
+      (fun buffer ->
+        ( buffer,
+          Obs.Metrics.histogram_snapshot
+            (Obs.Metrics.histogram ("memprof.pressure." ^ buffer)) ))
+      (buffers_of sn)
+  in
+  let counters () =
+    List.map
+      (fun c ->
+        Obs.Metrics.counter_value (Obs.Metrics.counter ("memprof." ^ c)))
+      [ "accesses.read"; "accesses.write"; "instances" ]
+  in
+  let record r n =
+    let system = Cfd_core.Compile.build_system ~n_elements:n r in
+    let sn = recorded_run ~jobs:1 r system n in
+    ({ sn with R.sn_dma = [] }, pressure sn, counters ())
+  in
+  let scale n ((sn : R.snapshot), pressure, counters) =
+    ( {
+        sn with
+        R.sn_buffers =
+          List.map
+            (fun (b : R.buffer_stats) ->
+              {
+                b with
+                R.b_reads = n * b.R.b_reads;
+                b_writes = n * b.R.b_writes;
+              })
+            sn.R.sn_buffers;
+        sn_sites =
+          List.map
+            (fun (s : R.site_stats) ->
+              {
+                s with
+                R.s_instances = n * s.R.s_instances;
+                s_reads = n * s.R.s_reads;
+                s_writes = n * s.R.s_writes;
+              })
+            sn.R.sn_sites;
+        sn_instances = n * sn.R.sn_instances;
+        sn_accesses = n * sn.R.sn_accesses;
+      },
+      List.map
+        (fun (buffer, (h : Obs.Metrics.histogram_snapshot)) ->
+          ( buffer,
+            {
+              h with
+              Obs.Metrics.h_count = n * h.Obs.Metrics.h_count;
+              h_sum = float_of_int n *. h.Obs.Metrics.h_sum;
+            } ))
+        pressure,
+      List.map (fun c -> n * c) counters )
+  in
+  let lines (sn, pressure, counters) =
+    snapshot_lines sn
+    @ List.map (fun (buffer, h) -> pressure_line buffer h) pressure
+    @ List.map string_of_int counters
+  in
+  List.iter
+    (fun (name, ast) ->
+      let r = Cfd_core.Compile.compile ast in
+      let one = record r 1 in
+      let (sn, _, _) = one in
+      Alcotest.(check bool) (name ^ ": one element recorded") true
+        (sn.R.sn_accesses > 0);
+      same_lines (name ^ " p=4, 3 elements") (lines (scale 3 one))
+        (lines (record r 3)))
+    (Cfdlang.Operators.all ~p:4 ())
+
+(* One recorded snapshot, pinned: inverse Helmholtz at p = 11, two
+   elements, in both memgen modes; each buffer's (reads, writes, words
+   touched, max pressure). *)
+let test_pinned_snapshot () =
+  let ast = List.assoc "inverse_helmholtz" (Cfdlang.Operators.all ~p:11 ()) in
+  List.iter
+    (fun (sharing, expected) ->
+      let options =
+        { Cfd_core.Compile.default_options with Cfd_core.Compile.sharing }
+      in
+      let r = Cfd_core.Compile.compile ~options ast in
+      let system = Cfd_core.Compile.build_system ~n_elements:2 r in
+      let sn = Cfd_core.Costing.recorded_sim ~system ~n:2 r in
+      Alcotest.(check (list (pair string (list int))))
+        (Printf.sprintf "sharing %b" sharing)
+        expected
+        (List.map
+           (fun (b : Memprof.Record.buffer_stats) ->
+             ( b.Memprof.Record.b_buffer,
+               [
+                 b.Memprof.Record.b_reads;
+                 b.Memprof.Record.b_writes;
+                 b.Memprof.Record.b_words_touched;
+                 b.Memprof.Record.b_max_pressure;
+               ] ))
+           sn.Memprof.Record.sn_buffers))
+    [
+      ( true,
+        [
+          ("plm0", [ 178354; 2662; 1452; 1 ]);
+          ("plm1", [ 117128; 7986; 1331; 1 ]);
+          ("plm2", [ 61226; 7986; 1331; 1 ]);
+        ] );
+      ( false,
+        [
+          ("plm0", [ 175692; 0; 121; 1 ]);
+          ("plm1", [ 2662; 0; 1331; 1 ]);
+          ("plm2", [ 29282; 0; 1331; 1 ]);
+          ("plm3", [ 61226; 7986; 1331; 1 ]);
+          ("plm4", [ 87846; 7986; 1331; 1 ]);
+          ("plm5", [ 0; 2662; 1331; 1 ]);
+        ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
@@ -887,5 +1096,12 @@ let suite =
              Alcotest.test_case
                (Printf.sprintf "audit passes: %s (both modes)" file)
                `Slow (test_kernel_audit file))
-           (kernel_files ()) );
+           (kernel_files ())
+      (* appended, so that the earlier cases keep their indices *)
+      @ [
+          Alcotest.test_case "n recorded elements = n x one" `Quick
+            test_recording_scales;
+          Alcotest.test_case "pinned snapshot: inverse Helmholtz p=11" `Quick
+            test_pinned_snapshot;
+        ] );
   ]
