@@ -605,7 +605,7 @@ let do_timeline file name factorize decoupled sharing elements k m overlap
   let report =
     match
       Cfd_core.Timeline.analyze ?force_k:k ?force_m:m ~overlap
-        ~audit:(Cfd_core.Compile.audit r) ~n_elements:elements r
+        ~audit:(lazy (Cfd_core.Compile.audit r)) ~n_elements:elements r
     with
     | report -> report
     | exception Sysgen.Replicate.Infeasible msg ->
@@ -729,8 +729,9 @@ let do_profile file name factorize decoupled sharing elements sim_n jobs
       let treport =
         Cfd_core.Timeline.analyze
           ~audit:
-            (List.assoc r.Cfd_core.Compile.memory.Mnemosyne.Memgen.arch_mode
-               audits)
+            (Lazy.from_val
+               (List.assoc r.Cfd_core.Compile.memory.Mnemosyne.Memgen.arch_mode
+                  audits))
           ~n_elements:elements r
       in
       Format.printf "%a@?" Cfd_core.Timeline.pp_report treport;

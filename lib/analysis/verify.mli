@@ -144,8 +144,9 @@ val all :
 val execution_mode : Loopir.Prog.proc -> Loopir.Compiled.mode
 (** The strongest execution mode this verifier can license for
     [Loopir.Compiled]: [Unchecked] exactly when {!bounds} reports no
-    [bounds-*] diagnostic (every access Fourier–Motzkin-proved in
-    range, no empty loops, no dangling references), [Checked]
-    otherwise. Setting the [CFD_EXEC_DEBUG] environment variable to a
-    non-empty value other than ["0"] forces [Debug], which cross-checks
-    every compiled run against the reference interpreter bit-for-bit. *)
+    error (every access Fourier–Motzkin-proved in range, no dangling
+    references; an empty loop's [bounds-empty-loop] warning does not
+    count, since its body never runs), [Checked] otherwise. Setting the
+    [CFD_EXEC_DEBUG] environment variable to a non-empty value other
+    than ["0"] forces [Debug], which cross-checks every compiled run
+    against the reference interpreter bit-for-bit. *)

@@ -148,6 +148,7 @@ let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
   let board = config.Sysgen.Replicate.board in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
+  let audit = Lazy.force audit in
   let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in
   let k = sys.Sysgen.System.solution.Sysgen.Replicate.k in
   let m = sys.Sysgen.System.solution.Sysgen.Replicate.m in

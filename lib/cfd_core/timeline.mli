@@ -67,7 +67,7 @@ val analyze :
   ?force_k:int ->
   ?force_m:int ->
   ?overlap:overlap_policy ->
-  audit:Memprof.Audit.result ->
+  audit:Memprof.Audit.result Lazy.t ->
   n_elements:int ->
   Compile.result ->
   report
@@ -76,9 +76,10 @@ val analyze :
     [overlap] (default [Auto]) — the overlapped leg, each under a
     fresh timeline capture. [audit] is the PLM audit of the result's
     own memgen mode ({!Compile.audit}), which the caller runs once and
-    may share with other consumers; its pressure series is joined onto
-    the first kernel execution's latency window, which starts at the
-    schedule's [block_in]. *)
+    may share with other consumers; it is forced only once the system
+    is built, so an infeasible shape fails before any audit runs. Its
+    pressure series is joined onto the first kernel execution's latency
+    window, which starts at the schedule's [block_in]. *)
 
 val passed : report -> bool
 (** No error-severity diagnostic: every requested leg ran. *)

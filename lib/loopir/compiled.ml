@@ -77,7 +77,7 @@ type frame = {
 (* A probe observes the compiled program's dynamic memory behaviour:
    [on_site] fires once per leaf statement at compile time (sites are
    numbered in pre-order of the body, matching
-   [Lower.Codegen.generate_with_provenance]); [on_instance] fires before
+   [Lower.Codegen.scalarized_with_provenance]); [on_instance] fires before
    each dynamic execution of a leaf with the frame's loop-value array,
    whose first [depth] entries are the enclosing loop values (outermost
    first, same order as [on_site]'s [vars]); [on_access] fires once per

@@ -54,7 +54,7 @@ type probe = {
   on_site : site:int -> vars:string array -> stmt:Prog.stmt -> unit;
       (** Fired once per leaf statement during [compile]; sites are
           numbered in pre-order of the procedure body — the order
-          [Lower.Codegen.generate_with_provenance] lists its leaves.
+          [Lower.Codegen.scalarized_with_provenance] lists its leaves.
           [vars] names the enclosing loop variables, outermost first. *)
   on_instance : site:int -> values:int array -> unit;
       (** Fired at run time before each dynamic execution of the leaf.

@@ -66,10 +66,21 @@ let rec try_rewrite_nest bounds array ix acc_name (s : Prog.stmt) =
   | Prog.Set_scalar { value; _ } | Prog.Acc_scalar { value; _ } ->
       if expr_conflicts bounds array ix value then None else Some s
 
-(* Fresh-name state is per [optimize] call, not global: the parallel
-   design-space sweep runs one compilation per domain, and a shared
-   counter/avoid table would race. *)
-type names = { mutable counter : int; avoid : (string, unit) Hashtbl.t }
+type origin =
+  | Leaf of int
+  | Spill of { source : int; last : (string * int) list }
+
+(* Fresh-name and provenance state are per call, not global: the
+   parallel design-space sweep runs one compilation per domain, and a
+   shared counter/avoid table would race. [leaves] counts the input
+   leaves passed so far, in pre-order; [origins] holds one origin per
+   output leaf, latest first. *)
+type names = {
+  mutable counter : int;
+  avoid : (string, unit) Hashtbl.t;
+  mutable leaves : int;
+  mutable origins : origin list;
+}
 
 let rec fresh_acc st =
   let name = Printf.sprintf "acc%d" st.counter in
@@ -79,6 +90,29 @@ let rec fresh_acc st =
   end
   else name
 
+(* The next input leaf, kept in place (or rewritten onto a scalar). *)
+let keep st =
+  st.origins <- Leaf st.leaves :: st.origins;
+  st.leaves <- st.leaves + 1
+
+(* The origins of a rewritten nest's leaves, then of the spill after
+   it. The spill's source is the nest's last accumulation onto [acc]
+   in pre-order, which runs last, with each loop from the nest down to
+   it at its final value; a nest that never accumulates leaves the
+   spill the init's store, moved, with no loop pinned. *)
+let rewritten_nest st ~init acc nest =
+  let spill = ref (Spill { source = init; last = [] }) in
+  let rec walk path (s : Prog.stmt) =
+    match s with
+    | Prog.For l -> List.iter (walk ((l.var, l.hi - 1) :: path)) l.body
+    | Prog.Acc_scalar { name; _ } when name = acc ->
+        spill := Spill { source = st.leaves; last = List.rev path };
+        keep st
+    | _ -> keep st
+  in
+  walk [] nest;
+  st.origins <- !spill :: st.origins
+
 let rec rewrite_body st bounds stmts =
   match stmts with
   | Prog.Store { array; index; value = Prog.Const c } :: (Prog.For _ as nest) :: rest
@@ -87,28 +121,38 @@ let rec rewrite_body st bounds stmts =
       match try_rewrite_nest bounds array index acc_name nest with
       | Some nest' ->
           st.counter <- st.counter + 1;
+          let init = st.leaves in
+          keep st;
+          rewritten_nest st ~init acc_name nest';
           Prog.Set_scalar { name = acc_name; value = Prog.Const c }
           :: nest'
           :: Prog.Store { array; index; value = Prog.Scalar acc_name }
           :: rewrite_body st bounds rest
       | None ->
+          keep st;
           Prog.Store { array; index; value = Prog.Const c }
           :: rewrite_body st bounds (nest :: rest))
   | Prog.For l :: rest ->
       let inner = rewrite_body st ((l.var, (l.lo, l.hi - 1)) :: bounds) l.body in
       Prog.For { l with body = inner } :: rewrite_body st bounds rest
-  | s :: rest -> s :: rewrite_body st bounds rest
+  | s :: rest ->
+      keep st;
+      s :: rewrite_body st bounds rest
   | [] -> []
 
-let optimize (proc : Prog.proc) =
-  let st = { counter = 0; avoid = Hashtbl.create 8 } in
+let optimize_with_origins (proc : Prog.proc) =
+  let st =
+    { counter = 0; avoid = Hashtbl.create 8; leaves = 0; origins = [] }
+  in
   List.iter
     (fun (p : Prog.param) -> Hashtbl.replace st.avoid p.Prog.name ())
     proc.Prog.params;
   List.iter (fun (n, _) -> Hashtbl.replace st.avoid n ()) proc.Prog.locals;
   let proc = { proc with Prog.body = rewrite_body st [] proc.Prog.body } in
   Prog.validate proc;
-  proc
+  (proc, List.rev st.origins)
+
+let optimize proc = fst (optimize_with_origins proc)
 
 let count_accumulators (proc : Prog.proc) =
   let count acc = function Prog.Set_scalar _ -> acc + 1 | _ -> acc in

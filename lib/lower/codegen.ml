@@ -76,7 +76,8 @@ let body_stmt program storage item =
       in
       Loopir.Prog.Store { array = warr; index = wix; value }
 
-type leaf = { leaf_stmt : string; leaf_vars : string array }
+type coord = Loop of string | Fixed of int
+type leaf = { leaf_stmt : string; leaf_coords : coord array }
 
 (* Emit the statements of [items], which share their schedule prefix up to
    loop [depth]. *)
@@ -137,7 +138,7 @@ let generate_with_provenance ?(options = default) ?(storage = [])
               provenance :=
                 {
                   leaf_stmt = it.stmt.Flow.stmt_name;
-                  leaf_vars = Array.copy it.var_names;
+                  leaf_coords = Array.map (fun v -> Loop v) it.var_names;
                 }
                 :: !provenance;
               body_stmt program storage it)
@@ -228,3 +229,21 @@ let generate_with_provenance ?(options = default) ?(storage = [])
 
 let generate ?options ?storage program schedule =
   fst (generate_with_provenance ?options ?storage program schedule)
+
+(* A kept leaf keeps its provenance; a spill takes its source's, with
+   the loops the scalarizer pinned at their final value. *)
+let scalarized_with_provenance ?options ?storage program schedule =
+  let proc, leaves = generate_with_provenance ?options ?storage program schedule in
+  let leaves = Array.of_list leaves in
+  let proc, origins = Loopir.Scalarize.optimize_with_origins proc in
+  let leaf = function
+    | Loopir.Scalarize.Leaf k -> leaves.(k)
+    | Loopir.Scalarize.Spill { source; last } ->
+        let l = leaves.(source) in
+        let pin = function
+          | Loop v when List.mem_assoc v last -> Fixed (List.assoc v last)
+          | c -> c
+        in
+        { l with leaf_coords = Array.map pin l.leaf_coords }
+  in
+  (proc, List.map leaf origins)

@@ -38,25 +38,35 @@ val generate :
     functionally by the interpreter.
     @raise Error on malformed schedules. *)
 
+type coord =
+  | Loop of string  (** the runtime value of the enclosing loop of this name *)
+  | Fixed of int
+      (** a constant: a reduction dimension at its last value, for the
+          store of a scalarized accumulator after its nest *)
+
 type leaf = {
   leaf_stmt : string;  (** [Flow.statement.stmt_name] of the source *)
-  leaf_vars : string array;
-      (** loop variable name per DOMAIN dimension of the statement: the
-          instance vector coordinate [x.(d)] is the runtime value of the
-          loop named [leaf_vars.(d)] *)
+  leaf_coords : coord array;
+      (** per DOMAIN dimension of the statement, where the instance
+          vector coordinate [x.(d)] comes from *)
 }
 (** Provenance of one emitted leaf statement, linking the loop-nest body
     back to the polyhedral model it was scanned from. *)
 
-val generate_with_provenance :
+val scalarized_with_provenance :
   ?options:options ->
   ?storage:storage ->
   Flow.program ->
   Schedule.t ->
   Loopir.Prog.proc * leaf list
-(** Like {!generate}, additionally returning one {!leaf} per emitted
-    leaf statement in emission order — the pre-order of the procedure
-    body, i.e. the order {!Loopir.Compiled} numbers probe sites. The
-    memory profiler uses this to map a dynamic access at probe site [k]
-    back to a statement instance and hence to its exact timestamp in
-    schedule space. *)
+(** The kernel that ships, [Loopir.Scalarize.optimize (generate ...)],
+    with one {!leaf} per leaf statement in pre-order, the order
+    {!Loopir.Compiled} numbers probe sites. A leaf the scalarizer kept
+    or rewrote onto an accumulator names its source statement, each
+    coordinate a loop (the accumulator's init touches no array). The
+    store that spills an accumulator after its reduction nest names the
+    reduction statement with the nest's dimensions [Fixed] at their
+    upper bound: it writes what that statement's last instance would
+    have, at that instance's timestamp. The memory audit uses this to
+    map a dynamic access at probe site [k] back to a statement instance
+    and hence to its exact timestamp in schedule space. *)

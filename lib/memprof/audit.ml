@@ -2,11 +2,14 @@
    engine and check its *observed* memory behaviour against the static
    model that licensed the PLM architecture.
 
-   The audit regenerates the (unscalarized) loop nest from the
-   polyhedral program with [Lower.Codegen.generate_with_provenance], so
-   every probe site maps back to a Flow statement and its loop variables.
-   At run time each leaf instance rebuilds its exact schedule-space
-   timestamp (Kelly tuple) in one reused array; every array access is
+   The audit runs the kernel that ships: the scalarized loop nest of
+   [Lower.Codegen.scalarized_with_provenance], which the simulator and
+   the recorder run too, so every probe site maps back to a Flow
+   statement and its loop variables. At run time each leaf instance
+   rebuilds its exact schedule-space timestamp (Kelly tuple) in one
+   reused array; the store that spills a scalarized accumulator after
+   its nest takes the timestamp of the reduction's last instance, its
+   reduction dimensions pinned at their upper bound. Every array access is
    then attributed to the storage residents whose static per-element
    live interval ([Analysis.Verify.element_liveness], bracketed by the
    virtual first/last statements for interface arrays) contains that
@@ -127,8 +130,8 @@ type u_acc = {
 }
 
 (* A probe site's statement, its timestamp, the enclosing-loop position
-   of each domain dimension, and its instance point, rebuilt in place at
-   each instance. *)
+   of each domain dimension (-1 for a fixed coordinate), and its
+   instance point, rebuilt in place at each instance. *)
 type site = {
   s_stmt : string;
   s_stamp : V.stamp;
@@ -205,7 +208,7 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
       (V.element_liveness program schedule)
   in
   let proc, leaves =
-    Lower.Codegen.generate_with_provenance ~options ~storage program schedule
+    Lower.Codegen.scalarized_with_provenance ~options ~storage program schedule
   in
   let leaves = Array.of_list leaves in
   (* per array slot: its residents, latest-declared first, and its PLM
@@ -281,16 +284,22 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
         (Array.length leaves);
     let leaf = leaves.(site) in
     let name = leaf.Lower.Codegen.leaf_stmt in
-    let rank = Array.length leaf.Lower.Codegen.leaf_vars in
+    let coords = leaf.Lower.Codegen.leaf_coords in
+    let x = Array.make (Array.length coords) 0 in
     let perm =
-      Array.init rank (fun d ->
-          let var = leaf.Lower.Codegen.leaf_vars.(d) in
-          let found = ref (-1) in
-          Array.iteri (fun j v -> if v = var then found := j) vars;
-          if !found < 0 then
-            errf "provenance mismatch at site %d: loop %s of %s not enclosing"
-              site var name;
-          !found)
+      Array.mapi
+        (fun d -> function
+          | Lower.Codegen.Fixed v ->
+              x.(d) <- v;
+              -1
+          | Lower.Codegen.Loop var ->
+              let found = ref (-1) in
+              Array.iteri (fun j v -> if v = var then found := j) vars;
+              if !found < 0 then
+                errf "provenance mismatch at site %d: loop %s of %s not enclosing"
+                  site var name;
+              !found)
+        coords
     in
     sites.(site) <-
       Some
@@ -298,7 +307,7 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
           s_stmt = name;
           s_stamp = V.stamp ~tuple_arity:n (Lower.Schedule.find schedule name);
           s_perm = perm;
-          s_x = Array.make rank 0;
+          s_x = x;
         }
   in
   let on_instance ~site ~values =
@@ -308,7 +317,8 @@ let run_core ~label ~(units : Memgen.plm_unit list) ~unroll ~options ~storage
     | None -> errf "instance at unregistered probe site %d" site
     | Some s ->
         for d = 0 to Array.length s.s_perm - 1 do
-          s.s_x.(d) <- values.(s.s_perm.(d))
+          let j = s.s_perm.(d) in
+          if j >= 0 then s.s_x.(d) <- values.(j)
         done;
         V.store s.s_stamp s.s_x ts 0;
         cur_stmt := s.s_stmt;

@@ -3,13 +3,18 @@
     against the static model that licensed the PLM architecture —
     the runtime checker of the paper's central legality argument.
 
-    The kernel's loop nest is regenerated with
-    [Lower.Codegen.generate_with_provenance], so every probe site maps
-    back to a Flow statement; each dynamic leaf instance reconstructs
-    its exact schedule-space timestamp, and every array access is
-    attributed to the storage residents whose static per-element live
-    interval contains it. Violations surface as [Analysis.Diagnostic]
-    errors with concrete witnesses:
+    The audit runs the kernel that ships — [Lower.Codegen.generate]
+    then [Loopir.Scalarize.optimize] over the storage of the mode under
+    audit, the program the simulator and the recorder run — through
+    [Lower.Codegen.scalarized_with_provenance], so every probe site
+    maps back to a Flow statement. Each dynamic leaf instance
+    reconstructs its exact schedule-space timestamp: a scalarized
+    reduction's accumulator lives in a register, and the store that
+    spills it after the nest is stamped as the reduction's last
+    instance, its reduction dimensions at their upper bound. Every
+    array access is attributed to the storage residents whose static
+    per-element live interval contains it. Violations surface as
+    [Analysis.Diagnostic] errors with concrete witnesses:
 
     - [memprof-live-escape] — an access fell outside every resident's
       static live interval (observed ⊄ static);
@@ -28,9 +33,7 @@
     and last timestamp, the current instance's timestamp) and compares
     timestamps in place, so an access costs a few array reads per
     resident of its buffer and builds no timestamp. Cost is linear in
-    statement instances and accesses: at p = 11, one sharing-mode audit
-    of Inverse Helmholtz (97,163 instances, 275,517 accesses) takes
-    about 0.1 s on a 2-core host. *)
+    statement instances and accesses. *)
 
 exception Error of string
 (** Internal inconsistency (probe/provenance mismatch) — distinct from a
@@ -94,7 +97,7 @@ val run :
   Lower.Schedule.t ->
   result
 (** Generate the PLM architecture for [mode] (as [Mnemosyne.Memgen]
-    would), regenerate the loop nest over its storage map, execute it
+    would), build the shipped kernel over its storage map, execute it
     once instrumented, and audit, inside one ["memprof.audit"] span
     whose [label] attribute names the mode. Per-instance unit pressure
     is also observed into the [Obs.Metrics] histograms

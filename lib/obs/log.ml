@@ -36,16 +36,13 @@ let set_mirror = function
   | None -> Atomic.set mirror_level max_int
   | Some l -> Atomic.set mirror_level (level_index l)
 
-(* Per-level counters, registered lazily so a run that never logs at a
-   level leaves no trace of it in the metrics dump (metric registration
-   is observable through [--metrics]). *)
-let counters =
-  [|
-    lazy (Metrics.counter "log.events.debug");
-    lazy (Metrics.counter "log.events.info");
-    lazy (Metrics.counter "log.events.warn");
-    lazy (Metrics.counter "log.events.error");
-  |]
+(* Per-level counters, registered at a level's first event so a run
+   that never logs at a level leaves no trace of it in the metrics dump
+   (metric registration is observable through [--metrics]). The
+   registry looks them up under its lock: pool workers log from several
+   domains at once, and a [Lazy.t] forced by two domains together raises
+   [Lazy.Undefined]. *)
+let level_counter level = Metrics.counter ("log.events." ^ level_name level)
 
 (* --- the JSON-lines sink ------------------------------------------------ *)
 
@@ -79,7 +76,7 @@ let emit level ?span ~scope ~attrs msg =
   let span =
     match span with Some id -> id | None -> Trace.current_span ()
   in
-  Metrics.incr (Lazy.force counters.(level_index level));
+  Metrics.incr (level_counter level);
   if level_index level >= Atomic.get mirror_level then
     Printf.eprintf "cfdc: %s: %s\n%!" scope msg;
   if Gate.flight_on () then

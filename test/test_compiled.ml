@@ -821,27 +821,18 @@ let rec has_empty_loop = function
   | Prog.For l -> l.Prog.hi <= l.Prog.lo || List.exists has_empty_loop l.Prog.body
   | _ -> false
 
-(* Each edge fused as its shape says and run against the interpreter.
-   The verifier licenses every edge without an empty loop; it refuses an
-   empty loop the license ([bounds-empty-loop]), so those edges, in
-   range by construction, run their unchecked leg here. *)
+(* Each edge licensed unchecked, fused as its shape says and run
+   against the interpreter. An empty loop's [bounds-empty-loop] is a
+   warning, which does not refuse the license: its body never runs. *)
 let check_fused_edges edges =
   List.iter
     (fun { what; proc; fused; _ } ->
-      let empty = List.exists has_empty_loop proc.Prog.body in
-      if not empty then Prog.validate proc;
-      Alcotest.(check bool) (what ^ ": licensed") (not empty)
+      if not (List.exists has_empty_loop proc.Prog.body) then Prog.validate proc;
+      Alcotest.(check bool) (what ^ ": licensed") true
         (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
       Alcotest.(check int) (what ^ ": fused loops") fused
         (fused_loops Compiled.Unchecked proc);
-      let inputs = edge_inputs proc in
-      check_differential ~what proc inputs;
-      if empty then
-        match
-          (run_interp proc inputs, run_compiled ~mode:Compiled.Unchecked proc inputs)
-        with
-        | Ran bi, Ran bu when buffers_identical bu bi -> ()
-        | _ -> Alcotest.failf "%s: unchecked run differs from interpreter" what)
+      check_differential ~what proc (edge_inputs proc))
     edges
 
 let test_fused_edges () = check_fused_edges (nest_edges ())

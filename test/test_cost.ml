@@ -462,7 +462,7 @@ let emitted_rules () =
   (* the timeline's only rule: an overlapped leg required on m < 2k *)
   collect
     (Timeline.analyze ~force_k:8 ~force_m:8 ~overlap:Timeline.Require
-       ~audit:(Compile.audit r) ~n_elements:64 r)
+       ~audit:(lazy (Compile.audit r)) ~n_elements:64 r)
       .Timeline.tl_diagnostics;
   List.sort_uniq compare !acc
 

@@ -486,6 +486,47 @@ let test_scalarize_factorized () =
   Alcotest.(check int) "six accumulators" 6 (Loopir.Scalarize.count_accumulators opt);
   check_proc_matches_reference ~p:4 opt
 
+(* The shipped kernel's provenance: one leaf per leaf statement in
+   pre-order; each spill names its reduction's MAC statement with the
+   reduction dimensions fixed at their last value (p - 1), and every
+   other leaf reads all its coordinates from enclosing loops. *)
+let test_scalarize_provenance () =
+  let _, program = helmholtz_program ~p:4 ~factorize:true () in
+  let proc, leaves =
+    Lower.Codegen.scalarized_with_provenance program
+      (Lower.Reschedule.compute program)
+  in
+  let rec count n = function
+    | Loopir.Prog.For l -> List.fold_left count n l.Loopir.Prog.body
+    | _ -> n + 1
+  in
+  Alcotest.(check int) "one leaf per leaf statement"
+    (List.fold_left count 0 proc.Loopir.Prog.body)
+    (List.length leaves);
+  let is_mac name =
+    List.exists
+      (fun (st : Lower.Flow.statement) ->
+        st.Lower.Flow.stmt_name = name
+        && match st.Lower.Flow.compute with Lower.Flow.Mac _ -> true | _ -> false)
+      program.Lower.Flow.stmts
+  in
+  let fixed (l : Lower.Codegen.leaf) =
+    List.filter_map
+      (function Lower.Codegen.Fixed v -> Some v | Lower.Codegen.Loop _ -> None)
+      (Array.to_list l.Lower.Codegen.leaf_coords)
+  in
+  let spills = List.filter (fun l -> fixed l <> []) leaves in
+  Alcotest.(check int) "one spill per accumulator"
+    (Loopir.Scalarize.count_accumulators proc)
+    (List.length spills);
+  List.iter
+    (fun (l : Lower.Codegen.leaf) ->
+      Alcotest.(check bool) (l.Lower.Codegen.leaf_stmt ^ " is a MAC") true
+        (is_mac l.Lower.Codegen.leaf_stmt);
+      Alcotest.(check (list int)) (l.Lower.Codegen.leaf_stmt ^ " at its last k") [ 3 ]
+        (fixed l))
+    spills
+
 (* ---------- C emission ---------- *)
 
 let test_emit_c_structure () =
@@ -626,6 +667,7 @@ let suite =
         case "fused helmholtz" test_scalarize_helmholtz;
         case "noop on reference schedule" test_scalarize_noop_on_reference_schedule;
         case "factorized" test_scalarize_factorized;
+        case "shipped kernel provenance" test_scalarize_provenance;
       ] );
     ( "loopir.emit",
       [

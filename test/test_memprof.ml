@@ -82,6 +82,50 @@ let test_kernel_audit file () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* One observed program: the audit, the verifier and the recorder       *)
+(* ------------------------------------------------------------------ *)
+
+let has_rule rule =
+  List.exists (fun (d : Analysis.Diagnostic.t) -> d.Analysis.Diagnostic.rule = rule)
+
+(* The port budget is one fact about the kernel that ships: on every
+   kernel, with sharing on and off, at unroll 1, 2, 4 and 8, the audit
+   reports [memprof-port-pressure] exactly when the verifier reports
+   [share-ports] (neither does on any of these 48 today), and reports
+   nothing else. *)
+let test_port_verdicts_agree () =
+  List.iter
+    (fun file ->
+      List.iter
+        (fun sharing ->
+          List.iter
+            (fun unroll ->
+              let options =
+                {
+                  Cfd_core.Compile.default_options with
+                  Cfd_core.Compile.sharing;
+                  unroll = (if unroll = 1 then None else Some unroll);
+                }
+              in
+              let r = compile_kernel ~options file in
+              let what =
+                Printf.sprintf "%s sharing %b unroll %d" file sharing unroll
+              in
+              let diags = (Cfd_core.Compile.audit r).Memprof.Audit.r_diagnostics in
+              Alcotest.(check bool) (what ^ ": port verdicts")
+                (has_rule "share-ports" (Cfd_core.Compile.check r))
+                (has_rule "memprof-port-pressure" diags);
+              Alcotest.(check (list string)) (what ^ ": no other audit finding") []
+                (List.filter_map
+                   (fun (d : Analysis.Diagnostic.t) ->
+                     if d.Analysis.Diagnostic.rule = "memprof-port-pressure" then None
+                     else Some d.Analysis.Diagnostic.message)
+                   diags))
+            [ 1; 2; 4; 8 ])
+        [ true; false ])
+    (kernel_files ())
+
+(* ------------------------------------------------------------------ *)
 (* Paper numbers: 31 -> 18 BRAM18 on the Inverse Helmholtz             *)
 (* ------------------------------------------------------------------ *)
 
@@ -122,13 +166,15 @@ let test_forced_merge_caught () =
     Liveness.Sharing.merge_storage ~force:true program schedule [ ("t", "r") ]
   in
   (* one slot conflict on the first shared word, witnessed by the two
-     observed element intervals that overlap there *)
+     observed element intervals that overlap there; the shipped kernel
+     keeps t's accumulator in a register, so t's interval opens at the
+     spill, the timestamp of its reduction's last instance *)
   Alcotest.(check (list string))
     "exactly one slot conflict, with its witness"
     [
       "error[memprof-slot-conflict] shared_r: r and t observed simultaneously \
        live on word 0 of shared_r (witness: [[3,0,0,0,0,0,0,0,0], \
-       [4,10,0,0,0,0,1,0,0]] overlaps [[2,0,0,0,0,0,0,0,0], \
+       [4,10,0,0,0,0,1,0,0]] overlaps [[2,0,0,0,0,0,1,10,0], \
        [3,0,0,0,0,0,0,0,0]])";
     ]
     (List.map
@@ -1022,6 +1068,45 @@ let test_pinned_snapshot () =
         ] );
     ]
 
+(* One program, two observers: on every kernel, compiled with sharing
+   on and off, the audit of the compiled mode counts the instances,
+   accesses and per-unit reads and writes that the recorder counts in a
+   one-element simulation of [result.proc]. *)
+let test_audit_matches_recorder () =
+  List.iter
+    (fun file ->
+      List.iter
+        (fun sharing ->
+          let options =
+            { Cfd_core.Compile.default_options with Cfd_core.Compile.sharing }
+          in
+          let r = compile_kernel ~options file in
+          let a = Cfd_core.Compile.audit r in
+          let system = Cfd_core.Compile.build_system ~n_elements:1 r in
+          let sn = recorded_run ~jobs:1 r system 1 in
+          same_lines
+            (Printf.sprintf "%s sharing %b" file sharing)
+            (Printf.sprintf "instances %d, accesses %d"
+               sn.Memprof.Record.sn_instances sn.Memprof.Record.sn_accesses
+            :: List.map
+                 (fun (b : Memprof.Record.buffer_stats) ->
+                   Printf.sprintf "%s: %d reads, %d writes"
+                     b.Memprof.Record.b_buffer b.Memprof.Record.b_reads
+                     b.Memprof.Record.b_writes)
+                 sn.Memprof.Record.sn_buffers)
+            (Printf.sprintf "instances %d, accesses %d"
+               a.Memprof.Audit.r_instances a.Memprof.Audit.r_accesses
+            :: List.map
+                 (fun (u : Memprof.Audit.unit_stat) ->
+                   Printf.sprintf "%s: %d reads, %d writes" u.Memprof.Audit.u_name
+                     u.Memprof.Audit.u_reads u.Memprof.Audit.u_writes)
+                 (List.sort
+                    (fun (x : Memprof.Audit.unit_stat) y ->
+                      compare x.Memprof.Audit.u_name y.Memprof.Audit.u_name)
+                    a.Memprof.Audit.r_units)))
+        [ true; false ])
+    (kernel_files ())
+
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1103,5 +1188,9 @@ let suite =
             test_recording_scales;
           Alcotest.test_case "pinned snapshot: inverse Helmholtz p=11" `Quick
             test_pinned_snapshot;
+          Alcotest.test_case "audit port verdict = verifier's, 48 configs"
+            `Quick test_port_verdicts_agree;
+          Alcotest.test_case "audit counts = recorded element, every kernel"
+            `Quick test_audit_matches_recorder;
         ] );
   ]

@@ -61,7 +61,7 @@ let test_every_kernel_phase_sums () =
     (fun file ->
       let r = compile_kernel file in
       let report =
-        Timeline.analyze ~audit:(Compile.audit r) ~n_elements:512 r
+        Timeline.analyze ~audit:(lazy (Compile.audit r)) ~n_elements:512 r
       in
       Alcotest.(check bool) (file ^ ": passed") true (Timeline.passed report);
       (match Timeline.find_leg report "plain" with
@@ -98,7 +98,7 @@ let test_derived_metrics_consistent () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   let report =
     Timeline.analyze ~force_k:8 ~force_m:16 ~overlap:Timeline.Require
-      ~audit:(Compile.audit r) ~n_elements:2048 r
+      ~audit:(lazy (Compile.audit r)) ~n_elements:2048 r
   in
   Alcotest.(check bool) "passed" true (Timeline.passed report);
   let leg label =
@@ -163,7 +163,7 @@ let test_pinned_cycles () =
   let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:4 ()) in
   let report =
     Timeline.analyze ~force_k:8 ~force_m:16 ~overlap:Timeline.Require
-      ~audit:(Compile.audit r) ~n_elements:2048 r
+      ~audit:(lazy (Compile.audit r)) ~n_elements:2048 r
   in
   Alcotest.(check bool) "passed" true (Timeline.passed report);
   List.iter
@@ -239,7 +239,7 @@ let test_require_policy_diagnostic () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   let report =
     Timeline.analyze ~force_k:8 ~force_m:8 ~overlap:Timeline.Require
-      ~audit:(Compile.audit r) ~n_elements:64 r
+      ~audit:(lazy (Compile.audit r)) ~n_elements:64 r
   in
   Alcotest.(check bool) "overlapped leg withheld" true
     (Timeline.find_leg report "overlapped" = None);
@@ -255,7 +255,7 @@ let test_require_policy_diagnostic () =
 let test_auto_policy_reshapes () =
   let r = compile_kernel "inverse_helmholtz.cfd" in
   let report =
-    Timeline.analyze ~force_k:8 ~force_m:8 ~audit:(Compile.audit r)
+    Timeline.analyze ~force_k:8 ~force_m:8 ~audit:(lazy (Compile.audit r))
       ~n_elements:64 r
   in
   Alcotest.(check bool) "passed" true (Timeline.passed report);
@@ -267,6 +267,16 @@ let test_auto_policy_reshapes () =
       Alcotest.(check int) "k shrunk to the largest feasible divisor" 4
         leg.Timeline.leg_shape.Analysis.Cost.sh_k
 
+(* An infeasible shape fails before any audit runs: the audit is
+   forced only once the system is built. *)
+let test_infeasible_before_audit () =
+  let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:4 ()) in
+  let audit = lazy (Alcotest.fail "audit forced before the system was built") in
+  match Timeline.analyze ~force_k:3 ~force_m:4 ~audit ~n_elements:64 r with
+  | _ -> Alcotest.fail "expected Sysgen.Replicate.Infeasible"
+  | exception Sysgen.Replicate.Infeasible _ ->
+      Alcotest.(check bool) "audit not forced" false (Lazy.is_val audit)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export: byte determinism                               *)
 (* ------------------------------------------------------------------ *)
@@ -275,7 +285,7 @@ let test_chrome_trace_deterministic () =
   let r = compile_kernel "mass.cfd" in
   let render () =
     let report =
-      Timeline.analyze ~audit:(Compile.audit r) ~n_elements:128 r
+      Timeline.analyze ~audit:(lazy (Compile.audit r)) ~n_elements:128 r
     in
     ( Obs.Json.to_string (Timeline.chrome_trace report),
       Obs.Json.to_string (Timeline.to_json report) )
@@ -381,6 +391,8 @@ let suite =
           test_require_policy_diagnostic;
         case "Auto policy: reshapes k under m" test_auto_policy_reshapes;
         case "pinned cycles: p = 4, k = 8, m = 16" test_pinned_cycles;
+        case "infeasible shape fails before the audit"
+          test_infeasible_before_audit;
       ] );
     ( "timeline.export",
       [ case "Chrome trace byte-deterministic" test_chrome_trace_deterministic ]
